@@ -5,7 +5,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
+from typing import get_type_hints
 
 import numpy as np
 
@@ -53,7 +54,7 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 
 def cmd_find(args: argparse.Namespace) -> int:
     ds = data.load_learner_dataset(_read(args.data))
-    result = find(ds, args.depth, memo=not args.no_memo, threads=args.threads)
+    result = find(ds, args.depth, memo=not args.no_memo)
     _write(args.out, trees.dump_tree(result.tree))
     stats = {
         "empirical_error": result.empirical_error,
@@ -116,12 +117,16 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> harness.Exp
                 continue
             key, _, raw = line.partition("=")
             values[key.strip()] = raw.strip()
-    known = {f.name: f.type for f in fields(harness.ExperimentConfig)}
+    # Coerce by field type, so `eta=0` and `eta=0.0` give the same config.
+    known = get_type_hints(harness.ExperimentConfig)
     parsed: dict = {}
     for key, raw in values.items():
         if key not in known:
             raise SystemExit(f"unknown config key {key!r}")
-        parsed[key] = _coerce(raw)
+        try:
+            parsed[key] = known[key](raw)
+        except ValueError:
+            raise SystemExit(f"config key {key!r} needs a {known[key].__name__}, got {raw!r}") from None
     for key in ("n", "s", "m", "eps", "method", "seed", "stoch_fraction",
                 "max_depth", "adversary"):
         value = getattr(overrides, key.replace("-", "_"), None)
@@ -131,15 +136,6 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> harness.Exp
         return harness.ExperimentConfig(**parsed)
     except TypeError as exc:
         raise SystemExit(f"incomplete sweep config: {exc}") from None
-
-
-def _coerce(raw: str):
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -187,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--no-memo", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_find)
 

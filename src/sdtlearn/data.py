@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from .polynomials import parse_header
 from .trees import (
     StochasticTree,
     mean_on_points,
@@ -74,6 +75,15 @@ class Dataset:
 
     def packed(self) -> np.ndarray:
         return pack_inputs(self.xs)
+
+    def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The count table: distinct packed inputs in ascending order, the
+        number of rows labeled 0 and labeled 1 at each (int64), and each
+        row's index into the table."""
+        zs, inverse = np.unique(self.packed(), return_inverse=True)
+        total = np.bincount(inverse, minlength=zs.size).astype(np.int64)
+        c1 = np.bincount(inverse[self.ys == 1], minlength=zs.size).astype(np.int64)
+        return zs, total - c1, c1, inverse
 
 
 def draw_clean(tree: StochasticTree, m: int, rng: np.random.Generator) -> Dataset:
@@ -138,41 +148,38 @@ def _flip_margin_rows(clean: Dataset, budget: int, tree: StochasticTree) -> np.n
     For each distinct input, flipping just over half of the rows that agree
     with the Bayes label overturns the empirical majority there; spending
     the minimum per input lets the budget reach about twice as many inputs
-    as flipping whole groups would.
+    as flipping whole groups would.  Inputs are visited by decreasing
+    margin (ties by input), each gets the first rows it needs in row order
+    until the budget runs out, and any budget left over goes to the lowest
+    untaken rows.
     """
-    zs = clean.packed()
+    zs, c0, c1, inverse = clean.counts()
     mu = mean_on_points(tree, zs)
-    margin = np.abs(mu - 0.5)
     bayes = (mu >= 0.5).astype(np.uint8)
+    agree = np.where(bayes == 1, c1, c0)
+    disagree = c0 + c1 - agree
+    # Inputs whose empirical majority already contradicts the Bayes label need nothing.
+    need = np.where(agree >= disagree, (agree - disagree) // 2 + 1, 0)
 
-    order: dict[int, list[int]] = {}
-    for i, z in enumerate(zs):
-        order.setdefault(int(z), []).append(i)
-    groups = sorted(order.items(), key=lambda kv: (-margin[kv[1][0]], kv[0]))
+    order = np.lexsort((zs, -np.abs(mu - 0.5)))
+    need_in_order = need[order]
+    spent_before = np.cumsum(need_in_order) - need_in_order
+    take = np.empty_like(need)
+    take[order] = np.clip(budget - spent_before, 0, need_in_order)
 
-    chosen: list[int] = []
-    remaining = budget
-    for _, rows in groups:
-        if remaining == 0:
-            break
-        label = bayes[rows[0]]
-        agree = [i for i in rows if clean.ys[i] == label]
-        disagree_count = len(rows) - len(agree)
-        if len(agree) < disagree_count:
-            continue  # empirical majority already wrong for the Bayes label
-        need = (len(agree) - disagree_count) // 2 + 1
-        take = min(need, remaining, len(agree))
-        chosen.extend(agree[:take])
-        remaining -= take
-    if remaining:
-        taken = set(chosen)
-        for i in range(clean.m):
-            if remaining == 0:
-                break
-            if i not in taken:
-                chosen.append(i)
-                remaining -= 1
-    return np.sort(np.asarray(chosen, dtype=np.int64))
+    rows = np.flatnonzero(clean.ys == bayes[inverse])
+    groups = inverse[rows]
+    by_group = np.argsort(groups, kind="stable")
+    rows, groups = rows[by_group], groups[by_group]
+    rank = np.arange(rows.size) - np.searchsorted(groups, groups)
+    chosen = rows[rank < take[groups]]
+
+    leftover = budget - chosen.size
+    if leftover:
+        untaken = np.ones(clean.m, dtype=bool)
+        untaken[chosen] = False
+        chosen = np.concatenate([chosen, np.flatnonzero(untaken)[:leftover]])
+    return np.sort(chosen).astype(np.int64, copy=False)
 
 
 def _replacement_point(clean: Dataset, tree: StochasticTree, enumeration_cap: int = 20) -> tuple[int, int]:
@@ -182,7 +189,7 @@ def _replacement_point(clean: Dataset, tree: StochasticTree, enumeration_cap: in
         z_star = int(np.argmax(np.abs(mu - 0.5)))
         mu_star = float(mu[z_star])
     else:
-        zs = np.unique(clean.packed())
+        zs = clean.counts()[0]
         mu = mean_on_points(tree, zs)
         best = int(np.argmax(np.abs(mu - 0.5)))
         z_star, mu_star = int(zs[best]), float(mu[best])
@@ -200,21 +207,26 @@ def dump_dataset(ds: Dataset) -> str:
 
 def load_dataset(text: str) -> Dataset:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split()
-    n = int(header[0].removeprefix("n="))
-    m = int(header[1].removeprefix("m="))
+    if not lines:
+        raise ValueError("dataset text is empty")
+    n, m = parse_header(lines[0], ("n", "m"))
     if len(lines) - 1 != m:
         raise ValueError(f"header says m={m} but found {len(lines) - 1} rows")
     xs = np.zeros((m, n), dtype=np.uint8)
     ys = np.zeros(m, dtype=np.uint8)
     flags = np.zeros(m, dtype=bool)
     for i, ln in enumerate(lines[1:]):
-        bits, label, flag = ln.split()
+        fields = ln.split()
+        if len(fields) != 3:
+            raise ValueError(f"row {i} has {len(fields)} fields, expected `<bits> <label> <flag>`")
+        bits, label, flag = fields
         if len(bits) != n:
             raise ValueError(f"row {i} has {len(bits)} bits, expected {n}")
+        if set(bits) - {"0", "1"} or label not in ("0", "1") or flag not in ("0", "1"):
+            raise ValueError(f"row {i} must hold only 0/1 bits, label and flag")
         xs[i] = [int(b) for b in bits]
         ys[i] = int(label)
-        flags[i] = bool(int(flag))
+        flags[i] = flag == "1"
     return Dataset(n, xs, ys, flags)
 
 

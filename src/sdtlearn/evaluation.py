@@ -3,8 +3,10 @@
 For n up to the enumeration cap every quantity here is computed exactly
 by enumerating {0,1}^n: the Bayes error, the classification error of a
 hypothesis against the target tree, and the mean-square/mean-absolute
-distances used by the regression guarantees.  Randomized hypotheses are
-integrated out in closed form rather than sampled.
+distances used by the regression guarantees.  Above the cap, inputs are
+sampled but tree coins never are: every error is an average of exact
+per-input means, and randomized hypotheses are integrated out in closed
+form rather than sampled.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .regression import TruncatedPolyHypothesis
-from .trees import StochasticTree, mean_vector, pack_inputs, sample
+from .trees import StochasticTree, mean_on_points, mean_vector, pack_inputs
 
 Hypothesis = Union[StochasticTree, TruncatedPolyHypothesis]
 
@@ -37,33 +39,39 @@ def exact_opt(tree: StochasticTree, cap: int = DEFAULT_ENUMERATION_CAP) -> float
     return float(np.mean(np.minimum(mu, 1.0 - mu)))
 
 
-def hypothesis_mean_vector(hypothesis: Hypothesis, n: int) -> np.ndarray:
-    """Pr[hypothesis outputs 1] over all 2^n inputs."""
+def _hypothesis_means(hypothesis: Hypothesis, n: int, zs: np.ndarray) -> np.ndarray:
+    """Pr[hypothesis outputs 1] at the packed inputs zs over n variables."""
+    hyp_n = hypothesis.n if isinstance(hypothesis, StochasticTree) else hypothesis.poly.n
+    if hyp_n != n:
+        raise ValueError(f"hypothesis is over {hyp_n} variables, expected {n}")
     if isinstance(hypothesis, StochasticTree):
-        if hypothesis.n != n:
-            raise ValueError(f"hypothesis is over {hypothesis.n} variables, expected {n}")
-        return mean_vector(hypothesis)
-    if hypothesis.poly.n != n:
-        raise ValueError(f"hypothesis is over {hypothesis.poly.n} variables, expected {n}")
-    zs = np.arange(1 << n, dtype=np.int64)
+        return mean_on_points(hypothesis, zs)
     q = hypothesis.clamped_packed(zs)
     if hypothesis.mode == "rounded":
         return (q >= 0.5).astype(np.float64)
     return q
 
 
+def hypothesis_mean_vector(hypothesis: Hypothesis, n: int) -> np.ndarray:
+    """Pr[hypothesis outputs 1] over all 2^n inputs."""
+    return _hypothesis_means(hypothesis, n, np.arange(1 << n, dtype=np.int64))
+
+
+def _disagreement(tree: StochasticTree, hypothesis: Hypothesis, zs: np.ndarray) -> np.ndarray:
+    """Pr[tree(x) != hypothesis(x)] at each packed input: q(1-mu) + (1-q)mu,
+    where q is the hypothesis's own output probability, so the coins of
+    neither side are ever sampled."""
+    mu = mean_on_points(tree, zs)
+    q = _hypothesis_means(hypothesis, tree.n, zs)
+    return q + mu - 2.0 * q * mu
+
+
 def exact_error(
     tree: StochasticTree, hypothesis: Hypothesis, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> float:
-    """Exact disagreement probability E_x Pr[tree(x) != hypothesis(x)].
-
-    Uses q(1-mu) + (1-q)mu per input, where q is the hypothesis's own
-    output probability; hypothesis randomness is never sampled.
-    """
+    """Exact disagreement probability E_x Pr[tree(x) != hypothesis(x)]."""
     _check_cap(tree.n, cap)
-    mu = mean_vector(tree)
-    q = hypothesis_mean_vector(hypothesis, tree.n)
-    return float(np.mean(q + mu - 2.0 * q * mu))
+    return float(np.mean(_disagreement(tree, hypothesis, np.arange(1 << tree.n, dtype=np.int64))))
 
 
 def mc_error(
@@ -72,23 +80,17 @@ def mc_error(
     trials: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """Monte Carlo disagreement estimate with its standard error."""
+    """Monte Carlo disagreement estimate with its standard error.
+
+    Only the inputs are sampled; the disagreement at each is exact, so the
+    estimate carries no noise from the coins of either tree.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     xs = rng.integers(0, 2, size=(trials, tree.n), dtype=np.uint8)
-    y_true = np.fromiter((sample(tree, row, rng) for row in xs), dtype=np.uint8, count=trials)
-    if isinstance(hypothesis, StochasticTree):
-        y_hyp = np.fromiter(
-            (sample(hypothesis, row, rng) for row in xs), dtype=np.uint8, count=trials
-        )
-    else:
-        q = hypothesis.clamped_packed(pack_inputs(xs))
-        if hypothesis.mode == "rounded":
-            y_hyp = (q >= 0.5).astype(np.uint8)
-        else:
-            y_hyp = (rng.random(trials) < q).astype(np.uint8)
-    estimate = float(np.mean(y_true != y_hyp))
-    stderr = float(np.sqrt(max(estimate * (1.0 - estimate), 1e-12) / trials))
+    per_input = _disagreement(tree, hypothesis, pack_inputs(xs))
+    estimate = float(np.mean(per_input))
+    stderr = float(np.sqrt(max(float(np.var(per_input)), 1e-12) / trials))
     return estimate, stderr
 
 

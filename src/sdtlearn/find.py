@@ -3,10 +3,11 @@
 ``find`` performs the recursive backtracking search: try every free
 variable at the root, recurse on both restrictions with one less depth,
 and keep the best.  Two exact optimizations keep desk-scale instances
-fast: rows are compressed to distinct inputs with integer label weights,
-and subproblems are memoized by (restriction, depth).  The same
-restriction is reached once per ordering of its variables, so the cache
-collapses up to d! duplicate searches without changing the result.
+fast: the search runs on the dataset's count table (distinct inputs with
+their 0 and 1 label counts) instead of on rows, and subproblems are
+memoized by (restriction, depth).  The same restriction is reached once
+per ordering of its variables, so the cache collapses up to d! duplicate
+searches without changing the result.
 
 Tie-breaking is total (smallest variable index wins; constant ties
 resolve to 0), so the returned tree is a canonical function of the input.
@@ -14,34 +15,13 @@ resolve to 0), so the returned tree is a canonical function of the input.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
-from .trees import Leaf, Node, Query, StochasticTree, mean_on_points, pack_inputs
-
-
-@dataclass(frozen=True)
-class Restriction:
-    """A root-to-node path as a canonical (variable, bit) assignment."""
-
-    fixed: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        variables = [v for v, _ in self.fixed]
-        if variables != sorted(set(variables)):
-            raise ValueError("restriction must be sorted by variable, without repeats")
-
-    def assign(self, var: int, bit: int) -> "Restriction":
-        return Restriction(tuple(sorted(self.fixed + ((var, bit),))))
-
-    @property
-    def variables(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.fixed)
+from .trees import Leaf, Node, Query, StochasticTree, mean_on_points
 
 
 @dataclass
@@ -67,7 +47,6 @@ class _Solver:
         self.n = n
         self.cache: dict | None = {} if memo else None
         self.stats = SearchStats()
-        self.lock = threading.Lock()
 
     def solve(self, idx: np.ndarray, fixed: tuple, mask: int, depth: int) -> tuple[Node, int]:
         if idx.size == 0:
@@ -76,14 +55,11 @@ class _Solver:
             return Leaf(0), 0
         key = (fixed, depth)
         if self.cache is not None:
-            with self.lock:
-                hit = self.cache.get(key)
+            hit = self.cache.get(key)
             if hit is not None:
-                with self.lock:
-                    self.stats.cache_hits += 1
+                self.stats.cache_hits += 1
                 return hit
-        with self.lock:
-            self.stats.nodes_expanded += 1
+        self.stats.nodes_expanded += 1
 
         ones = int(self.w1[idx].sum())
         zeros = int(self.w0[idx].sum())
@@ -109,8 +85,7 @@ class _Solver:
             result = (best_node, best_err)
 
         if self.cache is not None:
-            with self.lock:
-                self.cache[key] = result
+            self.cache[key] = result
         return result
 
 
@@ -118,55 +93,14 @@ def _extend(fixed: tuple, var: int, bit: int) -> tuple:
     return tuple(sorted(fixed + ((var, bit),)))
 
 
-def _compress(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    zs = pack_inputs(dataset.xs)
-    uz, inverse = np.unique(zs, return_inverse=True)
-    total = np.bincount(inverse, minlength=uz.size).astype(np.int64)
-    w1 = np.bincount(inverse, weights=dataset.ys.astype(np.float64), minlength=uz.size)
-    w1 = np.rint(w1).astype(np.int64)
-    return uz, total - w1, w1
-
-
-def find(
-    dataset: Dataset,
-    depth: int,
-    *,
-    memo: bool = True,
-    threads: int = 1,
-) -> FindResult:
-    """Return the canonical minimum-empirical-error tree of depth <= depth.
-
-    With ``threads > 1`` the root's per-variable subproblems run on a
-    thread pool; the final argmin sees the complete result set, so the
-    output tree is identical for every thread count.
-    """
+def find(dataset: Dataset, depth: int, *, memo: bool = True) -> FindResult:
+    """Return the canonical minimum-empirical-error tree of depth <= depth."""
     if depth < 0:
         raise ValueError("depth budget must be nonnegative")
     start = time.perf_counter()
-    uz, w0, w1 = _compress(dataset)
+    uz, w0, w1, _ = dataset.counts()
     solver = _Solver(uz, w0, w1, dataset.n, memo)
-    all_idx = np.arange(uz.size, dtype=np.int64)
-
-    if threads > 1 and depth >= 1 and dataset.n >= 1 and uz.size > 0:
-        with solver.lock:
-            solver.stats.nodes_expanded += 1
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                var: (
-                    pool.submit(_root_child, solver, all_idx, var, 0, depth),
-                    pool.submit(_root_child, solver, all_idx, var, 1, depth),
-                )
-                for var in range(dataset.n)
-            }
-            candidates = []
-            for var in range(dataset.n):
-                node0, err0 = futures[var][0].result()
-                node1, err1 = futures[var][1].result()
-                candidates.append((err0 + err1, var, Query(var, node0, node1)))
-        err, _, node = min(candidates, key=lambda c: (c[0], c[1]))
-    else:
-        node, err = solver.solve(all_idx, (), 0, depth)
-
+    node, err = solver.solve(np.arange(uz.size, dtype=np.int64), (), 0, depth)
     solver.stats.wall_time = time.perf_counter() - start
     m = dataset.m
     return FindResult(
@@ -175,11 +109,6 @@ def find(
         empirical_error=err / m if m else 0.0,
         stats=solver.stats,
     )
-
-
-def _root_child(solver: _Solver, all_idx: np.ndarray, var: int, bit: int, depth: int):
-    sub = all_idx[((solver.uz >> var) & 1) == bit]
-    return solver.solve(sub, ((var, bit),), 1 << var, depth - 1)
 
 
 def empirical_error(tree: StochasticTree, dataset: Dataset) -> float:
@@ -207,7 +136,7 @@ def find_brute_oracle(dataset: Dataset, depth: int, tree_limit: int = 5_000_000)
     if count > tree_limit:
         raise ValueError(f"would enumerate {count} trees, above the limit {tree_limit}")
 
-    uz, w0, w1 = _compress(dataset)
+    uz, w0, w1, _ = dataset.counts()
     if uz.size == 0:
         return 0.0
     preds = [np.zeros(uz.size, dtype=np.uint8), np.ones(uz.size, dtype=np.uint8)]

@@ -40,10 +40,8 @@ class ExperimentConfig:
     eta: float = 0.0
     adversary: str = "none"
     seed: int = 0
-    trials: int = 1
     max_depth: int = 6
     feature_cap: int = 20_000
-    threads: int = 1
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     mc_trials: int = 200_000
 
@@ -63,8 +61,8 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         Adversary(self.adversary)  # raises on unknown kinds
-        if self.trials < 1 or self.max_depth < 0 or self.threads < 1:
-            raise ValueError("trials, max_depth, and threads must be positive")
+        if self.max_depth < 0:
+            raise ValueError("max_depth must be nonnegative")
 
 
 def find_depth_budget(s: int, eps: float, max_depth: int) -> int:
@@ -101,7 +99,7 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     corrupted = corrupt(clean, cfg.eta, Adversary(cfg.adversary), tree, rng_corrupt)
 
     if cfg.method == "find":
-        hypothesis = find(corrupted, depth, threads=cfg.threads).tree
+        hypothesis = find(corrupted, depth).tree
     elif cfg.method == "l2":
         hypothesis = learn_l2_pipeline(corrupted, cfg.s, cfg.eps, cfg.feature_cap)
     else:
@@ -154,7 +152,7 @@ class SweepAggregate:
 def sweep_grid(base: ExperimentConfig, etas: Sequence[float], trials: int) -> list[ExperimentConfig]:
     """One config per (eta, trial); trial i runs with seed base.seed + i."""
     return [
-        replace(base, eta=eta, seed=base.seed + i, trials=1)
+        replace(base, eta=eta, seed=base.seed + i)
         for eta in etas
         for i in range(trials)
     ]

@@ -105,14 +105,35 @@ def dump_polynomial(poly: MultilinearPolynomial) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_header(line: str, keys: Sequence[str]) -> list[int]:
+    """Read a `k1=<int> k2=<int> ...` header line with exactly these keys,
+    as the text formats of trees, datasets and polynomials begin."""
+    tokens = line.split()
+    expected = " ".join(f"{k}=<count>" for k in keys)
+    if len(tokens) != len(keys) or any(not t.startswith(f"{k}=") for t, k in zip(tokens, keys)):
+        raise ValueError(f"header {line!r} must read `{expected}`")
+    values = [t.partition("=")[2] for t in tokens]
+    if not all(v.isdigit() for v in values):
+        raise ValueError(f"header {line!r} must read `{expected}` with nonnegative integers")
+    return [int(v) for v in values]
+
+
 def load_polynomial(text: str) -> MultilinearPolynomial:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split()
-    n = int(header[0].removeprefix("n="))
-    d = int(header[1].removeprefix("d="))
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("polynomial text is empty")
+    n, d = parse_header(lines[0], ("n", "d"))
     coeffs: dict[Monomial, float] = {}
     for ln in lines[1:]:
-        idx_part, coeff_part = ln.rsplit(":", 1)
-        mono = tuple(int(i) for i in idx_part.split(",")) if idx_part else ()
-        coeffs[mono] = float(coeff_part)
+        idx_part, sep, coeff_part = ln.rpartition(":")
+        if not sep:
+            raise ValueError(f"monomial line {ln!r} must read `i,j,...:<coeff>`")
+        try:
+            mono = tuple(int(i) for i in idx_part.split(",")) if idx_part else ()
+            coeff = float(coeff_part)
+        except ValueError:
+            raise ValueError(f"monomial line {ln!r} must read `i,j,...:<coeff>`") from None
+        if mono in coeffs:
+            raise ValueError(f"monomial {mono} appears twice")
+        coeffs[mono] = coeff
     return MultilinearPolynomial(n, d, coeffs)

@@ -3,9 +3,10 @@
 Both learners fit a degree-bounded multilinear polynomial to labeled
 rows: ``l2_regress`` minimizes mean squared error (least squares on the
 monomial feature expansion), ``l1_regress`` minimizes mean absolute
-error (a linear program via the standard slack-variable split).  Rows
-are grouped by distinct (input, label) pairs with integer weights first,
-which leaves both optima unchanged and keeps the solves small.
+error (a linear program via the standard slack-variable split).  Both
+fit one weighted row per distinct (input, label) pair, read from the
+dataset's count table, which leaves both optima unchanged and keeps the
+solves small.
 
 Hypotheses clamp the fitted polynomial to [0,1]; the rounded mode
 thresholds at one half, the randomized mode outputs 1 with the clamped
@@ -61,11 +62,12 @@ def _check_feature_budget(n: int, d: int, cap: int) -> None:
 
 
 def _grouped_rows(dataset: "Dataset") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct (input, label) pairs with multiplicities."""
-    zs = pack_inputs(dataset.xs)
-    keys = zs * 2 + dataset.ys
-    uniq, counts = np.unique(keys, return_counts=True)
-    return uniq >> 1, (uniq & 1).astype(np.float64), counts.astype(np.float64)
+    """Distinct (input, label) pairs with multiplicities, by input then label."""
+    zs, c0, c1, _ = dataset.counts()
+    w = np.stack([c0, c1], axis=1).ravel()
+    keep = w > 0
+    ys = np.tile(np.array([0.0, 1.0]), zs.size)
+    return np.repeat(zs, 2)[keep], ys[keep], w[keep].astype(np.float64)
 
 
 def _design_matrix(zs: np.ndarray, monos: list[tuple[int, ...]]) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .polynomials import Monomial, MultilinearPolynomial
+from .polynomials import Monomial, MultilinearPolynomial, parse_header
 
 
 @dataclass(frozen=True)
@@ -204,26 +204,7 @@ def sample(tree: StochasticTree, x: Sequence[int], rng: np.random.Generator) -> 
 
 def mean_vector(tree: StochasticTree) -> np.ndarray:
     """mu over all 2^n packed inputs; index z has variable i = bit i of z."""
-    size = 1 << tree.n
-    out = np.zeros(size, dtype=np.float64)
-
-    def rec(node: Node, idx: np.ndarray, weight: float) -> None:
-        if weight == 0.0:
-            return
-        if isinstance(node, Leaf):
-            if node.label:
-                out[idx] += weight
-            return
-        if isinstance(node, Query):
-            bit = (idx >> node.var) & 1
-            rec(node.child0, idx[bit == 0], weight)
-            rec(node.child1, idx[bit == 1], weight)
-            return
-        rec(node.child_heads, idx, weight * node.p)
-        rec(node.child_tails, idx, weight * (1.0 - node.p))
-
-    rec(tree.root, np.arange(size, dtype=np.int64), 1.0)
-    return out
+    return mean_on_points(tree, np.arange(1 << tree.n, dtype=np.int64))
 
 
 def mean_on_points(tree: StochasticTree, zs: np.ndarray) -> np.ndarray:
@@ -534,9 +515,9 @@ def dump_tree(tree: StochasticTree) -> str:
 
 def load_tree(text: str) -> StochasticTree:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError("tree text must start with an `n=<count>` header")
-    n = int(lines[0].removeprefix("n="))
+    if not lines:
+        raise ValueError("tree text is empty")
+    (n,) = parse_header(lines[0], ("n",))
     it = iter(lines[1:])
 
     def parse() -> Node:

@@ -105,6 +105,25 @@ def test_sweep_with_config_file(tmp_path, capsys):
     assert again.read_text() == out.read_text()
 
 
+def test_config_values_coerced_by_field_type(tmp_path, capsys):
+    outputs = []
+    for eta in ("0", "0.0"):
+        cfg = tmp_path / f"eta_{eta}.cfg"
+        cfg.write_text(f"n=4\ns=3\nm=200\neps=0.25\neta={eta}\nseed=1\nmax_depth=2\n")
+        out = tmp_path / f"eta_{eta}.csv"
+        assert main(["sweep", "--config", str(cfg), "--trials", "2", "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, out.read_text()))
+    assert outputs[0] == outputs[1]
+    assert ",0.0," in outputs[0][1].splitlines()[1]
+
+
+def test_badly_typed_config_value_rejected(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n=5\ns=4\nm=100\neps=0.2\nseed=1.5\n")
+    with pytest.raises(SystemExit, match="seed"):
+        main(["sweep", "--config", str(cfg), "--trials", "1"])
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n=5\nwhatever=1\n")

@@ -157,6 +157,24 @@ class TestFileFormat:
         with pytest.raises(ValueError):
             load_dataset("n=2 m=3\n01 1 0\n10 0 0\n")
 
+    @pytest.mark.parametrize("text,problem", [
+        ("", "empty"),
+        ("\n  \n", "empty"),
+        ("m=5", "header"),
+        ("n=2", "header"),
+        ("n=2 m=x\n", "header"),
+        ("n=-1 m=0\n", "header"),
+        ("n=2 m=1\n01 1\n", "fields"),
+        ("n=2 m=1\n01 1 0 1\n", "fields"),
+        ("n=2 m=1\n011 1 0\n", "bits"),
+        ("n=2 m=1\n0a 1 0\n", "0/1"),
+        ("n=2 m=1\n01 2 0\n", "0/1"),
+        ("n=2 m=1\n01 1 7\n", "0/1"),
+    ])
+    def test_malformed_text_named(self, text, problem):
+        with pytest.raises(ValueError, match=problem):
+            load_dataset(text)
+
 
 class TestDatasetValidation:
     def test_shape_and_value_checks(self):

@@ -98,6 +98,15 @@ class TestExactError:
         est, se = mc_error(target, hyp, 60_000, rng)
         assert abs(est - exact) <= 4 * se
 
+    def test_monte_carlo_exact_over_coins(self):
+        # Every input has the same disagreement probability, so an estimator
+        # that integrates out the coins has nothing left to sample.
+        for p, q in ((0.3, 0.8), (0.5, 0.5), (0.9, 0.0)):
+            target = StochasticTree(1, Stoch(p, Leaf(1), Leaf(0)))
+            hyp = TruncatedPolyHypothesis(MultilinearPolynomial(1, 0, {(): q}), "randomized")
+            est, _ = mc_error(target, hyp, 2_000, np.random.default_rng(6))
+            assert est == pytest.approx(q * (1 - p) + (1 - q) * p, abs=1e-12)
+
     def test_dimension_mismatch_rejected(self, demo_tree):
         poly = MultilinearPolynomial(2, 1, {(): 0.5})
         with pytest.raises(ValueError):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -80,13 +78,6 @@ class TestDeterminism:
     def test_repeated_runs_byte_identical(self):
         cfg = GOLDEN[0][0]
         assert run_experiment(cfg).to_json() == run_experiment(cfg).to_json()
-
-    def test_thread_count_does_not_leak_into_report(self):
-        base = GOLDEN[0][0]
-        single = run_experiment(dataclasses.replace(base, threads=1))
-        multi = run_experiment(dataclasses.replace(base, threads=3))
-        assert single.to_json() == multi.to_json()
-        assert single.to_csv_row() == multi.to_csv_row()
 
 
 class TestSweep:

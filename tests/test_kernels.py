@@ -1,0 +1,168 @@
+"""The vectorized kernels against the plain loops they replaced.
+
+Each reference below is the earlier implementation kept verbatim in
+spirit: a per-row dict loop for the margin adversary, ``np.unique`` over
+(input, label) keys for the regression rows, and a recursive walk over
+all 2^n inputs for the mean vector.  The new code must agree exactly,
+dtype included, on randomized instances.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sdtlearn.data import Dataset, _flip_margin_rows, corruption_budget, draw_clean
+from sdtlearn.regression import _grouped_rows
+from sdtlearn.trees import Leaf, Node, Query, StochasticTree, mean_on_points, mean_vector, random_tree
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def reference_flip_margin_rows(clean: Dataset, budget: int, tree: StochasticTree) -> np.ndarray:
+    zs = clean.packed()
+    mu = mean_on_points(tree, zs)
+    margin = np.abs(mu - 0.5)
+    bayes = (mu >= 0.5).astype(np.uint8)
+
+    order: dict[int, list[int]] = {}
+    for i, z in enumerate(zs):
+        order.setdefault(int(z), []).append(i)
+    groups = sorted(order.items(), key=lambda kv: (-margin[kv[1][0]], kv[0]))
+
+    chosen: list[int] = []
+    remaining = budget
+    for _, rows in groups:
+        if remaining == 0:
+            break
+        label = bayes[rows[0]]
+        agree = [i for i in rows if clean.ys[i] == label]
+        disagree_count = len(rows) - len(agree)
+        if len(agree) < disagree_count:
+            continue
+        need = (len(agree) - disagree_count) // 2 + 1
+        take = min(need, remaining, len(agree))
+        chosen.extend(agree[:take])
+        remaining -= take
+    if remaining:
+        taken = set(chosen)
+        for i in range(clean.m):
+            if remaining == 0:
+                break
+            if i not in taken:
+                chosen.append(i)
+                remaining -= 1
+    return np.sort(np.asarray(chosen, dtype=np.int64))
+
+
+def reference_grouped_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    keys = dataset.packed() * 2 + dataset.ys
+    uniq, counts = np.unique(keys, return_counts=True)
+    return uniq >> 1, (uniq & 1).astype(np.float64), counts.astype(np.float64)
+
+
+def reference_mean_vector(tree: StochasticTree) -> np.ndarray:
+    size = 1 << tree.n
+    out = np.zeros(size, dtype=np.float64)
+
+    def rec(node: Node, idx: np.ndarray, weight: float) -> None:
+        if weight == 0.0:
+            return
+        if isinstance(node, Leaf):
+            if node.label:
+                out[idx] += weight
+            return
+        if isinstance(node, Query):
+            bit = (idx >> node.var) & 1
+            rec(node.child0, idx[bit == 0], weight)
+            rec(node.child1, idx[bit == 1], weight)
+            return
+        rec(node.child_heads, idx, weight * node.p)
+        rec(node.child_tails, idx, weight * (1.0 - node.p))
+
+    rec(tree.root, np.arange(size, dtype=np.int64), 1.0)
+    return out
+
+
+def _tree(n: int, s: int, stoch: float, seed: int) -> StochasticTree:
+    return random_tree(n, s, stoch, np.random.default_rng(seed))
+
+
+def _sample(tree: StochasticTree, m: int, noisy: bool, seed: int) -> Dataset:
+    """A clean sample, or one with uniform labels so that many inputs
+    already disagree with the Bayes label."""
+    rng = np.random.default_rng(seed)
+    clean = draw_clean(tree, m, rng)
+    if not noisy:
+        return clean
+    ys = rng.integers(0, 2, size=m, dtype=np.uint8)
+    return Dataset(clean.n, clean.xs, ys, clean.corrupted)
+
+
+def _assert_identical(new: np.ndarray, ref: np.ndarray) -> None:
+    assert new.dtype == ref.dtype
+    assert np.array_equal(new, ref)
+
+
+instances = dict(
+    n=st.integers(1, 6),
+    s=st.integers(1, 10),
+    stoch=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    m=st.integers(1, 300),
+    noisy=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@PROPERTY
+@given(eta=st.sampled_from([0.01, 0.05, 0.2, 0.5, 1.0]), **instances)
+@example(n=3, s=4, stoch=0.3, m=50, noisy=False, seed=0, eta=1.0)
+@example(n=2, s=3, stoch=0.0, m=200, noisy=True, seed=1, eta=0.5)
+def test_flip_margin_rows_matches_dict_loop(n, s, stoch, m, noisy, seed, eta):
+    tree = _tree(n, min(s, 1 << n), stoch, seed)
+    clean = _sample(tree, m, noisy, seed + 1)
+    budget = corruption_budget(eta, m)
+    if budget == 0:
+        return
+    new = _flip_margin_rows(clean, budget, tree)
+    _assert_identical(new, reference_flip_margin_rows(clean, budget, tree))
+    assert new.size == budget and np.unique(new).size == budget
+
+
+def test_flip_margin_rows_fills_leftover_budget():
+    # Input 0 needs one flip and input 1 needs two; the fourth flip goes to
+    # the lowest untaken row.
+    tree = StochasticTree(1, Query(0, Leaf(0), Leaf(1)))
+    clean = Dataset(1, [[0], [1], [0], [1], [0]], [0, 1, 1, 1, 0], np.zeros(5, dtype=bool))
+    ref = reference_flip_margin_rows(clean, 4, tree)
+    _assert_identical(_flip_margin_rows(clean, 4, tree), ref)
+    assert ref.tolist() == [0, 1, 2, 3]
+
+
+@PROPERTY
+@given(**instances)
+def test_grouped_rows_match_unique_keys(n, s, stoch, m, noisy, seed):
+    tree = _tree(n, min(s, 1 << n), stoch, seed)
+    ds = _sample(tree, m, noisy, seed + 1)
+    for new, ref in zip(_grouped_rows(ds), reference_grouped_rows(ds)):
+        _assert_identical(new, ref)
+
+
+@PROPERTY
+@given(n=st.integers(1, 8), s=st.integers(1, 16), stoch=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_mean_vector_matches_recursive_walk(n, s, stoch, seed):
+    tree = _tree(n, min(s, 1 << n), stoch, seed)
+    _assert_identical(mean_vector(tree), reference_mean_vector(tree))
+
+
+@PROPERTY
+@given(**instances)
+def test_count_table_matches_rows(n, s, stoch, m, noisy, seed):
+    tree = _tree(n, min(s, 1 << n), stoch, seed)
+    ds = _sample(tree, m, noisy, seed + 1)
+    zs, c0, c1, inverse = ds.counts()
+    assert zs.dtype == c0.dtype == c1.dtype == np.int64
+    assert np.all(np.diff(zs) > 0)
+    assert np.array_equal(zs[inverse], ds.packed())
+    assert np.array_equal(c0, np.bincount(inverse, weights=ds.ys == 0, minlength=zs.size))
+    assert np.array_equal(c1, np.bincount(inverse, weights=ds.ys == 1, minlength=zs.size))

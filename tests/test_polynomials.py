@@ -67,3 +67,19 @@ def test_serialization_roundtrip_exact():
     again = load_polynomial(dump_polynomial(poly))
     assert again.n == poly.n and again.d == poly.d
     assert again.coeffs == poly.coeffs
+
+
+@pytest.mark.parametrize("text,problem", [
+    ("", "empty"),
+    ("d=2", "header"),
+    ("n=3", "header"),
+    ("n=3 d=two\n", "header"),
+    ("n=3 d=1\n0 1.0\n", "monomial line"),
+    ("n=3 d=1\n0:one\n", "monomial line"),
+    ("n=3 d=1\nx:1.0\n", "monomial line"),
+    ("n=3 d=1\n0:1.0\n0:2.0\n", "appears twice"),
+    ("n=3 d=1\n:1.0\n:0.5\n", "appears twice"),
+])
+def test_load_rejects_malformed_text(text, problem):
+    with pytest.raises(ValueError, match=problem):
+        load_polynomial(text)
