@@ -136,6 +136,8 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> harness.Exp
         return harness.ExperimentConfig(**parsed)
     except TypeError as exc:
         raise SystemExit(f"incomplete sweep config: {exc}") from None
+    except ValueError as exc:
+        raise SystemExit(f"invalid sweep config: {exc}") from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -229,7 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (regression.FeatureBudgetExceeded, regression.L1SolverError) as exc:
+        raise SystemExit(f"sdtlearn {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

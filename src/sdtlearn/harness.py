@@ -23,7 +23,7 @@ from .evaluation import (
     mc_error,
 )
 from .find import find
-from .regression import degree_budget, learn_l1_pipeline, learn_l2_pipeline, feature_count
+from .regression import check_budget, degree_budget, learn_l1_pipeline, learn_l2_pipeline
 from .trees import StochasticTree, mean_on_points, pack_inputs, random_tree
 
 METHODS = ("find", "l1", "l2")
@@ -79,12 +79,8 @@ def budgets_for(cfg: ExperimentConfig) -> tuple[int | None, int | None]:
     if cfg.method == "find":
         return find_depth_budget(cfg.s, cfg.eps, cfg.max_depth), None
     degree = min(degree_budget(cfg.s, cfg.eps), cfg.n)
-    count = feature_count(cfg.n, degree)
-    if count > cfg.feature_cap:
-        raise ValueError(
-            f"method {cfg.method} needs {count} features at degree {degree}, "
-            f"cap is {cfg.feature_cap}"
-        )
+    # A fit has one grouped row per distinct (input, label) pair.
+    check_budget(cfg.n, degree, min(2 * cfg.m, 2 ** (cfg.n + 1)), cfg.feature_cap)
     return None, degree
 
 

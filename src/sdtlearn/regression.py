@@ -3,10 +3,11 @@
 Both learners fit a degree-bounded multilinear polynomial to labeled
 rows: ``l2_regress`` minimizes mean squared error (least squares on the
 monomial feature expansion), ``l1_regress`` minimizes mean absolute
-error (a linear program via the standard slack-variable split).  Both
+error (the dual linear program, certified by its duality gap).  Both
 fit one weighted row per distinct (input, label) pair, read from the
 dataset's count table, which leaves both optima unchanged and keeps the
-solves small.
+solves small.  Both check the size of their design matrix before they
+build it.
 
 Hypotheses clamp the fitted polynomial to [0,1]; the rounded mode
 thresholds at one half, the randomized mode outputs 1 with the clamped
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .polynomials import (
@@ -37,27 +37,41 @@ if TYPE_CHECKING:
 
 DEFAULT_FEATURE_CAP = 20_000
 
-#: Absolute tolerance for the L1 optimality certificate.
+#: Largest float64 design matrix (grouped rows x monomial features) a fit
+#: may build; the solvers' own copies come on top of it.
+DESIGN_BYTES_CAP = 1 << 30
+
+#: Largest duality gap, per sample row, that certifies an L1 fit optimal.
 L1_CERTIFICATE_TOL = 1e-9
 
 
-class FeatureBudgetExceeded(Exception):
-    """The monomial basis would be larger than the configured cap."""
+class FeatureBudgetExceeded(ValueError):
+    """The monomial basis or its design matrix would exceed its cap."""
 
 
 class L1SolverError(Exception):
-    """The LP solver failed; ``incumbent`` carries the best fallback if any."""
+    """The LP solver failed or its fit was not certified optimal;
+    ``incumbent`` carries the uncertified fit, if there is one."""
 
     def __init__(self, message: str, incumbent: MultilinearPolynomial | None = None):
         super().__init__(message)
         self.incumbent = incumbent
 
 
-def _check_feature_budget(n: int, d: int, cap: int) -> None:
+def check_budget(n: int, d: int, rows: int, feature_cap: int) -> None:
+    """Reject a degree-d fit over n variables and ``rows`` grouped rows
+    whose monomial basis exceeds ``feature_cap`` or whose design matrix
+    exceeds DESIGN_BYTES_CAP, before anything is allocated."""
     count = feature_count(n, d)
-    if count > cap:
+    if count > feature_cap:
         raise FeatureBudgetExceeded(
-            f"degree {d} over {n} variables needs {count} features, cap is {cap}"
+            f"degree {d} over {n} variables needs {count} features, cap is {feature_cap}"
+        )
+    nbytes = rows * count * 8
+    if nbytes > DESIGN_BYTES_CAP:
+        raise FeatureBudgetExceeded(
+            f"{rows} rows x {count} features need a {nbytes / 2**30:.1f} GiB design "
+            f"matrix, cap is {DESIGN_BYTES_CAP / 2**30:.1f} GiB"
         )
 
 
@@ -89,9 +103,9 @@ def l2_regress(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CA
     """Least-squares fit over degree-<= d monomials (minimum-norm on ties)."""
     if d > dataset.n:
         raise ValueError(f"degree {d} exceeds the variable count {dataset.n}")
-    _check_feature_budget(dataset.n, d, feature_cap)
-    monos = monomials(dataset.n, d)
     zs, ys, w = _grouped_rows(dataset)
+    check_budget(dataset.n, d, zs.size, feature_cap)
+    monos = monomials(dataset.n, d)
     phi = _design_matrix(zs, monos)
     sw = np.sqrt(w)
     beta, *_ = np.linalg.lstsq(phi * sw[:, None], ys * sw, rcond=None)
@@ -112,34 +126,37 @@ def l2_objective(poly: MultilinearPolynomial, dataset: "Dataset") -> float:
 def l1_regress(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CAP) -> MultilinearPolynomial:
     """Least-absolute-deviations fit over degree-<= d monomials.
 
-    Solved exactly as the LP  min sum_i w_i t_i  s.t.  -t <= phi b - y <= t.
-    The result is certified against the least-squares solution: its L1
-    objective must not exceed that feasible candidate's.
+    The primal  min_b sum_i w_i |phi_i b - y_i|  is solved through its dual
+
+        max y^T u  s.t.  phi^T u = 0,  -w <= u <= w,
+
+    an LP with one equality row per feature over one bounded variable per
+    grouped row; b is read from the equality rows' multipliers.  Strong
+    duality certifies b: its primal objective may exceed the dual optimum
+    by at most L1_CERTIFICATE_TOL per sample row, otherwise L1SolverError
+    is raised with b as its incumbent.
     """
     if d > dataset.n:
         raise ValueError(f"degree {d} exceeds the variable count {dataset.n}")
-    _check_feature_budget(dataset.n, d, feature_cap)
-    monos = monomials(dataset.n, d)
     zs, ys, w = _grouped_rows(dataset)
+    check_budget(dataset.n, d, zs.size, feature_cap)
+    if zs.size == 0:  # every polynomial is optimal; HiGHS rejects an LP without variables
+        return MultilinearPolynomial(dataset.n, d, {})
+    monos = monomials(dataset.n, d)
     phi = _design_matrix(zs, monos)
-    g, f = phi.shape
 
-    phi_s = sp.csr_matrix(phi)
-    eye = sp.identity(g, format="csr")
-    a_ub = sp.vstack([sp.hstack([phi_s, -eye]), sp.hstack([-phi_s, -eye])], format="csr")
-    b_ub = np.concatenate([ys, -ys])
-    c = np.concatenate([np.zeros(f), w])
-    bounds = [(None, None)] * f + [(0, None)] * g
-
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    bounds = np.stack([-w, w], axis=1)
+    res = linprog(-ys, A_eq=phi.T, b_eq=np.zeros(len(monos)), bounds=bounds, method="highs-ipm")
     if not res.success:
         raise L1SolverError(f"LP solver failed: {res.message}", incumbent=None)
-    poly = _to_poly(dataset.n, d, monos, res.x[:f])
+    beta = -res.eqlin.marginals
+    poly = _to_poly(dataset.n, d, monos, beta)
 
-    reference = l2_regress(dataset, d, feature_cap)
-    if l1_objective(poly, dataset) > l1_objective(reference, dataset) + L1_CERTIFICATE_TOL:
+    gap = float(w @ np.abs(phi @ beta - ys)) + res.fun
+    if gap > L1_CERTIFICATE_TOL * dataset.m:
         raise L1SolverError(
-            "LP result is worse than the least-squares candidate", incumbent=poly
+            f"LP result not certified: duality gap {gap:.3g} over {dataset.m} rows",
+            incumbent=poly,
         )
     return poly
 

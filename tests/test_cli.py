@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from sdtlearn import regression
 from sdtlearn.cli import main
 from sdtlearn.data import load_dataset
 from sdtlearn.polynomials import load_polynomial
@@ -122,6 +124,40 @@ def test_badly_typed_config_value_rejected(tmp_path):
     cfg.write_text("n=5\ns=4\nm=100\neps=0.2\nseed=1.5\n")
     with pytest.raises(SystemExit, match="seed"):
         main(["sweep", "--config", str(cfg), "--trials", "1"])
+
+
+def test_out_of_range_config_value_rejected(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n=5\ns=4\nm=100\neps=2.0\n")
+    with pytest.raises(SystemExit, match="eps must lie in"):
+        main(["sweep", "--config", str(cfg), "--trials", "1"])
+
+
+def _exit_message(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    message = str(info.value.code)
+    assert "\n" not in message
+    return message
+
+
+def test_budget_and_solver_errors_exit_in_one_line(workspace, monkeypatch):
+    message = _exit_message(["sweep", "--n", "16", "--s", "12", "--m", "200000",
+                             "--eps", "0.25", "--method", "l1"])
+    assert message.startswith("sdtlearn sweep: ") and "design matrix" in message
+
+    regress = ["regress", "--data", str(workspace["clean"]), "--size-hint", "6", "--eps", "0.25"]
+    with monkeypatch.context() as patch:
+        patch.setattr(regression, "DESIGN_BYTES_CAP", 0)
+        message = _exit_message(regress + ["--norm", "l2"])
+    assert message.startswith("sdtlearn regress: ") and "design matrix" in message
+
+    def failing(*args, **kwargs):
+        return OptimizeResult(success=False, status=4, message="numerical difficulties", nit=0)
+
+    monkeypatch.setattr(regression, "linprog", failing)
+    message = _exit_message(regress + ["--norm", "l1"])
+    assert message == "sdtlearn regress: LP solver failed: numerical difficulties"
 
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sdtlearn import harness
 from sdtlearn.harness import (
     ExperimentConfig,
     budgets_for,
@@ -55,6 +56,22 @@ class TestBudgets:
         with pytest.raises(ValueError, match="features"):
             budgets_for(cfg)
         with pytest.raises(ValueError, match="features"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("method", ["l1", "l2"])
+    def test_design_matrix_budget_reported_before_sampling(self, method, monkeypatch):
+        # 14,893 features is under the feature cap, but up to 2^17 grouped
+        # rows would make a 14.5 GiB design matrix.
+        cfg = ExperimentConfig(n=16, s=12, m=200_000, eps=0.25, method=method)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("data drawn before the budget check")
+
+        monkeypatch.setattr(harness, "random_tree", no_sampling)
+        monkeypatch.setattr(harness, "draw_clean", no_sampling)
+        with pytest.raises(ValueError, match="131072 rows x 14893 features"):
+            budgets_for(cfg)
+        with pytest.raises(ValueError, match="design matrix"):
             run_experiment(cfg)
 
     def test_config_validation(self):

@@ -2,17 +2,22 @@
 
 Each reference below is the earlier implementation kept verbatim in
 spirit: a per-row dict loop for the margin adversary, ``np.unique`` over
-(input, label) keys for the regression rows, and a recursive walk over
-all 2^n inputs for the mean vector.  The new code must agree exactly,
-dtype included, on randomized instances.
+(input, label) keys for the regression rows, a recursive walk over all
+2^n inputs for the mean vector, and the slack-split primal LP for the L1
+fit.  The new code must agree exactly, dtype included, on randomized
+instances; the L1 fit, whose optimum need not be unique, must reach the
+same objective.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from sdtlearn.data import Dataset, _flip_margin_rows, corruption_budget, draw_clean
-from sdtlearn.regression import _grouped_rows
+from sdtlearn.polynomials import monomials
+from sdtlearn.regression import _design_matrix, _grouped_rows, _to_poly, l1_objective, l1_regress
 from sdtlearn.trees import Leaf, Node, Query, StochasticTree, mean_on_points, mean_vector, random_tree
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
@@ -58,6 +63,23 @@ def reference_grouped_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np
     keys = dataset.packed() * 2 + dataset.ys
     uniq, counts = np.unique(keys, return_counts=True)
     return uniq >> 1, (uniq & 1).astype(np.float64), counts.astype(np.float64)
+
+
+def reference_l1_regress(dataset: Dataset, d: int):
+    """min sum_i w_i t_i  s.t.  -t <= phi b - y <= t, over (b, t)."""
+    monos = monomials(dataset.n, d)
+    zs, ys, w = _grouped_rows(dataset)
+    phi = _design_matrix(zs, monos)
+    g, f = phi.shape
+    phi_s = sp.csr_matrix(phi)
+    eye = sp.identity(g, format="csr")
+    a_ub = sp.vstack([sp.hstack([phi_s, -eye]), sp.hstack([-phi_s, -eye])], format="csr")
+    b_ub = np.concatenate([ys, -ys])
+    c = np.concatenate([np.zeros(f), w])
+    bounds = [(None, None)] * f + [(0, None)] * g
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert res.success, res.message
+    return _to_poly(dataset.n, d, monos, res.x[:f])
 
 
 def reference_mean_vector(tree: StochasticTree) -> np.ndarray:
@@ -145,6 +167,21 @@ def test_grouped_rows_match_unique_keys(n, s, stoch, m, noisy, seed):
     ds = _sample(tree, m, noisy, seed + 1)
     for new, ref in zip(_grouped_rows(ds), reference_grouped_rows(ds)):
         _assert_identical(new, ref)
+
+
+@PROPERTY
+@given(degree=st.floats(0.0, 1.0), **instances)
+@example(n=4, s=6, stoch=0.3, m=200, noisy=True, seed=2, degree=1.0)
+@example(n=3, s=4, stoch=0.7, m=1, noisy=False, seed=3, degree=0.5)
+def test_l1_dual_matches_slack_split_primal(n, s, stoch, m, noisy, seed, degree):
+    # degree 1.0 means d = n: 2^n features, rank-deficient whenever some
+    # input is missing.  Noisy samples see inputs with both labels.
+    tree = _tree(n, min(s, 1 << n), stoch, seed)
+    ds = _sample(tree, m, noisy, seed + 1)
+    d = round(degree * n)
+    new = l1_objective(l1_regress(ds, d), ds)
+    ref = l1_objective(reference_l1_regress(ds, d), ds)
+    assert abs(new - ref) <= 1e-9
 
 
 @PROPERTY

@@ -2,12 +2,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from sdtlearn import regression
 from sdtlearn.data import Dataset, draw_clean
 from sdtlearn.evaluation import exact_error, exact_opt, guarantee_bound
 from sdtlearn.polynomials import MultilinearPolynomial
 from sdtlearn.regression import (
     FeatureBudgetExceeded,
+    L1SolverError,
     TruncatedPolyHypothesis,
     degree_budget,
     l1_objective,
@@ -115,6 +118,51 @@ class TestL1:
             fitted = l1_regress(ds, 2)
             reference = l2_regress(ds, 2)
             assert l1_objective(fitted, ds) <= l1_objective(reference, ds) + 1e-9
+
+    def test_empty_dataset_gives_zero_polynomial(self):
+        ds = make_dataset(np.zeros((0, 3)), np.zeros(0))
+        assert l1_regress(ds, 2).coeffs == {}
+
+
+def _stochastic_sample():
+    tree = random_tree(5, 6, 0.5, np.random.default_rng(10))
+    return draw_clean(tree, 500, np.random.default_rng(11))
+
+
+class TestL1Certificate:
+    def test_perturbed_multipliers_fail_the_certificate(self, monkeypatch):
+        solve = regression.linprog
+
+        def perturbed(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.eqlin.marginals = res.eqlin.marginals + 0.01
+            return res
+
+        monkeypatch.setattr(regression, "linprog", perturbed)
+        with pytest.raises(L1SolverError, match="duality gap") as info:
+            l1_regress(_stochastic_sample(), 3)
+        assert isinstance(info.value.incumbent, MultilinearPolynomial)
+
+    def test_solver_failure_has_no_incumbent(self, monkeypatch):
+        def failing(*args, **kwargs):
+            return OptimizeResult(success=False, status=4, message="numerical difficulties", nit=0)
+
+        monkeypatch.setattr(regression, "linprog", failing)
+        with pytest.raises(L1SolverError, match="numerical difficulties") as info:
+            l1_regress(_stochastic_sample(), 3)
+        assert info.value.incumbent is None
+
+
+@pytest.mark.parametrize("fit", [l1_regress, l2_regress])
+def test_design_matrix_budget_uses_grouped_rows(fit, monkeypatch):
+    # 3 inputs, one seen with both labels: 4 grouped rows x 4 features.
+    ds = make_dataset([[0, 0], [0, 1], [0, 1], [1, 1]], [0, 0, 1, 1])
+    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", 4 * 4 * 8)
+    fit(ds, 2)
+    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", 4 * 4 * 8 - 1)
+    monkeypatch.setattr(regression, "_design_matrix", None)
+    with pytest.raises(FeatureBudgetExceeded, match="4 rows x 4 features"):
+        fit(ds, 2)
 
 
 class TestTruncation:
