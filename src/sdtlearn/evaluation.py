@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .regression import TruncatedPolyHypothesis
+from .regression import TruncatedPolyHypothesis, round_half_up
 from .trees import StochasticTree, mean_on_points, mean_vector, pack_inputs
 
 Hypothesis = Union[StochasticTree, TruncatedPolyHypothesis]
@@ -48,7 +48,7 @@ def _hypothesis_means(hypothesis: Hypothesis, n: int, zs: np.ndarray) -> np.ndar
         return mean_on_points(hypothesis, zs)
     q = hypothesis.clamped_packed(zs)
     if hypothesis.mode == "rounded":
-        return (q >= 0.5).astype(np.float64)
+        return round_half_up(q).astype(np.float64)
     return q
 
 

@@ -79,8 +79,9 @@ def budgets_for(cfg: ExperimentConfig) -> tuple[int | None, int | None]:
     if cfg.method == "find":
         return find_depth_budget(cfg.s, cfg.eps, cfg.max_depth), None
     degree = min(degree_budget(cfg.s, cfg.eps), cfg.n)
-    # A fit has one grouped row per distinct (input, label) pair.
-    check_budget(cfg.n, degree, min(2 * cfg.m, 2 ** (cfg.n + 1)), cfg.feature_cap)
+    # l2 builds one row per distinct input, l1 one per distinct (input, label) pair.
+    rows = min(cfg.m, 2**cfg.n) * (1 if cfg.method == "l2" else 2)
+    check_budget(cfg.n, degree, rows, cfg.feature_cap)
     return None, degree
 
 

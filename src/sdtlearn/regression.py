@@ -1,17 +1,25 @@
 """Low-degree polynomial regression learners and their hypotheses.
 
-Both learners fit a degree-bounded multilinear polynomial to labeled
-rows: ``l2_regress`` minimizes mean squared error (least squares on the
-monomial feature expansion), ``l1_regress`` minimizes mean absolute
-error (the dual linear program, certified by its duality gap).  Both
-fit one weighted row per distinct (input, label) pair, read from the
-dataset's count table, which leaves both optima unchanged and keeps the
-solves small.  Both check the size of their design matrix before they
-build it.
+Both learners fit a degree-bounded multilinear polynomial to the
+dataset's count table (distinct inputs with their 0- and 1-label
+counts), which leaves both optima unchanged and keeps the solves small.
+Both check the size of their design matrix before they build it.
+
+``l2_regress`` minimizes mean squared error.  With Phi the monomial
+design matrix over the u distinct inputs, W = c0 + c1 their row counts
+and c1 their 1-label counts, it solves the normal equations
+Phi^T W Phi b = Phi^T c1 by a pivoted (rank-revealing) Cholesky
+factorization of the Gram matrix.  When the rank falls short of the
+feature count the solution is not unique, and the minimum-norm one comes
+from ``lstsq`` on the weighted distinct-input rows instead.
+
+``l1_regress`` minimizes mean absolute error through the dual linear
+program over one weighted row per distinct (input, label) pair,
+certified by its duality gap.
 
 Hypotheses clamp the fitted polynomial to [0,1]; the rounded mode
-thresholds at one half, the randomized mode outputs 1 with the clamped
-probability.
+thresholds at one half (ties, up to ROUND_TIE_TOL, round to 1), the
+randomized mode outputs 1 with the clamped probability.
 """
 
 from __future__ import annotations
@@ -21,6 +29,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Sequence
 
 import numpy as np
+from scipy.linalg import cho_solve
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpstrf
 from scipy.optimize import linprog
 
 from .polynomials import (
@@ -37,9 +48,13 @@ if TYPE_CHECKING:
 
 DEFAULT_FEATURE_CAP = 20_000
 
-#: Largest float64 design matrix (grouped rows x monomial features) a fit
-#: may build; the solvers' own copies come on top of it.
+#: Largest float64 design matrix (rows x monomial features) a fit may
+#: build; the solvers' own copies come on top of it.
 DESIGN_BYTES_CAP = 1 << 30
+
+#: Clamped fits within this distance below one half round to 1, as exact
+#: ties do, so that the last bits of a solver cannot decide a tie.
+ROUND_TIE_TOL = 1e-9
 
 #: Largest duality gap, per sample row, that certifies an L1 fit optimal.
 L1_CERTIFICATE_TOL = 1e-9
@@ -59,7 +74,7 @@ class L1SolverError(Exception):
 
 
 def check_budget(n: int, d: int, rows: int, feature_cap: int) -> None:
-    """Reject a degree-d fit over n variables and ``rows`` grouped rows
+    """Reject a degree-d fit over n variables and ``rows`` design rows
     whose monomial basis exceeds ``feature_cap`` or whose design matrix
     exceeds DESIGN_BYTES_CAP, before anything is allocated."""
     count = feature_count(n, d)
@@ -100,15 +115,36 @@ def _to_poly(n: int, d: int, monos: list[tuple[int, ...]], beta: np.ndarray) -> 
 
 
 def l2_regress(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CAP) -> MultilinearPolynomial:
-    """Least-squares fit over degree-<= d monomials (minimum-norm on ties)."""
+    """Least-squares fit over degree-<= d monomials (minimum-norm on ties).
+
+    Over the u distinct inputs, with A = sqrt(W) Phi and t = c1 / sqrt(W),
+    the sample's squared error is |A b - t|^2 up to a constant.  When
+    u >= F (the feature count) the Gram matrix G = A^T A is formed with one
+    ``dsyrk`` and factored by ``dpstrf`` (LAPACK's default tolerance); at
+    full rank b solves G b = A^T t by ``cho_solve``.  When u < F or the
+    rank falls short of F, G is singular, and the minimum-norm b comes
+    from ``lstsq(A, t)``.
+    """
     if d > dataset.n:
         raise ValueError(f"degree {d} exceeds the variable count {dataset.n}")
-    zs, ys, w = _grouped_rows(dataset)
+    zs, c0, c1, _ = dataset.counts()
     check_budget(dataset.n, d, zs.size, feature_cap)
     monos = monomials(dataset.n, d)
-    phi = _design_matrix(zs, monos)
-    sw = np.sqrt(w)
-    beta, *_ = np.linalg.lstsq(phi * sw[:, None], ys * sw, rcond=None)
+    sw = np.sqrt((c0 + c1).astype(np.float64))
+    a = _design_matrix(zs, monos)
+    a *= sw[:, None]
+    t = c1 / sw
+    f = len(monos)
+    if zs.size >= f:
+        # a.T is Fortran-ordered, so dsyrk reads it without a copy; both
+        # routines use the upper triangle only.
+        chol, piv, rank, _ = dpstrf(dsyrk(1.0, a.T), overwrite_a=1)
+        if rank == f:
+            order = piv - 1
+            beta = np.empty(f)
+            beta[order] = cho_solve((chol, False), (a.T @ t)[order], check_finite=False)
+            return _to_poly(dataset.n, d, monos, beta)
+    beta, *_ = np.linalg.lstsq(a, t, rcond=None)
     return _to_poly(dataset.n, d, monos, beta)
 
 
@@ -186,6 +222,13 @@ class TruncatedPolyHypothesis:
         return trunc_array(self.poly.evaluate_packed(zs))
 
 
+def round_half_up(q):
+    """The rounded hypothesis's output at clamped value(s) q: true from
+    one half - ROUND_TIE_TOL up, so a tie rounds to 1 as in
+    trees.round_prob even when the solver leaves it a few ulps low."""
+    return q >= 0.5 - ROUND_TIE_TOL
+
+
 def predict(
     hypothesis: TruncatedPolyHypothesis,
     x: Sequence[int],
@@ -193,7 +236,7 @@ def predict(
 ) -> int:
     q = hypothesis.clamped(x)
     if hypothesis.mode == "rounded":
-        return int(q >= 0.5)
+        return int(round_half_up(q))
     if rng is None:
         raise ValueError("randomized prediction needs an rng")
     return int(rng.random() < q)

@@ -58,10 +58,13 @@ class TestBudgets:
         with pytest.raises(ValueError, match="features"):
             run_experiment(cfg)
 
-    @pytest.mark.parametrize("method", ["l1", "l2"])
-    def test_design_matrix_budget_reported_before_sampling(self, method, monkeypatch):
+    @pytest.mark.parametrize(
+        "method,rows", [pytest.param("l1", 131072, id="l1"), pytest.param("l2", 65536, id="l2")]
+    )
+    def test_design_matrix_budget_reported_before_sampling(self, method, rows, monkeypatch):
         # 14,893 features is under the feature cap, but up to 2^17 grouped
-        # rows would make a 14.5 GiB design matrix.
+        # rows (l1) or 2^16 distinct inputs (l2) would make a 14.5 or
+        # 7.3 GiB design matrix.
         cfg = ExperimentConfig(n=16, s=12, m=200_000, eps=0.25, method=method)
 
         def no_sampling(*args, **kwargs):
@@ -69,7 +72,7 @@ class TestBudgets:
 
         monkeypatch.setattr(harness, "random_tree", no_sampling)
         monkeypatch.setattr(harness, "draw_clean", no_sampling)
-        with pytest.raises(ValueError, match="131072 rows x 14893 features"):
+        with pytest.raises(ValueError, match=f"{rows} rows x 14893 features"):
             budgets_for(cfg)
         with pytest.raises(ValueError, match="design matrix"):
             run_experiment(cfg)

@@ -3,10 +3,11 @@
 Each reference below is the earlier implementation kept verbatim in
 spirit: a per-row dict loop for the margin adversary, ``np.unique`` over
 (input, label) keys for the regression rows, a recursive walk over all
-2^n inputs for the mean vector, and the slack-split primal LP for the L1
-fit.  The new code must agree exactly, dtype included, on randomized
-instances; the L1 fit, whose optimum need not be unique, must reach the
-same objective.
+2^n inputs for the mean vector, the slack-split primal LP for the L1 fit
+and ``lstsq`` over the grouped rows for the L2 fit.  The new code must
+agree exactly, dtype included, on randomized instances; the L1 fit, whose
+optimum need not be unique, must reach the same objective, and the L2
+fit, solved in another order, the same predictions to a set tolerance.
 """
 
 import numpy as np
@@ -17,7 +18,14 @@ from scipy.optimize import linprog
 
 from sdtlearn.data import Dataset, _flip_margin_rows, corruption_budget, draw_clean
 from sdtlearn.polynomials import monomials
-from sdtlearn.regression import _design_matrix, _grouped_rows, _to_poly, l1_objective, l1_regress
+from sdtlearn.regression import (
+    _design_matrix,
+    _grouped_rows,
+    _to_poly,
+    l1_objective,
+    l1_regress,
+    l2_regress,
+)
 from sdtlearn.trees import Leaf, Node, Query, StochasticTree, mean_on_points, mean_vector, random_tree
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
@@ -80,6 +88,15 @@ def reference_l1_regress(dataset: Dataset, d: int):
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     assert res.success, res.message
     return _to_poly(dataset.n, d, monos, res.x[:f])
+
+
+def reference_l2_regress(dataset: Dataset, d: int):
+    """Minimum-norm least squares over the grouped (input, label) rows."""
+    monos = monomials(dataset.n, d)
+    zs, ys, w = _grouped_rows(dataset)
+    sw = np.sqrt(w)
+    beta, *_ = np.linalg.lstsq(_design_matrix(zs, monos) * sw[:, None], ys * sw, rcond=None)
+    return _to_poly(dataset.n, d, monos, beta)
 
 
 def reference_mean_vector(tree: StochasticTree) -> np.ndarray:
@@ -182,6 +199,38 @@ def test_l1_dual_matches_slack_split_primal(n, s, stoch, m, noisy, seed, degree)
     new = l1_objective(l1_regress(ds, d), ds)
     ref = l1_objective(reference_l1_regress(ds, d), ds)
     assert abs(new - ref) <= 1e-9
+
+
+@PROPERTY
+@given(degree=st.floats(0.0, 1.0), **instances)
+@example(n=3, s=4, stoch=0.3, m=300, noisy=False, seed=4, degree=0.5)
+@example(n=5, s=6, stoch=0.0, m=1, noisy=False, seed=5, degree=1.0)
+@example(n=4, s=6, stoch=0.3, m=200, noisy=True, seed=2, degree=0.5)
+def test_l2_normal_equations_match_grouped_lstsq(n, s, stoch, m, noisy, seed, degree):
+    # The examples cover the full cube with d < n (Cholesky), m = 1 with
+    # d = n (fewer inputs than features, lstsq) and inputs seen with both
+    # labels.  Predictions are compared on all of {0,1}^n.
+    tree = _tree(n, min(s, 1 << n), stoch, seed)
+    ds = _sample(tree, m, noisy, seed + 1)
+    d = round(degree * n)
+    cube = np.arange(1 << n, dtype=np.int64)
+    new = l2_regress(ds, d).evaluate_packed(cube)
+    ref = reference_l2_regress(ds, d).evaluate_packed(cube)
+    assert np.max(np.abs(new - ref)) <= 1e-9
+
+
+def test_l2_rank_short_gram_falls_back_to_min_norm():
+    # x0 is always 0, so with 8 distinct inputs over 5 features the Gram
+    # matrix has rank 4: the minimum-norm fit gives x0 no weight.
+    rng = np.random.default_rng(6)
+    xs = rng.integers(0, 2, size=(400, 4), dtype=np.uint8)
+    xs[:, 0] = 0
+    ds = Dataset(4, xs, rng.integers(0, 2, size=400, dtype=np.uint8), np.zeros(400, dtype=bool))
+    poly = l2_regress(ds, 1)
+    assert abs(poly.coeffs.get((0,), 0.0)) <= 1e-12
+    cube = np.arange(16, dtype=np.int64)
+    ref = reference_l2_regress(ds, 1).evaluate_packed(cube)
+    assert np.max(np.abs(poly.evaluate_packed(cube) - ref)) <= 1e-9
 
 
 @PROPERTY

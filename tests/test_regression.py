@@ -21,7 +21,7 @@ from sdtlearn.regression import (
     learn_l2_pipeline,
     predict,
 )
-from sdtlearn.trees import mean_polynomial, mean_vector, random_tree
+from sdtlearn.trees import Leaf, StochasticTree, mean_polynomial, mean_vector, random_tree
 
 
 def make_dataset(xs, ys):
@@ -153,16 +153,32 @@ class TestL1Certificate:
         assert info.value.incumbent is None
 
 
-@pytest.mark.parametrize("fit", [l1_regress, l2_regress])
-def test_design_matrix_budget_uses_grouped_rows(fit, monkeypatch):
-    # 3 inputs, one seen with both labels: 4 grouped rows x 4 features.
+@pytest.mark.parametrize(
+    "fit,rows",
+    [pytest.param(l1_regress, 4, id="l1_regress"), pytest.param(l2_regress, 3, id="l2_regress")],
+)
+def test_design_matrix_budget_uses_grouped_rows(fit, rows, monkeypatch):
+    # 3 inputs, one seen with both labels: l1 builds 4 grouped rows, l2 one
+    # row per distinct input; 4 features either way.
     ds = make_dataset([[0, 0], [0, 1], [0, 1], [1, 1]], [0, 0, 1, 1])
-    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", 4 * 4 * 8)
+    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", rows * 4 * 8)
     fit(ds, 2)
-    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", 4 * 4 * 8 - 1)
+    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", rows * 4 * 8 - 1)
     monkeypatch.setattr(regression, "_design_matrix", None)
-    with pytest.raises(FeatureBudgetExceeded, match="4 rows x 4 features"):
+    with pytest.raises(FeatureBudgetExceeded, match=f"{rows} rows x 4 features"):
         fit(ds, 2)
+
+
+def test_l2_skips_the_gram_matrix_with_fewer_inputs_than_features(monkeypatch):
+    # 3 distinct inputs, 4 features: the Gram matrix would be singular.
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("dpstrf called with u < F")
+
+    monkeypatch.setattr(regression, "dpstrf", no_factorization)
+    ds = make_dataset([[0, 0], [0, 1], [0, 1], [1, 1]], [0, 0, 1, 1])
+    poly = l2_regress(ds, 2)
+    assert poly.evaluate((0, 1)) == pytest.approx(0.5, abs=1e-12)
+    assert poly.evaluate((1, 1)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTruncation:
@@ -194,6 +210,13 @@ class TestHypotheses:
     def test_predict_rounds_half_up(self):
         poly = MultilinearPolynomial(1, 0, {(): 0.5})
         assert predict(TruncatedPolyHypothesis(poly, "rounded"), (0,)) == 1
+
+    def test_float_noise_below_half_still_rounds_up(self):
+        # A fit that is 1/2 in exact arithmetic may come out a few ulps low.
+        hyp = TruncatedPolyHypothesis(MultilinearPolynomial(1, 0, {(): 0.5 - 1e-13}), "rounded")
+        assert predict(hyp, (0,)) == 1
+        zero = StochasticTree(1, Leaf(0))
+        assert exact_error(zero, hyp) == 1.0
 
     def test_randomized_frequency(self):
         poly = MultilinearPolynomial(1, 0, {(): 0.3})
