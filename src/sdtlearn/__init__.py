@@ -1,7 +1,7 @@
 """Learning stochastic decision trees under uniform inputs with adversarial noise."""
 
 from .data import Adversary, Dataset, corrupt, draw_clean
-from .evaluation import ErrorReport, exact_error, exact_opt, guarantee_margin, mc_error
+from .evaluation import ErrorReport, exact_error, exact_opt, mc_error
 from .find import FindResult, SearchStats, empirical_error, find, find_brute_oracle
 from .harness import ExperimentConfig, run_experiment, run_sweep, sweep_grid
 from .polynomials import MultilinearPolynomial, trunc

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import asdict
 from typing import get_type_hints
 
@@ -54,14 +55,16 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 
 def cmd_find(args: argparse.Namespace) -> int:
     ds = data.load_learner_dataset(_read(args.data))
+    start = time.perf_counter()
     result = find(ds, args.depth, memo=not args.no_memo)
+    wall_time = time.perf_counter() - start
     _write(args.out, trees.dump_tree(result.tree))
     stats = {
         "empirical_error": result.empirical_error,
         "error_count": result.error_count,
         "nodes_expanded": result.stats.nodes_expanded,
         "cache_hits": result.stats.cache_hits,
-        "wall_time": result.stats.wall_time,
+        "wall_time": wall_time,
     }
     print(json.dumps(stats, sort_keys=True))
     return 0
@@ -88,9 +91,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         mode = "rounded" if args.method == "l2" else "randomized"
         hypothesis = regression.TruncatedPolyHypothesis(poly, mode)
         depth_budget, degree_budget = None, poly.d
-    report = evaluation.guarantee_margin(
+    report = evaluation.ErrorReport(
         method=args.method,
-        tree_opt=evaluation.exact_opt(tree),
+        opt=evaluation.exact_opt(tree),
         hypothesis_error=evaluation.exact_error(tree, hypothesis),
         eta=args.eta,
         eps=args.eps,
@@ -136,8 +139,6 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> harness.Exp
         return harness.ExperimentConfig(**parsed)
     except TypeError as exc:
         raise SystemExit(f"incomplete sweep config: {exc}") from None
-    except ValueError as exc:
-        raise SystemExit(f"invalid sweep config: {exc}") from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -233,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (regression.FeatureBudgetExceeded, regression.L1SolverError) as exc:
+    except (ValueError, regression.L1SolverError) as exc:
         raise SystemExit(f"sdtlearn {args.command}: {exc}") from None
 
 

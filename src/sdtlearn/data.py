@@ -69,10 +69,6 @@ class Dataset:
     def corrupted_count(self) -> int:
         return int(self.corrupted.sum())
 
-    @property
-    def corrupted_fraction(self) -> float:
-        return self.corrupted_count / self.m if self.m else 0.0
-
     def packed(self) -> np.ndarray:
         return pack_inputs(self.xs)
 

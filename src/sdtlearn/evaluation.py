@@ -12,8 +12,8 @@ form rather than sampled.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from typing import Union
+from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def guarantee_bound(method: str, opt: float, eta: float, eps: float) -> float:
 @dataclass(frozen=True)
 class ErrorReport:
     """One experiment's guarantee accounting; negative margin means the
-    guarantee held."""
+    guarantee held.  ``bound`` and ``margin`` are derived from the rest."""
 
     method: str
     n: int
@@ -122,74 +122,34 @@ class ErrorReport:
     degree_budget: int | None
     opt: float
     hypothesis_error: float
-    bound: float
-    margin: float
+    bound: float = field(init=False)
+    margin: float = field(init=False)
     error_estimation: str = "exact"
 
+    #: CSV column order: the field order.
+    CSV_FIELDS: ClassVar[tuple[str, ...]]
+
     def __post_init__(self) -> None:
+        bound = float(guarantee_bound(self.method, self.opt, self.eta, self.eps))
         if not 0.0 <= self.opt <= 0.5 + 1e-12:
             raise ValueError(f"opt={self.opt} outside [0, 1/2]")
         if not 0.0 <= self.hypothesis_error <= 1.0 + 1e-12:
             raise ValueError(f"hypothesis_error={self.hypothesis_error} outside [0, 1]")
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "margin", self.hypothesis_error - bound)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    CSV_FIELDS = (
-        "method", "n", "s", "m", "eta", "eps", "seed", "adversary",
-        "depth_budget", "degree_budget", "opt", "hypothesis_error",
-        "bound", "margin", "error_estimation",
-    )
-
     def to_csv_row(self) -> str:
-        values = asdict(self)
-        cells = []
-        for f in self.CSV_FIELDS:
-            v = values[f]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(repr(v))
-            else:
-                cells.append(str(v))
-        return ",".join(cells)
+        return ",".join(
+            "" if v is None else repr(v) if isinstance(v, float) else str(v)
+            for v in asdict(self).values()
+        )
 
     @staticmethod
     def csv_header() -> str:
         return ",".join(ErrorReport.CSV_FIELDS)
 
 
-def guarantee_margin(
-    *,
-    method: str,
-    tree_opt: float,
-    hypothesis_error: float,
-    eta: float,
-    eps: float,
-    n: int,
-    s: int,
-    m: int,
-    seed: int,
-    adversary: str,
-    depth_budget: int | None = None,
-    degree_budget: int | None = None,
-    error_estimation: str = "exact",
-) -> ErrorReport:
-    bound = float(guarantee_bound(method, tree_opt, eta, eps))
-    return ErrorReport(
-        method=method,
-        n=n,
-        s=s,
-        m=m,
-        eta=eta,
-        eps=eps,
-        seed=seed,
-        adversary=adversary,
-        depth_budget=depth_budget,
-        degree_budget=degree_budget,
-        opt=tree_opt,
-        hypothesis_error=hypothesis_error,
-        bound=bound,
-        margin=hypothesis_error - bound,
-        error_estimation=error_estimation,
-    )
+ErrorReport.CSV_FIELDS = tuple(f.name for f in fields(ErrorReport))

@@ -2,12 +2,15 @@
 
 ``find`` performs the recursive backtracking search: try every free
 variable at the root, recurse on both restrictions with one less depth,
-and keep the best.  Two exact optimizations keep desk-scale instances
+and keep the best.  A restriction is two bitmasks over the packed
+variables: ``mask`` marks the variables fixed on the path and ``bits``
+holds their values.  Two exact optimizations keep desk-scale instances
 fast: the search runs on the dataset's count table (distinct inputs with
 their 0 and 1 label counts) instead of on rows, and subproblems are
-memoized by (restriction, depth).  The same restriction is reached once
+memoized by (mask, bits, depth).  The same restriction is reached once
 per ordering of its variables, so the cache collapses up to d! duplicate
-searches without changing the result.
+searches without changing the result.  ``SearchStats`` holds only these
+deterministic counters; callers time the search themselves.
 
 Tie-breaking is total (smallest variable index wins; constant ties
 resolve to 0), so the returned tree is a canonical function of the input.
@@ -15,7 +18,6 @@ resolve to 0), so the returned tree is a canonical function of the input.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +30,6 @@ from .trees import Leaf, Node, Query, StochasticTree, mean_on_points
 class SearchStats:
     nodes_expanded: int = 0
     cache_hits: int = 0
-    wall_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -39,75 +40,54 @@ class FindResult:
     stats: SearchStats = field(compare=False)
 
 
-class _Solver:
-    def __init__(self, uz: np.ndarray, w0: np.ndarray, w1: np.ndarray, n: int, memo: bool):
-        self.uz = uz
-        self.w0 = w0
-        self.w1 = w1
-        self.n = n
-        self.cache: dict | None = {} if memo else None
-        self.stats = SearchStats()
-
-    def solve(self, idx: np.ndarray, fixed: tuple, mask: int, depth: int) -> tuple[Node, int]:
-        if idx.size == 0:
-            # Empty restriction: any tree is vacuously optimal; the
-            # constant tie rule picks the 0-leaf.
-            return Leaf(0), 0
-        key = (fixed, depth)
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                self.stats.cache_hits += 1
-                return hit
-        self.stats.nodes_expanded += 1
-
-        ones = int(self.w1[idx].sum())
-        zeros = int(self.w0[idx].sum())
-        if depth == 0 or mask.bit_count() == self.n:
-            label = 1 if ones > zeros else 0
-            result: tuple[Node, int] = (Leaf(label), zeros if label else ones)
-        else:
-            best_err = -1
-            best_node: Node = Leaf(0)
-            zvals = self.uz[idx]
-            for var in range(self.n):
-                if (mask >> var) & 1:
-                    continue  # querying a path-fixed variable cannot reduce error
-                bit = (zvals >> var) & 1
-                idx0 = idx[bit == 0]
-                idx1 = idx[bit == 1]
-                child_mask = mask | (1 << var)
-                node0, err0 = self.solve(idx0, _extend(fixed, var, 0), child_mask, depth - 1)
-                node1, err1 = self.solve(idx1, _extend(fixed, var, 1), child_mask, depth - 1)
-                if best_err < 0 or err0 + err1 < best_err:
-                    best_err = err0 + err1
-                    best_node = Query(var, node0, node1)
-            result = (best_node, best_err)
-
-        if self.cache is not None:
-            self.cache[key] = result
-        return result
-
-
-def _extend(fixed: tuple, var: int, bit: int) -> tuple:
-    return tuple(sorted(fixed + ((var, bit),)))
-
-
 def find(dataset: Dataset, depth: int, *, memo: bool = True) -> FindResult:
     """Return the canonical minimum-empirical-error tree of depth <= depth."""
     if depth < 0:
         raise ValueError("depth budget must be nonnegative")
-    start = time.perf_counter()
+    n = dataset.n
     uz, w0, w1, _ = dataset.counts()
-    solver = _Solver(uz, w0, w1, dataset.n, memo)
-    node, err = solver.solve(np.arange(uz.size, dtype=np.int64), (), 0, depth)
-    solver.stats.wall_time = time.perf_counter() - start
-    m = dataset.m
+    stats = SearchStats()
+    cache: dict[tuple[int, int, int], tuple[Node, int]] = {}
+
+    def solve(idx: np.ndarray, mask: int, bits: int, depth: int) -> tuple[Node, int]:
+        if idx.size == 0:
+            # Empty restriction: any tree is vacuously optimal; the
+            # constant tie rule picks the 0-leaf.
+            return Leaf(0), 0
+        key = (mask, bits, depth)
+        hit = cache.get(key)
+        if hit is not None:
+            stats.cache_hits += 1
+            return hit
+        stats.nodes_expanded += 1
+        if depth == 0 or mask.bit_count() == n:
+            ones, zeros = int(w1[idx].sum()), int(w0[idx].sum())
+            result: tuple[Node, int] = (Leaf(1), zeros) if ones > zeros else (Leaf(0), ones)
+        else:
+            result = (Leaf(0), -1)
+            zvals = uz[idx]
+            for var in range(n):
+                b = 1 << var
+                if mask & b:
+                    continue  # querying a path-fixed variable cannot reduce error
+                one = (zvals & b) != 0
+                node0, err0 = solve(idx[~one], mask | b, bits, depth - 1)
+                node1, err1 = solve(idx[one], mask | b, bits | b, depth - 1)
+                if result[1] < 0 or err0 + err1 < result[1]:
+                    result = (Query(var, node0, node1), err0 + err1)
+        if memo:
+            cache[key] = result
+        return result
+
+    node, err = solve(np.arange(uz.size, dtype=np.int64), 0, 0, depth)
+    # solve's closure holds solve itself; unbinding it frees the cache now
+    # rather than at the next cyclic garbage collection.
+    del solve
     return FindResult(
-        tree=StochasticTree(dataset.n, node),
+        tree=StochasticTree(n, node),
         error_count=int(err),
-        empirical_error=err / m if m else 0.0,
-        stats=solver.stats,
+        empirical_error=err / dataset.m if dataset.m else 0.0,
+        stats=stats,
     )
 
 

@@ -14,17 +14,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Adversary, corrupt, draw_clean
-from .evaluation import (
-    DEFAULT_ENUMERATION_CAP,
-    ErrorReport,
-    exact_error,
-    exact_opt,
-    guarantee_margin,
-    mc_error,
-)
+from .evaluation import DEFAULT_ENUMERATION_CAP, ErrorReport, exact_error, exact_opt, mc_error
 from .find import find
 from .regression import check_budget, degree_budget, learn_l1_pipeline, learn_l2_pipeline
-from .trees import StochasticTree, mean_on_points, pack_inputs, random_tree
+from .trees import MAX_PACKED_VARS, StochasticTree, mean_on_points, pack_inputs, random_tree
 
 METHODS = ("find", "l1", "l2")
 
@@ -46,8 +39,8 @@ class ExperimentConfig:
     mc_trials: int = 200_000
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        if not 1 <= self.n <= MAX_PACKED_VARS:
+            raise ValueError(f"n must lie in [1, {MAX_PACKED_VARS}]")
         if self.s < 1:
             raise ValueError("s must be positive")
         if self.m < 0:
@@ -63,6 +56,10 @@ class ExperimentConfig:
         Adversary(self.adversary)  # raises on unknown kinds
         if self.max_depth < 0:
             raise ValueError("max_depth must be nonnegative")
+        if not 0 <= self.enumeration_cap <= DEFAULT_ENUMERATION_CAP:
+            raise ValueError(f"enumeration_cap must lie in [0, {DEFAULT_ENUMERATION_CAP}]")
+        if self.mc_trials < 1:
+            raise ValueError("mc_trials must be positive")
 
 
 def find_depth_budget(s: int, eps: float, max_depth: int) -> int:
@@ -111,9 +108,9 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
         err = mc_error(tree, hypothesis, cfg.mc_trials, rng_eval)[0]
         estimation = "monte_carlo"
 
-    return guarantee_margin(
+    return ErrorReport(
         method=cfg.method,
-        tree_opt=opt,
+        opt=opt,
         hypothesis_error=err,
         eta=cfg.eta,
         eps=cfg.eps,

@@ -159,13 +159,17 @@ class StochasticTree:
         return True
 
 
+#: Most variables an input can have: packed inputs are nonnegative int64.
+MAX_PACKED_VARS = 62
+
+
 def pack_inputs(xs: np.ndarray) -> np.ndarray:
     """Pack rows of bits into int64 values (bit i = variable i)."""
     xs = np.asarray(xs, dtype=np.int64)
     if xs.ndim != 2:
         raise ValueError("expected a 2-d array of rows")
-    if xs.shape[1] > 62:
-        raise ValueError("packing supports at most 62 variables")
+    if xs.shape[1] > MAX_PACKED_VARS:
+        raise ValueError(f"packing supports at most {MAX_PACKED_VARS} variables")
     weights = np.int64(1) << np.arange(xs.shape[1], dtype=np.int64)
     return xs @ weights
 

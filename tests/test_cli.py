@@ -160,6 +160,44 @@ def test_budget_and_solver_errors_exit_in_one_line(workspace, monkeypatch):
     assert message == "sdtlearn regress: LP solver failed: numerical difficulties"
 
 
+BAD_FILES = {
+    "bad_tree": "n=3\nQ 5\nL 0\nL 1\n",
+    "bad_data": "n=3 m=1\n01 0 0\n",
+    "bad_poly": "n=3 d=1\nnot a monomial line\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv,cause",
+    [
+        pytest.param(["eval", "--tree", "{bad_tree}", "--hypothesis", "{tree}", "--method", "find",
+                      "--eps", "0.2"], "out of range", id="malformed-tree"),
+        pytest.param(["find", "--data", "{bad_data}", "--depth", "2"], "has 2 bits, expected 3",
+                     id="malformed-dataset"),
+        pytest.param(["eval", "--tree", "{tree}", "--hypothesis", "{bad_poly}", "--method", "l2",
+                      "--eps", "0.2"], "monomial line", id="malformed-polynomial"),
+        pytest.param(["gen-tree", "--n", "3", "--size", "0"], "size", id="gen-tree-size-0"),
+        pytest.param(["find", "--data", "{clean}", "--depth", "-1"], "depth", id="find-depth-neg"),
+        pytest.param(["corrupt", "--data", "{clean}", "--tree", "{tree}", "--eta", "2"], "eta",
+                     id="corrupt-eta-2"),
+        pytest.param(["regress", "--data", "{clean}", "--norm", "l2", "--size-hint", "0",
+                      "--eps", "0.25"], "size", id="regress-size-hint-0"),
+        pytest.param(["sweep", "--n", "4", "--s", "3", "--m", "50", "--eps", "0.2",
+                      "--etas", "0.1,abc"], "abc", id="sweep-eta-not-a-number"),
+        pytest.param(["sweep", "--n", "4", "--s", "3", "--m", "50", "--eps", "0.2",
+                      "--etas", "0.1,1.5"], "eta must lie in", id="sweep-eta-out-of-range"),
+    ],
+)
+def test_bad_input_exits_in_one_line(workspace, tmp_path, argv, cause):
+    paths = {key: str(path) for key, path in workspace.items()}
+    for key, text in BAD_FILES.items():
+        (tmp_path / key).write_text(text)
+        paths[key] = str(tmp_path / key)
+    message = _exit_message([arg.format(**paths) for arg in argv])
+    assert message.startswith(f"sdtlearn {argv[0]}: ")
+    assert cause in message
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n=5\nwhatever=1\n")

@@ -8,7 +8,6 @@ from sdtlearn.evaluation import (
     exact_error,
     exact_opt,
     guarantee_bound,
-    guarantee_margin,
     hypothesis_mean_vector,
     mc_error,
 )
@@ -144,32 +143,45 @@ class TestGuaranteeAccounting:
             guarantee_bound("gradient", 0.1, 0.0, 0.1)
 
     def test_perfect_hypothesis_margin(self):
-        report = guarantee_margin(
-            method="find", tree_opt=0.1, hypothesis_error=0.1, eta=0.05, eps=0.2,
-            n=4, s=4, m=100, seed=0, adversary="none",
+        report = ErrorReport(
+            method="find", opt=0.1, hypothesis_error=0.1, eta=0.05, eps=0.2,
+            n=4, s=4, m=100, seed=0, adversary="none", depth_budget=None, degree_budget=None,
         )
         assert report.margin == pytest.approx(-(2 * 0.05 + 0.2), abs=1e-15)
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            guarantee_margin(
-                method="find", tree_opt=0.7, hypothesis_error=0.1, eta=0.0, eps=0.1,
-                n=2, s=2, m=10, seed=0, adversary="none",
+            ErrorReport(
+                method="find", opt=0.7, hypothesis_error=0.1, eta=0.0, eps=0.1,
+                n=2, s=2, m=10, seed=0, adversary="none", depth_budget=None, degree_budget=None,
             )
 
     def test_report_serialization_stable(self):
-        report = guarantee_margin(
-            method="l2", tree_opt=0.125, hypothesis_error=0.25, eta=0.05, eps=0.1,
-            n=3, s=6, m=1000, seed=42, adversary="label_flip_random", degree_budget=4,
+        fields = dict(
+            method="l2", opt=0.125, hypothesis_error=0.25, eta=0.05, eps=0.1, n=3, s=6,
+            m=1000, seed=42, adversary="label_flip_random", depth_budget=None, degree_budget=4,
         )
+        report = ErrorReport(**fields)
         parsed = json.loads(report.to_json())
         assert parsed["opt"] == 0.125 and parsed["degree_budget"] == 4
         row = report.to_csv_row()
         assert len(row.split(",")) == len(ErrorReport.CSV_FIELDS)
-        assert report.to_json() == guarantee_margin(
-            method="l2", tree_opt=0.125, hypothesis_error=0.25, eta=0.05, eps=0.1,
-            n=3, s=6, m=1000, seed=42, adversary="label_flip_random", degree_budget=4,
-        ).to_json()
+        assert report.to_json() == ErrorReport(**fields).to_json()
+
+    def test_bound_and_margin_are_derived(self):
+        fields = dict(
+            method="l1", opt=0.1, hypothesis_error=0.3, eta=0.05, eps=0.2, n=3, s=4, m=50,
+            seed=1, adversary="none", depth_budget=None, degree_budget=2,
+        )
+        with pytest.raises(TypeError):
+            ErrorReport(**fields, bound=0.0)
+        report = ErrorReport(**fields)
+        assert report.bound == guarantee_bound("l1", 0.1, 0.05, 0.2)
+        assert report.margin == 0.3 - report.bound
+        assert ErrorReport.csv_header() == (
+            "method,n,s,m,eta,eps,seed,adversary,depth_budget,degree_budget,"
+            "opt,hypothesis_error,bound,margin,error_estimation"
+        )
 
 
 def _tree_from_table(n: int, table) -> StochasticTree:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,21 @@ class TestSearchProperties:
         result = find(ds, 3)
         assert result.empirical_error == 0.0
         assert result.tree.depth <= 1
+
+    def test_search_leaves_no_reference_cycle(self):
+        # The memo cache must be freed when find returns, not left for the
+        # cyclic collector: a retained cache raises the peak memory of runs
+        # that call find many times.
+        rng = np.random.default_rng(5)
+        ds = draw_clean(random_tree(6, 6, 0.3, rng), 500, rng)
+        gc.collect()
+        gc.disable()
+        try:
+            for memo in (True, False):
+                find(ds, 3, memo=memo)
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_negative_depth_rejected(self, xor_dataset):
         with pytest.raises(ValueError):

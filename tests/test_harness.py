@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sdtlearn import harness
+from sdtlearn.evaluation import DEFAULT_ENUMERATION_CAP
 from sdtlearn.harness import (
     ExperimentConfig,
     budgets_for,
@@ -11,6 +12,7 @@ from sdtlearn.harness import (
     sweep_grid,
     write_csv,
 )
+from sdtlearn.trees import MAX_PACKED_VARS
 
 # First-run outputs of three canned configs, pinned as regression anchors.
 GOLDEN = [
@@ -76,6 +78,30 @@ class TestBudgets:
             budgets_for(cfg)
         with pytest.raises(ValueError, match="design matrix"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            pytest.param("n", 63, id="n-over-packing-limit"),
+            pytest.param("mc_trials", 0, id="mc_trials-0"),
+            pytest.param("enumeration_cap", DEFAULT_ENUMERATION_CAP + 1,
+                         id="enumeration_cap-over-default"),
+            pytest.param("enumeration_cap", -1, id="enumeration_cap-negative"),
+        ],
+    )
+    def test_infeasible_config_rejected_before_sampling(self, field, value, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("data drawn before the config check")
+
+        monkeypatch.setattr(harness, "random_tree", no_sampling)
+        monkeypatch.setattr(harness, "draw_clean", no_sampling)
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            run_experiment(ExperimentConfig(**{"n": 4, "s": 4, "m": 10, "eps": 0.2, field: value}))
+
+    def test_config_limits_are_inclusive(self):
+        ExperimentConfig(n=MAX_PACKED_VARS, s=4, m=10, eps=0.2, mc_trials=1,
+                         enumeration_cap=DEFAULT_ENUMERATION_CAP)
+        ExperimentConfig(n=1, s=1, m=10, eps=0.2, enumeration_cap=0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

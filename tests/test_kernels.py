@@ -3,11 +3,13 @@
 Each reference below is the earlier implementation kept verbatim in
 spirit: a per-row dict loop for the margin adversary, ``np.unique`` over
 (input, label) keys for the regression rows, a recursive walk over all
-2^n inputs for the mean vector, the slack-split primal LP for the L1 fit
-and ``lstsq`` over the grouped rows for the L2 fit.  The new code must
-agree exactly, dtype included, on randomized instances; the L1 fit, whose
-optimum need not be unique, must reach the same objective, and the L2
-fit, solved in another order, the same predictions to a set tolerance.
+2^n inputs for the mean vector, the slack-split primal LP for the L1 fit,
+``lstsq`` over the grouped rows for the L2 fit, and the ``find`` search
+keyed by sorted (variable, bit) tuples.  The new code must agree exactly,
+dtype included, on randomized instances (``find`` down to its tree and
+search counters); the L1 fit, whose optimum need not be unique, must
+reach the same objective, and the L2 fit, solved in another order, the
+same predictions to a set tolerance.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from sdtlearn.data import Dataset, _flip_margin_rows, corruption_budget, draw_clean
+from sdtlearn.find import SearchStats, find
 from sdtlearn.polynomials import monomials
 from sdtlearn.regression import (
     _design_matrix,
@@ -26,7 +29,16 @@ from sdtlearn.regression import (
     l1_regress,
     l2_regress,
 )
-from sdtlearn.trees import Leaf, Node, Query, StochasticTree, mean_on_points, mean_vector, random_tree
+from sdtlearn.trees import (
+    Leaf,
+    Node,
+    Query,
+    StochasticTree,
+    mean_on_points,
+    mean_vector,
+    random_tree,
+    unpack_inputs,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -97,6 +109,68 @@ def reference_l2_regress(dataset: Dataset, d: int):
     sw = np.sqrt(w)
     beta, *_ = np.linalg.lstsq(_design_matrix(zs, monos) * sw[:, None], ys * sw, rcond=None)
     return _to_poly(dataset.n, d, monos, beta)
+
+
+class ReferenceFindSolver:
+    """The search keyed by (sorted (var, bit) tuple, depth)."""
+
+    def __init__(self, uz: np.ndarray, w0: np.ndarray, w1: np.ndarray, n: int, memo: bool):
+        self.uz = uz
+        self.w0 = w0
+        self.w1 = w1
+        self.n = n
+        self.cache: dict | None = {} if memo else None
+        self.stats = SearchStats()
+
+    def solve(self, idx: np.ndarray, fixed: tuple, mask: int, depth: int) -> tuple[Node, int]:
+        if idx.size == 0:
+            return Leaf(0), 0
+        key = (fixed, depth)
+        if self.cache is not None:
+            hit = self.cache.get(key)
+            if hit is not None:
+                self.stats.cache_hits += 1
+                return hit
+        self.stats.nodes_expanded += 1
+
+        ones = int(self.w1[idx].sum())
+        zeros = int(self.w0[idx].sum())
+        if depth == 0 or mask.bit_count() == self.n:
+            label = 1 if ones > zeros else 0
+            result: tuple[Node, int] = (Leaf(label), zeros if label else ones)
+        else:
+            best_err = -1
+            best_node: Node = Leaf(0)
+            zvals = self.uz[idx]
+            for var in range(self.n):
+                if (mask >> var) & 1:
+                    continue
+                bit = (zvals >> var) & 1
+                idx0 = idx[bit == 0]
+                idx1 = idx[bit == 1]
+                child_mask = mask | (1 << var)
+                node0, err0 = self.solve(idx0, _extend(fixed, var, 0), child_mask, depth - 1)
+                node1, err1 = self.solve(idx1, _extend(fixed, var, 1), child_mask, depth - 1)
+                if best_err < 0 or err0 + err1 < best_err:
+                    best_err = err0 + err1
+                    best_node = Query(var, node0, node1)
+            result = (best_node, best_err)
+
+        if self.cache is not None:
+            self.cache[key] = result
+        return result
+
+
+def _extend(fixed: tuple, var: int, bit: int) -> tuple:
+    return tuple(sorted(fixed + ((var, bit),)))
+
+
+def reference_find(dataset: Dataset, depth: int, memo: bool):
+    """(tree, error count, search counters) of the tuple-keyed search."""
+    uz, w0, w1, _ = dataset.counts()
+    solver = ReferenceFindSolver(uz, w0, w1, dataset.n, memo)
+    node, err = solver.solve(np.arange(uz.size, dtype=np.int64), (), 0, depth)
+    return StochasticTree(dataset.n, node), int(err), solver.stats
 
 
 def reference_mean_vector(tree: StochasticTree) -> np.ndarray:
@@ -252,3 +326,30 @@ def test_count_table_matches_rows(n, s, stoch, m, noisy, seed):
     assert np.array_equal(zs[inverse], ds.packed())
     assert np.array_equal(c0, np.bincount(inverse, weights=ds.ys == 0, minlength=zs.size))
     assert np.array_equal(c1, np.bincount(inverse, weights=ds.ys == 1, minlength=zs.size))
+
+
+XOR_ROWS = [(0, 0), (1, 1), (2, 1), (3, 0)]
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 6),
+    depth=st.integers(0, 4),
+    rows=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 1)), max_size=80),
+)
+@example(n=3, depth=2, rows=[])
+@example(n=2, depth=2, rows=XOR_ROWS)
+@example(n=2, depth=1, rows=XOR_ROWS)
+def test_find_matches_tuple_keyed_search(n, depth, rows):
+    # Inputs are drawn from at most 64 values and cut to n bits, so small n
+    # repeats inputs, often with both labels; depth may exceed n.
+    zs = np.array([z & ((1 << n) - 1) for z, _ in rows], dtype=np.int64)
+    ys = np.array([y for _, y in rows], dtype=np.uint8)
+    ds = Dataset(n, unpack_inputs(zs, n), ys, np.zeros(len(rows), dtype=bool))
+    for memo in (True, False):
+        result = find(ds, depth, memo=memo)
+        tree, error_count, stats = reference_find(ds, depth, memo)
+        assert result.tree == tree
+        assert result.error_count == error_count
+        assert result.stats.nodes_expanded == stats.nodes_expanded
+        assert result.stats.cache_hits == stats.cache_hits
