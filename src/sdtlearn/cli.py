@@ -145,6 +145,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _load_config(args.config, args)
     etas = [float(e) for e in args.etas.split(",")] if args.etas else [base.eta]
     configs = harness.sweep_grid(base, etas, args.trials)
+    if args.out:
+        open(args.out, "w").close()  # fail on an unwritable path before the sweep runs
     reports, aggregates = harness.run_sweep(configs)
     for agg in aggregates:
         print(json.dumps(asdict(agg), sort_keys=True))
@@ -234,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, regression.L1SolverError) as exc:
+    except (OSError, ValueError, regression.L1SolverError) as exc:
         raise SystemExit(f"sdtlearn {args.command}: {exc}") from None
 
 

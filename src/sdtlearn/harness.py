@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Adversary, corrupt, draw_clean
 from .evaluation import DEFAULT_ENUMERATION_CAP, ErrorReport, exact_error, exact_opt, mc_error
-from .find import find
+from .find import check_table_budget, find
 from .regression import check_budget, degree_budget, learn_l1_pipeline, learn_l2_pipeline
 from .trees import MAX_PACKED_VARS, StochasticTree, mean_on_points, pack_inputs, random_tree
 
@@ -74,7 +74,9 @@ def budgets_for(cfg: ExperimentConfig) -> tuple[int | None, int | None]:
     """(depth budget, degree budget) for the configured method; validates
     feasibility before any data is generated."""
     if cfg.method == "find":
-        return find_depth_budget(cfg.s, cfg.eps, cfg.max_depth), None
+        depth = find_depth_budget(cfg.s, cfg.eps, cfg.max_depth)
+        check_table_budget(cfg.n, depth)
+        return depth, None
     degree = min(degree_budget(cfg.s, cfg.eps), cfg.n)
     # l2 builds one row per distinct input, l1 one per distinct (input, label) pair.
     rows = min(cfg.m, 2**cfg.n) * (1 if cfg.method == "l2" else 2)
@@ -145,6 +147,8 @@ class SweepAggregate:
 
 def sweep_grid(base: ExperimentConfig, etas: Sequence[float], trials: int) -> list[ExperimentConfig]:
     """One config per (eta, trial); trial i runs with seed base.seed + i."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     return [
         replace(base, eta=eta, seed=base.seed + i)
         for eta in etas

@@ -233,6 +233,10 @@ def mean_on_points(tree: StochasticTree, zs: np.ndarray) -> np.ndarray:
         rec(node.child_tails, idx, weight * (1.0 - node.p))
 
     rec(tree.root, idx0, 1.0)
+    # rec's closure holds rec itself; unbinding it frees zs now rather than
+    # at the next cyclic garbage collection, which a caller that makes few
+    # Python objects may not reach for many calls.
+    del rec
     return out
 
 

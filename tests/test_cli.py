@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from sdtlearn import regression
+from sdtlearn import harness, regression
 from sdtlearn.cli import main
 from sdtlearn.data import load_dataset
 from sdtlearn.polynomials import load_polynomial
@@ -164,6 +164,7 @@ BAD_FILES = {
     "bad_tree": "n=3\nQ 5\nL 0\nL 1\n",
     "bad_data": "n=3 m=1\n01 0 0\n",
     "bad_poly": "n=3 d=1\nnot a monomial line\n",
+    "wide_data": "n=30 m=1\n" + "0" * 30 + " 1 0\n",
 }
 
 
@@ -186,16 +187,36 @@ BAD_FILES = {
                       "--etas", "0.1,abc"], "abc", id="sweep-eta-not-a-number"),
         pytest.param(["sweep", "--n", "4", "--s", "3", "--m", "50", "--eps", "0.2",
                       "--etas", "0.1,1.5"], "eta must lie in", id="sweep-eta-out-of-range"),
+        pytest.param(["sweep", "--n", "4", "--s", "3", "--m", "50", "--eps", "0.2",
+                      "--trials", "0"], "trials must be positive", id="sweep-trials-0"),
+        pytest.param(["find", "--data", "{wide_data}", "--depth", "6"], "search table",
+                     id="find-depth-over-table-cap"),
+        pytest.param(["find", "--data", "{missing}", "--depth", "2"], "No such file",
+                     id="find-missing-data"),
+        pytest.param(["gen-tree", "--n", "3", "--size", "2", "--out", "{unwritable}"],
+                     "No such file", id="gen-tree-unwritable-out"),
     ],
 )
 def test_bad_input_exits_in_one_line(workspace, tmp_path, argv, cause):
     paths = {key: str(path) for key, path in workspace.items()}
+    paths["missing"] = str(tmp_path / "missing.txt")
+    paths["unwritable"] = str(tmp_path / "no-such-dir" / "tree.txt")
     for key, text in BAD_FILES.items():
         (tmp_path / key).write_text(text)
         paths[key] = str(tmp_path / key)
     message = _exit_message([arg.format(**paths) for arg in argv])
     assert message.startswith(f"sdtlearn {argv[0]}: ")
     assert cause in message
+
+
+def test_sweep_opens_output_before_running(tmp_path, monkeypatch):
+    def no_experiments(cfg):
+        raise AssertionError("experiment run before the output path was checked")
+
+    monkeypatch.setattr(harness, "run_experiment", no_experiments)
+    message = _exit_message(["sweep", "--n", "4", "--s", "3", "--m", "50", "--eps", "0.2",
+                             "--out", str(tmp_path / "no-such-dir" / "report.csv")])
+    assert message.startswith("sdtlearn sweep: ") and "No such file" in message
 
 
 def test_unknown_config_key_rejected(tmp_path):

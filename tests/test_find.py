@@ -1,4 +1,5 @@
 import gc
+import importlib
 
 import numpy as np
 import pytest
@@ -6,11 +7,16 @@ import pytest
 from sdtlearn.data import Dataset, draw_clean
 from sdtlearn.find import (
     FindResult,
+    TableBudgetExceeded,
     empirical_error,
     find,
     find_brute_oracle,
+    table_cells,
 )
 from sdtlearn.trees import Leaf, Query, StochasticTree, random_tree
+
+# The package exports the function ``find`` under the module's name.
+find_module = importlib.import_module("sdtlearn.find")
 
 
 def make_dataset(xs, ys):
@@ -139,6 +145,33 @@ class TestSearchProperties:
     def test_negative_depth_rejected(self, xor_dataset):
         with pytest.raises(ValueError):
             find(xor_dataset, -1)
+
+
+class TestTableBudget:
+    def test_table_cells_count_every_restriction(self):
+        # All 12,585 subcubes of the acceptance search (n=10, depth 5);
+        # depth beyond n adds no level.
+        assert table_cells(10, 5) == 12_585
+        assert table_cells(2, 4) == table_cells(2, 2) == 1 + 4 + 4
+
+    def test_over_the_cap_rejected_before_counting(self, monkeypatch):
+        ds = make_dataset(np.zeros((3, 30), dtype=np.uint8), [0, 1, 1])
+
+        def no_counts(self):
+            raise AssertionError("count table built before the budget check")
+
+        monkeypatch.setattr(Dataset, "counts", no_counts)
+        with pytest.raises(TableBudgetExceeded, match="search table"):
+            find(ds, 6)
+
+    def test_cap_is_inclusive(self, xor_dataset, monkeypatch):
+        monkeypatch.setattr(find_module, "TABLE_CELLS_CAP", table_cells(2, 2))
+        assert find(xor_dataset, 2).error_count == 0
+        monkeypatch.setattr(find_module, "TABLE_CELLS_CAP", table_cells(2, 2) - 1)
+        with pytest.raises(TableBudgetExceeded):
+            find(xor_dataset, 2)
+        # The search without a table is not charged.
+        assert find(xor_dataset, 2, memo=False).error_count == 0
 
 
 class TestEmpiricalError:

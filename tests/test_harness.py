@@ -3,6 +3,7 @@ import pytest
 
 from sdtlearn import harness
 from sdtlearn.evaluation import DEFAULT_ENUMERATION_CAP
+from sdtlearn.find import TableBudgetExceeded
 from sdtlearn.harness import (
     ExperimentConfig,
     budgets_for,
@@ -78,6 +79,25 @@ class TestBudgets:
             budgets_for(cfg)
         with pytest.raises(ValueError, match="design matrix"):
             run_experiment(cfg)
+
+    def test_search_table_budget_reported_before_sampling(self, monkeypatch):
+        # Depth 6 over 30 variables is a 43M-cell table.
+        cfg = ExperimentConfig(n=30, s=16, m=20_000, eps=0.25, method="find", max_depth=6)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("data drawn before the budget check")
+
+        monkeypatch.setattr(harness, "random_tree", no_sampling)
+        monkeypatch.setattr(harness, "draw_clean", no_sampling)
+        with pytest.raises(TableBudgetExceeded, match="depth 6 over 30 variables"):
+            budgets_for(cfg)
+        with pytest.raises(TableBudgetExceeded):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("n,max_depth", [(30, 2), (16, 4), (10, 6)])
+    def test_search_table_budget_accepts_benchmark_sizes(self, n, max_depth):
+        cfg = ExperimentConfig(n=n, s=16, m=20_000, eps=0.25, method="find", max_depth=max_depth)
+        assert budgets_for(cfg) == (max_depth, None)
 
     @pytest.mark.parametrize(
         "field,value",

@@ -18,7 +18,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from sdtlearn.data import Dataset, _flip_margin_rows, corruption_budget, draw_clean
+from sdtlearn.data import (
+    Adversary,
+    Dataset,
+    _flip_margin_rows,
+    corrupt,
+    corruption_budget,
+    draw_clean,
+)
 from sdtlearn.find import SearchStats, find
 from sdtlearn.polynomials import monomials
 from sdtlearn.regression import (
@@ -340,6 +347,9 @@ XOR_ROWS = [(0, 0), (1, 1), (2, 1), (3, 0)]
 @example(n=3, depth=2, rows=[])
 @example(n=2, depth=2, rows=XOR_ROWS)
 @example(n=2, depth=1, rows=XOR_ROWS)
+@example(n=2, depth=4, rows=XOR_ROWS + [(1, 0), (3, 0)])
+@example(n=5, depth=3, rows=[(19, 1)])
+@example(n=4, depth=3, rows=[(z, 1) for z in (0, 3, 5, 9, 12, 15, 3)])
 def test_find_matches_tuple_keyed_search(n, depth, rows):
     # Inputs are drawn from at most 64 values and cut to n bits, so small n
     # repeats inputs, often with both labels; depth may exceed n.
@@ -347,9 +357,23 @@ def test_find_matches_tuple_keyed_search(n, depth, rows):
     ys = np.array([y for _, y in rows], dtype=np.uint8)
     ds = Dataset(n, unpack_inputs(zs, n), ys, np.zeros(len(rows), dtype=bool))
     for memo in (True, False):
-        result = find(ds, depth, memo=memo)
-        tree, error_count, stats = reference_find(ds, depth, memo)
-        assert result.tree == tree
-        assert result.error_count == error_count
-        assert result.stats.nodes_expanded == stats.nodes_expanded
-        assert result.stats.cache_hits == stats.cache_hits
+        _assert_same_search(find(ds, depth, memo=memo), reference_find(ds, depth, memo))
+
+
+def test_find_matches_tuple_keyed_search_on_acceptance_instance():
+    # The find_acceptance workload's shape: n=10, m=50k, depth 5, with the
+    # margin adversary at eta 0.05; every subcube up to depth 5 is nonempty.
+    rng = np.random.default_rng(2024)
+    tree = random_tree(10, 8, 0.3, rng)
+    ds = corrupt(draw_clean(tree, 50_000, rng), 0.05, Adversary.LABEL_FLIP_MARGIN, tree, rng)
+    result = find(ds, 5)
+    _assert_same_search(result, reference_find(ds, 5, memo=True))
+    assert result.stats.nodes_expanded == 12_585
+
+
+def _assert_same_search(result, reference) -> None:
+    tree, error_count, stats = reference
+    assert result.tree == tree
+    assert result.error_count == error_count
+    assert result.stats.nodes_expanded == stats.nodes_expanded
+    assert result.stats.cache_hits == stats.cache_hits

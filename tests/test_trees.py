@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -78,6 +79,17 @@ class TestMean:
             assert mu[z] == pytest.approx(mean(demo_tree, x), abs=1e-15)
         zs = np.array([1, 5, 2])
         assert np.allclose(mean_on_points(demo_tree, zs), mu[zs])
+
+    def test_mean_on_points_leaves_no_reference_cycle(self, demo_tree):
+        # A cycle would hold the packed inputs until the next cyclic
+        # collection; Monte Carlo evaluation passes 200k of them per call.
+        gc.collect()
+        gc.disable()
+        try:
+            mean_on_points(demo_tree, np.arange(8))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_rejects_wrong_length(self, demo_tree):
         with pytest.raises(ValueError):
