@@ -32,7 +32,8 @@ without a cache, for comparison.
 The table has sum_{k <= L} C(n, k) * 2^k cells, and the search peaks at
 about 45 bytes a cell (measured at n=24, depth 5).  ``find`` rejects a
 table over ``TABLE_CELLS_CAP`` with ``TableBudgetExceeded`` before it
-counts or allocates anything.
+counts or allocates anything.  The search without a table is charged, to
+the same cap, its worst-case expansions sum_{k <= L} n!/(n-k)! * 2^k.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ import numpy as np
 from .data import Dataset
 from .trees import Leaf, Node, Query, StochasticTree, mean_on_points, unpack_inputs
 
-#: Largest restriction table (cells over all levels) ``find`` builds.
+#: Largest restriction table (cells over all levels) ``find`` builds, and
+#: most expansions the search without a table may make.
 TABLE_CELLS_CAP = 1 << 21
 
 #: Entries per block of the leaf level's bit keys.
@@ -75,13 +77,20 @@ def table_cells(n: int, depth: int) -> int:
     return sum(math.comb(n, k) << k for k in range(min(depth, n) + 1))
 
 
-def check_table_budget(n: int, depth: int) -> None:
-    """Reject a search whose restriction table exceeds TABLE_CELLS_CAP."""
-    cells = table_cells(n, depth)
-    if cells > TABLE_CELLS_CAP:
+def plain_expansions(n: int, depth: int) -> int:
+    """Most node expansions of the search without a table: one per ordered
+    choice of k <= min(depth, n) distinct variables and values for them."""
+    return sum(math.perm(n, k) << k for k in range(min(depth, n) + 1))
+
+
+def check_table_budget(n: int, depth: int, memo: bool = True) -> None:
+    """Reject a search whose restriction table (memo) or worst-case count
+    of expansions (no memo) exceeds TABLE_CELLS_CAP."""
+    count = table_cells(n, depth) if memo else plain_expansions(n, depth)
+    if count > TABLE_CELLS_CAP:
+        need = f"a {count}-cell search table" if memo else f"up to {count} expansions without a table"
         raise TableBudgetExceeded(
-            f"depth {depth} over {n} variables needs a {cells}-cell search table, "
-            f"cap is {TABLE_CELLS_CAP}"
+            f"depth {depth} over {n} variables needs {need}, cap is {TABLE_CELLS_CAP}"
         )
 
 
@@ -90,8 +99,7 @@ def find(dataset: Dataset, depth: int, *, memo: bool = True) -> FindResult:
     if depth < 0:
         raise ValueError("depth budget must be nonnegative")
     n = dataset.n
-    if memo:
-        check_table_budget(n, depth)
+    check_table_budget(n, depth, memo)
     uz, w0, w1, _ = dataset.counts()
     if memo:
         node, err, stats = _table_search(uz, w0, w1, n, min(depth, n))

@@ -16,7 +16,14 @@ import numpy as np
 from .data import Adversary, corrupt, draw_clean
 from .evaluation import DEFAULT_ENUMERATION_CAP, ErrorReport, exact_error, exact_opt, mc_error
 from .find import check_table_budget, find
-from .regression import check_budget, degree_budget, learn_l1_pipeline, learn_l2_pipeline
+from .regression import (
+    check_budget,
+    check_cube_budget,
+    degree_budget,
+    l1_over_cube,
+    learn_l1_pipeline,
+    learn_l2_pipeline,
+)
 from .trees import MAX_PACKED_VARS, StochasticTree, mean_on_points, pack_inputs, random_tree
 
 METHODS = ("find", "l1", "l2")
@@ -78,7 +85,11 @@ def budgets_for(cfg: ExperimentConfig) -> tuple[int | None, int | None]:
         check_table_budget(cfg.n, depth)
         return depth, None
     degree = min(degree_budget(cfg.s, cfg.eps), cfg.n)
-    # l2 builds one row per distinct input, l1 one per distinct (input, label) pair.
+    if cfg.method == "l1" and l1_over_cube(cfg.n, degree):
+        check_cube_budget(cfg.n, degree, cfg.feature_cap)
+        return None, degree
+    # l2 builds one row per distinct input, the dual l1 LP one per distinct
+    # (input, label) pair.
     rows = min(cfg.m, 2**cfg.n) * (1 if cfg.method == "l2" else 2)
     check_budget(cfg.n, degree, rows, cfg.feature_cap)
     return None, degree

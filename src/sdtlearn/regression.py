@@ -3,7 +3,7 @@
 Both learners fit a degree-bounded multilinear polynomial to the
 dataset's count table (distinct inputs with their 0- and 1-label
 counts), which leaves both optima unchanged and keeps the solves small.
-Both check the size of their design matrix before they build it.
+Both check the size of what they build before they build it.
 
 ``l2_regress`` minimizes mean squared error.  With Phi the monomial
 design matrix over the u distinct inputs, W = c0 + c1 their row counts
@@ -13,9 +13,24 @@ factorization of the Gram matrix.  When the rank falls short of the
 feature count the solution is not unique, and the minimum-norm one comes
 from ``lstsq`` on the weighted distinct-input rows instead.
 
-``l1_regress`` minimizes mean absolute error through the dual linear
-program over one weighted row per distinct (input, label) pair,
-certified by its duality gap.
+``l1_regress`` minimizes mean absolute error by one of two linear
+programs, whichever has fewer equality rows; the choice depends only on
+(n, d).  With F the number of monomials of degree <= d:
+
+* the dual LP over one weighted row per distinct (input, label) pair has
+  one equality row per feature, F rows;
+* the cube LP solves for the fit's values q on all of {0,1}^n.  The
+  degree-<= d functions are exactly the q with v_T . q = 0 for every
+  |T| > d, where v_T(z) = (-1)^(|T|-|z|) [z subset of T] is a row of the
+  Moebius matrix of the subset lattice, so this LP has 2^n - F rows.
+  Inputs never seen cost nothing, and the coefficients are q's fast
+  Moebius transform.
+
+Each fit is certified by a lower bound from the dual: its objective may
+exceed that bound by at most L1_CERTIFICATE_TOL per sample row, otherwise
+L1SolverError is raised with the fit as its incumbent.  The dual LP is
+charged as its design matrix (grouped rows x F), the cube LP as its
+constraint matrix and variables, both against DESIGN_BYTES_CAP.
 
 Hypotheses clamp the fitted polynomial to [0,1]; the rounded mode
 thresholds at one half (ties, up to ROUND_TIE_TOL, round to 1), the
@@ -29,6 +44,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import cho_solve
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpstrf
@@ -41,22 +57,23 @@ from .polynomials import (
     trunc,
     trunc_array,
 )
-from .trees import pack_inputs
 
 if TYPE_CHECKING:
     from .data import Dataset
 
 DEFAULT_FEATURE_CAP = 20_000
 
-#: Largest float64 design matrix (rows x monomial features) a fit may
-#: build; the solvers' own copies come on top of it.
+#: Largest float64 design matrix (rows x monomial features) or cube LP
+#: (constraint entries and variables) a fit may build; the solvers' own
+#: copies come on top of it.
 DESIGN_BYTES_CAP = 1 << 30
 
 #: Clamped fits within this distance below one half round to 1, as exact
 #: ties do, so that the last bits of a solver cannot decide a tie.
 ROUND_TIE_TOL = 1e-9
 
-#: Largest duality gap, per sample row, that certifies an L1 fit optimal.
+#: Largest duality gap, per sample row, that certifies an L1 fit optimal;
+#: also how far the cube LP's dual slacks may leave their bounds.
 L1_CERTIFICATE_TOL = 1e-9
 
 
@@ -73,20 +90,46 @@ class L1SolverError(Exception):
         self.incumbent = incumbent
 
 
-def check_budget(n: int, d: int, rows: int, feature_cap: int) -> None:
-    """Reject a degree-d fit over n variables and ``rows`` design rows
-    whose monomial basis exceeds ``feature_cap`` or whose design matrix
-    exceeds DESIGN_BYTES_CAP, before anything is allocated."""
+def _check_features(n: int, d: int, feature_cap: int) -> int:
     count = feature_count(n, d)
     if count > feature_cap:
         raise FeatureBudgetExceeded(
             f"degree {d} over {n} variables needs {count} features, cap is {feature_cap}"
         )
+    return count
+
+
+def check_budget(n: int, d: int, rows: int, feature_cap: int) -> None:
+    """Reject a degree-d fit over n variables and ``rows`` design rows
+    whose monomial basis exceeds ``feature_cap`` or whose design matrix
+    exceeds DESIGN_BYTES_CAP, before anything is allocated."""
+    count = _check_features(n, d, feature_cap)
     nbytes = rows * count * 8
     if nbytes > DESIGN_BYTES_CAP:
         raise FeatureBudgetExceeded(
             f"{rows} rows x {count} features need a {nbytes / 2**30:.1f} GiB design "
             f"matrix, cap is {DESIGN_BYTES_CAP / 2**30:.1f} GiB"
+        )
+
+
+def l1_over_cube(n: int, d: int) -> bool:
+    """Whether ``l1_regress`` solves the cube LP (2^n - F equality rows)
+    rather than the dual LP (F rows), F the degree-<= d monomial count."""
+    count = feature_count(n, d)
+    return (1 << n) - count < count
+
+
+def check_cube_budget(n: int, d: int, feature_cap: int) -> None:
+    """check_budget for the cube LP: its 3 nnz(V) constraint entries, with
+    nnz(V) = sum over |T| > d of 2^|T|, and its 3 * 2^n variables, at 8
+    bytes each (the variables matter when d = n and V is empty)."""
+    _check_features(n, d, feature_cap)
+    entries = 3 * sum(math.comb(n, k) << k for k in range(d + 1, n + 1))
+    nbytes = (entries + (3 << n)) * 8
+    if nbytes > DESIGN_BYTES_CAP:
+        raise FeatureBudgetExceeded(
+            f"a cube LP of {entries} entries over {3 << n} variables needs "
+            f"{nbytes / 2**30:.1f} GiB, cap is {DESIGN_BYTES_CAP / 2**30:.1f} GiB"
         )
 
 
@@ -99,12 +142,14 @@ def _grouped_rows(dataset: "Dataset") -> tuple[np.ndarray, np.ndarray, np.ndarra
     return np.repeat(zs, 2)[keep], ys[keep], w[keep].astype(np.float64)
 
 
+def _masks(monos: list[tuple[int, ...]]) -> np.ndarray:
+    """Each monomial's variables as a bitmask."""
+    return np.array([sum(1 << i for i in mono) for mono in monos], dtype=np.int64)
+
+
 def _design_matrix(zs: np.ndarray, monos: list[tuple[int, ...]]) -> np.ndarray:
     phi = np.empty((zs.size, len(monos)), dtype=np.float64)
-    for j, mono in enumerate(monos):
-        mask = 0
-        for i in mono:
-            mask |= 1 << i
+    for j, mask in enumerate(_masks(monos)):
         phi[:, j] = (zs & mask) == mask
     return phi
 
@@ -148,32 +193,24 @@ def l2_regress(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CA
     return _to_poly(dataset.n, d, monos, beta)
 
 
-def l1_objective(poly: MultilinearPolynomial, dataset: "Dataset") -> float:
-    """Mean absolute error of the polynomial against the dataset labels."""
-    preds = poly.evaluate_packed(pack_inputs(dataset.xs))
-    return float(np.mean(np.abs(preds - dataset.ys)))
-
-
-def l2_objective(poly: MultilinearPolynomial, dataset: "Dataset") -> float:
-    preds = poly.evaluate_packed(pack_inputs(dataset.xs))
-    return float(np.mean((preds - dataset.ys) ** 2))
-
-
 def l1_regress(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CAP) -> MultilinearPolynomial:
-    """Least-absolute-deviations fit over degree-<= d monomials.
+    """Least-absolute-deviations fit over degree-<= d monomials, by the cube
+    LP when ``l1_over_cube(n, d)`` and by the dual LP otherwise."""
+    if d > dataset.n:
+        raise ValueError(f"degree {d} exceeds the variable count {dataset.n}")
+    solve = _l1_cube if l1_over_cube(dataset.n, d) else _l1_dual
+    return solve(dataset, d, feature_cap)
 
-    The primal  min_b sum_i w_i |phi_i b - y_i|  is solved through its dual
+
+def _l1_dual(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CAP) -> MultilinearPolynomial:
+    """The primal  min_b sum_i w_i |phi_i b - y_i|  solved through its dual
 
         max y^T u  s.t.  phi^T u = 0,  -w <= u <= w,
 
     an LP with one equality row per feature over one bounded variable per
-    grouped row; b is read from the equality rows' multipliers.  Strong
-    duality certifies b: its primal objective may exceed the dual optimum
-    by at most L1_CERTIFICATE_TOL per sample row, otherwise L1SolverError
-    is raised with b as its incumbent.
+    grouped row; b is read from the equality rows' multipliers and
+    certified by strong duality.
     """
-    if d > dataset.n:
-        raise ValueError(f"degree {d} exceeds the variable count {dataset.n}")
     zs, ys, w = _grouped_rows(dataset)
     check_budget(dataset.n, d, zs.size, feature_cap)
     if zs.size == 0:  # every polynomial is optimal; HiGHS rejects an LP without variables
@@ -187,14 +224,99 @@ def l1_regress(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CA
         raise L1SolverError(f"LP solver failed: {res.message}", incumbent=None)
     beta = -res.eqlin.marginals
     poly = _to_poly(dataset.n, d, monos, beta)
+    _certify(poly, float(w @ np.abs(phi @ beta - ys)), -res.fun, dataset.m)
+    return poly
 
-    gap = float(w @ np.abs(phi @ beta - ys)) + res.fun
-    if gap > L1_CERTIFICATE_TOL * dataset.m:
+
+def _l1_cube(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CAP) -> MultilinearPolynomial:
+    """The fit's values q on {0,1}^n, from
+
+        min sum_z c0(z) |q_z| + c1(z) |q_z - 1|  s.t.  V q = 0,
+
+    V holding one Moebius row v_T per |T| > d.  With q = -a + b + e,
+    a, e >= 0 and 0 <= b <= 1, the cost is W.a + (c0 - c1).b + W.e plus
+    the constant sum c1.  For multipliers lam of V's rows, s = V^T lam,
+    the dual bound is sum_z min(c1(z), c0(z) - s_z), valid when
+    |s_z| <= W(z) for every z.
+    """
+    n, size = dataset.n, 1 << dataset.n
+    check_cube_budget(n, d, feature_cap)
+    zs, c0, c1, _ = dataset.counts()
+    w0 = np.zeros(size)
+    w1 = np.zeros(size)
+    w0[zs] = c0
+    w1[zs] = c1
+    w = w0 + w1
+    v = _mobius_rows(n, d)
+
+    bounds = np.zeros((3, size, 2))
+    bounds[:, :, 1] = np.inf
+    bounds[1, :, 1] = 1.0
+    res = linprog(
+        np.concatenate([w, w0 - w1, w]),
+        A_eq=sp.hstack([-v, v, v], format="csr"),
+        b_eq=np.zeros(v.shape[0]),
+        bounds=bounds.reshape(-1, 2),
+        method="highs",
+    )
+    if not res.success:
+        raise L1SolverError(f"LP solver failed: {res.message}", incumbent=None)
+    a, b, e = res.x.reshape(3, size)
+    beta = _subset_transform(b + e - a, n, -1.0)
+    beta[np.bitwise_count(np.arange(size)) > d] = 0.0
+    monos = monomials(n, d)
+    poly = _to_poly(n, d, monos, beta[_masks(monos)])
+
+    s = v.T @ res.eqlin.marginals
+    excess = float(np.max(np.abs(s) - w))
+    if excess > L1_CERTIFICATE_TOL:
         raise L1SolverError(
-            f"LP result not certified: duality gap {gap:.3g} over {dataset.m} rows",
+            f"LP result not certified: dual multipliers infeasible by {excess:.3g}",
             incumbent=poly,
         )
+    fit = _subset_transform(beta, n, 1.0)
+    primal = float(w0 @ np.abs(fit) + w1 @ np.abs(fit - 1.0))
+    _certify(poly, primal, float(np.minimum(w1, w0 - s).sum()), dataset.m)
     return poly
+
+
+def _certify(poly: MultilinearPolynomial, primal: float, bound: float, m: int) -> None:
+    gap = primal - bound
+    if gap > L1_CERTIFICATE_TOL * m:
+        raise L1SolverError(
+            f"LP result not certified: duality gap {gap:.3g} over {m} rows",
+            incumbent=poly,
+        )
+
+
+def _mobius_rows(n: int, d: int) -> sp.csr_array:
+    """V: one row v_T(z) = (-1)^(|T|-|z|) [z subset of T] per |T| > d, by
+    |T| and then T; v_T has 2^|T| nonzeros."""
+    cube = np.arange(1 << n, dtype=np.int64)
+    sizes = np.bitwise_count(cube)
+    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    start = 0
+    for k in range(d + 1, n + 1):
+        ts = cube[sizes == k]
+        variables = np.nonzero((ts[:, None] >> np.arange(n)) & 1)[1].reshape(-1, k)
+        # Row j of picks selects the subset of T's variables that j's bits mark.
+        picks = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+        cols.append(((np.int64(1) << variables) @ picks.T).ravel())
+        vals.append(np.tile(1.0 - 2.0 * ((k - picks.sum(axis=1)) & 1), ts.size))
+        rows.append(np.repeat(np.arange(start, start + ts.size), 1 << k))
+        start += ts.size
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return sp.csr_array(entries, shape=(start, 1 << n))
+
+
+def _subset_transform(values: np.ndarray, n: int, sign: float) -> np.ndarray:
+    """The zeta (sign 1: sum over subsets) or Moebius (sign -1: signed sum
+    over subsets) transform over the subset lattice of n bits, in n passes."""
+    out = np.array(values, dtype=np.float64)
+    for i in range(n):
+        view = out.reshape(-1, 2, 1 << i)
+        view[:, 1] += sign * view[:, 0]
+    return out
 
 
 HypothesisMode = Literal["rounded", "randomized"]

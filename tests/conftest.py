@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles.
 
 The oracles here recompute tree semantics by brute force (enumerating
-randomness strings or truth tables) so library results are checked
-against arithmetic that shares no code path with them.
+randomness strings or truth tables), and regression objectives row by
+row, so library results are checked against arithmetic that shares no
+code path with them.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from itertools import product
 import numpy as np
 import pytest
 
+from sdtlearn.data import Dataset
+from sdtlearn.polynomials import MultilinearPolynomial
 from sdtlearn.trees import (
     Leaf,
     Node,
@@ -19,6 +22,7 @@ from sdtlearn.trees import (
     Stoch,
     StochasticTree,
     evaluate_fixed,
+    pack_inputs,
     stochastic_probabilities,
 )
 
@@ -66,3 +70,15 @@ def force_fair_coins(node: Node) -> Node:
     if isinstance(node, Query):
         return Query(node.var, force_fair_coins(node.child0), force_fair_coins(node.child1))
     return Stoch(0.5, force_fair_coins(node.child_heads), force_fair_coins(node.child_tails))
+
+
+def l1_objective(poly: MultilinearPolynomial, dataset: Dataset) -> float:
+    """Mean absolute error of the polynomial against the dataset labels."""
+    preds = poly.evaluate_packed(pack_inputs(dataset.xs))
+    return float(np.mean(np.abs(preds - dataset.ys)))
+
+
+def l2_objective(poly: MultilinearPolynomial, dataset: Dataset) -> float:
+    """Mean squared error of the polynomial against the dataset labels."""
+    preds = poly.evaluate_packed(pack_inputs(dataset.xs))
+    return float(np.mean((preds - dataset.ys) ** 2))

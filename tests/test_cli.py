@@ -191,6 +191,8 @@ BAD_FILES = {
                       "--trials", "0"], "trials must be positive", id="sweep-trials-0"),
         pytest.param(["find", "--data", "{wide_data}", "--depth", "6"], "search table",
                      id="find-depth-over-table-cap"),
+        pytest.param(["find", "--data", "{wide_data}", "--depth", "4", "--no-memo"],
+                     "expansions without a table", id="find-no-memo-over-cap"),
         pytest.param(["find", "--data", "{missing}", "--depth", "2"], "No such file",
                      id="find-missing-data"),
         pytest.param(["gen-tree", "--n", "3", "--size", "2", "--out", "{unwritable}"],

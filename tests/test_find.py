@@ -11,6 +11,7 @@ from sdtlearn.find import (
     empirical_error,
     find,
     find_brute_oracle,
+    plain_expansions,
     table_cells,
 )
 from sdtlearn.trees import Leaf, Query, StochasticTree, random_tree
@@ -170,8 +171,32 @@ class TestTableBudget:
         monkeypatch.setattr(find_module, "TABLE_CELLS_CAP", table_cells(2, 2) - 1)
         with pytest.raises(TableBudgetExceeded):
             find(xor_dataset, 2)
-        # The search without a table is not charged.
+
+
+class TestPlainSearchBudget:
+    def test_expansions_count_every_ordered_path(self):
+        # Criterion 2's n=12, depth-4 search expands exactly this many
+        # nodes on its dataset, so the bound is tight there.
+        assert plain_expansions(12, 4) == 201_193 <= find_module.TABLE_CELLS_CAP
+        assert plain_expansions(2, 4) == plain_expansions(2, 2) == 1 + 2 * 2 + 2 * 4
+
+    def test_over_the_cap_rejected_before_counting(self, monkeypatch):
+        # One row over 30 variables at depth 4: up to 10.7M expansions.
+        ds = make_dataset(np.zeros((1, 30), dtype=np.uint8), [1])
+
+        def no_counts(self):
+            raise AssertionError("count table built before the budget check")
+
+        monkeypatch.setattr(Dataset, "counts", no_counts)
+        with pytest.raises(TableBudgetExceeded, match="10721941 expansions without a table"):
+            find(ds, 4, memo=False)
+
+    def test_cap_is_inclusive(self, xor_dataset, monkeypatch):
+        monkeypatch.setattr(find_module, "TABLE_CELLS_CAP", plain_expansions(2, 2))
         assert find(xor_dataset, 2, memo=False).error_count == 0
+        monkeypatch.setattr(find_module, "TABLE_CELLS_CAP", plain_expansions(2, 2) - 1)
+        with pytest.raises(TableBudgetExceeded):
+            find(xor_dataset, 2, memo=False)
 
 
 class TestEmpiricalError:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdtlearn import harness
+from sdtlearn import harness, regression
 from sdtlearn.evaluation import DEFAULT_ENUMERATION_CAP
 from sdtlearn.find import TableBudgetExceeded
 from sdtlearn.harness import (
@@ -78,6 +78,24 @@ class TestBudgets:
         with pytest.raises(ValueError, match=f"{rows} rows x 14893 features"):
             budgets_for(cfg)
         with pytest.raises(ValueError, match="design matrix"):
+            run_experiment(cfg)
+
+    def test_cube_lp_budget_reported_before_sampling(self, monkeypatch):
+        # Degree 14 over 14 variables takes the cube LP: no equality rows
+        # and 3 * 2^14 variables (384 KiB), where the dual LP's 32,768
+        # grouped rows x 16,384 features would need a 4 GiB design matrix.
+        cfg = ExperimentConfig(n=14, s=16, m=200_000, eps=0.001, method="l1")
+        assert budgets_for(cfg) == (None, 14)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("data drawn before the budget check")
+
+        monkeypatch.setattr(harness, "random_tree", no_sampling)
+        monkeypatch.setattr(harness, "draw_clean", no_sampling)
+        monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", 3 * 2**14 * 8 - 1)
+        with pytest.raises(ValueError, match="cube LP of 0 entries over 49152 variables"):
+            budgets_for(cfg)
+        with pytest.raises(ValueError, match="cube LP"):
             run_experiment(cfg)
 
     def test_search_table_budget_reported_before_sampling(self, monkeypatch):

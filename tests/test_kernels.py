@@ -3,7 +3,8 @@
 Each reference below is the earlier implementation kept verbatim in
 spirit: a per-row dict loop for the margin adversary, ``np.unique`` over
 (input, label) keys for the regression rows, a recursive walk over all
-2^n inputs for the mean vector, the slack-split primal LP for the L1 fit,
+2^n inputs for the mean vector, the slack-split primal LP for the L1 fit
+(and that fit's dual LP for its cube LP, used when d is near n),
 ``lstsq`` over the grouped rows for the L2 fit, and the ``find`` search
 keyed by sorted (variable, bit) tuples.  The new code must agree exactly,
 dtype included, on randomized instances (``find`` down to its tree and
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from conftest import l1_objective
 from sdtlearn.data import (
     Adversary,
     Dataset,
@@ -26,13 +28,16 @@ from sdtlearn.data import (
     corruption_budget,
     draw_clean,
 )
+from sdtlearn.evaluation import exact_error
 from sdtlearn.find import SearchStats, find
 from sdtlearn.polynomials import monomials
 from sdtlearn.regression import (
+    TruncatedPolyHypothesis,
     _design_matrix,
     _grouped_rows,
+    _l1_cube,
+    _l1_dual,
     _to_poly,
-    l1_objective,
     l1_regress,
     l2_regress,
 )
@@ -280,6 +285,43 @@ def test_l1_dual_matches_slack_split_primal(n, s, stoch, m, noisy, seed, degree)
     new = l1_objective(l1_regress(ds, d), ds)
     ref = l1_objective(reference_l1_regress(ds, d), ds)
     assert abs(new - ref) <= 1e-9
+
+
+@PROPERTY
+@given(degree=st.floats(0.0, 1.0), **instances)
+@example(n=6, s=8, stoch=0.3, m=5, noisy=True, seed=6, degree=0.7)
+@example(n=4, s=6, stoch=0.3, m=200, noisy=True, seed=2, degree=1.0)
+@example(n=3, s=4, stoch=0.3, m=0, noisy=True, seed=7, degree=0.5)
+@example(n=5, s=6, stoch=0.7, m=1, noisy=False, seed=8, degree=0.8)
+def test_l1_cube_matches_dual(n, s, stoch, m, noisy, seed, degree):
+    # Both private solvers on every instance, whichever side l1_regress
+    # would take.  The examples cover 59 unseen inputs out of 64, d = n
+    # (no equality rows), m = 0 and m = 1.
+    tree = _tree(n, min(s, 1 << n), stoch, seed)
+    ds = _sample(tree, m, noisy, seed + 1)
+    d = round(degree * n)
+    cube, dual = _l1_cube(ds, d), _l1_dual(ds, d)
+    if m:
+        assert abs(l1_objective(cube, ds) - l1_objective(dual, ds)) <= 1e-9
+    if d == n:
+        # Nothing constrains q: each seen input takes its majority label.
+        zs, c0, c1, _ = ds.counts()
+        decided = c0 != c1
+        fit = cube.evaluate_packed(zs[decided])
+        assert np.max(np.abs(fit - (c1 > c0)[decided]), initial=0.0) <= 1e-9
+
+
+def test_l1_cube_matches_dual_on_acceptance_instance():
+    # The l1_acceptance workload's shape: n=10, m=50k, degree 7 (968
+    # features, 56 cube rows), a deterministic target and the margin
+    # adversary at eta 0.05.
+    rng = np.random.default_rng(2025)
+    tree = random_tree(10, 8, 0.0, rng)
+    ds = corrupt(draw_clean(tree, 50_000, rng), 0.05, Adversary.LABEL_FLIP_MARGIN, tree, rng)
+    cube, dual = _l1_cube(ds, 7), _l1_dual(ds, 7)
+    assert abs(l1_objective(cube, ds) - l1_objective(dual, ds)) <= 1e-9
+    errors = [exact_error(tree, TruncatedPolyHypothesis(p, "randomized")) for p in (cube, dual)]
+    assert abs(errors[0] - errors[1]) <= 1e-9
 
 
 @PROPERTY

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
+from conftest import l1_objective, l2_objective
 from sdtlearn import regression
 from sdtlearn.data import Dataset, draw_clean
 from sdtlearn.evaluation import exact_error, exact_opt, guarantee_bound
@@ -13,9 +14,7 @@ from sdtlearn.regression import (
     L1SolverError,
     TruncatedPolyHypothesis,
     degree_budget,
-    l1_objective,
     l1_regress,
-    l2_objective,
     l2_regress,
     learn_l1_pipeline,
     learn_l2_pipeline,
@@ -129,28 +128,64 @@ def _stochastic_sample():
     return draw_clean(tree, 500, np.random.default_rng(11))
 
 
+def _noisy_parity_sample():
+    # Parity has degree 5, so a degree-3 fit cannot reach the majority labels.
+    rng = np.random.default_rng(12)
+    xs = rng.integers(0, 2, size=(500, 5), dtype=np.uint8)
+    return make_dataset(xs, (xs.sum(axis=1) % 2) ^ (rng.random(500) < 0.1))
+
+
+# n = 5: degree 2 has 16 features and 16 cube rows (the dual LP), degree 3
+# has 26 features and 6 cube rows (the cube LP).
+CERTIFICATE_CASES = [(_stochastic_sample, 2), (_noisy_parity_sample, 3)]
+
+
+def _patch_multipliers(monkeypatch, change):
+    solve = regression.linprog
+
+    def patched(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.eqlin.marginals = change(res.eqlin.marginals)
+        return res
+
+    monkeypatch.setattr(regression, "linprog", patched)
+
+
 class TestL1Certificate:
     def test_perturbed_multipliers_fail_the_certificate(self, monkeypatch):
-        solve = regression.linprog
-
-        def perturbed(*args, **kwargs):
-            res = solve(*args, **kwargs)
-            res.eqlin.marginals = res.eqlin.marginals + 0.01
-            return res
-
-        monkeypatch.setattr(regression, "linprog", perturbed)
-        with pytest.raises(L1SolverError, match="duality gap") as info:
-            l1_regress(_stochastic_sample(), 3)
-        assert isinstance(info.value.incumbent, MultilinearPolynomial)
+        # Halving the multipliers keeps the cube side's |s| <= W, so only
+        # the gap can catch it there.
+        assert [regression.l1_over_cube(5, d) for _, d in CERTIFICATE_CASES] == [False, True]
+        _patch_multipliers(monkeypatch, lambda lam: lam * 0.5)
+        for sample, d in CERTIFICATE_CASES:
+            with pytest.raises(L1SolverError, match="duality gap") as info:
+                l1_regress(sample(), d)
+            assert isinstance(info.value.incumbent, MultilinearPolynomial)
 
     def test_solver_failure_has_no_incumbent(self, monkeypatch):
         def failing(*args, **kwargs):
             return OptimizeResult(success=False, status=4, message="numerical difficulties", nit=0)
 
         monkeypatch.setattr(regression, "linprog", failing)
-        with pytest.raises(L1SolverError, match="numerical difficulties") as info:
-            l1_regress(_stochastic_sample(), 3)
-        assert info.value.incumbent is None
+        for sample, d in CERTIFICATE_CASES:
+            with pytest.raises(L1SolverError, match="numerical difficulties") as info:
+                l1_regress(sample(), d)
+            assert info.value.incumbent is None
+
+    def test_cube_multipliers_beyond_the_row_weights_rejected(self, monkeypatch):
+        # At an optimal vertex some |s_z| equals W(z); doubling the
+        # multipliers pushes it past W(z), so no dual bound holds.
+        _patch_multipliers(monkeypatch, lambda lam: lam * 2.0)
+        with pytest.raises(L1SolverError, match="dual multipliers infeasible") as info:
+            l1_regress(_noisy_parity_sample(), 3)
+        assert isinstance(info.value.incumbent, MultilinearPolynomial)
+
+    def test_cube_slack_within_the_tolerance_accepted(self, monkeypatch):
+        # Unseen inputs have W = 0, where s_z is 0 only up to rounding.
+        ds = make_dataset([[0, 0, 0], [1, 1, 0], [1, 1, 0], [0, 1, 1]] * 10, [0, 1, 0, 1] * 10)
+        assert regression.l1_over_cube(3, 2)
+        _patch_multipliers(monkeypatch, lambda lam: lam + regression.L1_CERTIFICATE_TOL / 4)
+        l1_regress(ds, 2)
 
 
 @pytest.mark.parametrize(
@@ -158,15 +193,31 @@ class TestL1Certificate:
     [pytest.param(l1_regress, 4, id="l1_regress"), pytest.param(l2_regress, 3, id="l2_regress")],
 )
 def test_design_matrix_budget_uses_grouped_rows(fit, rows, monkeypatch):
-    # 3 inputs, one seen with both labels: l1 builds 4 grouped rows, l2 one
-    # row per distinct input; 4 features either way.
-    ds = make_dataset([[0, 0], [0, 1], [0, 1], [1, 1]], [0, 0, 1, 1])
+    # 3 inputs, one seen with both labels: the dual l1 LP builds 4 grouped
+    # rows, l2 one row per distinct input; degree 1 over 3 variables has
+    # 4 features, and l1 takes the dual side (4 features, 4 cube rows).
+    ds = make_dataset([[0, 0, 0], [0, 1, 0], [0, 1, 0], [1, 1, 0]], [0, 0, 1, 1])
+    assert not regression.l1_over_cube(3, 1)
     monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", rows * 4 * 8)
-    fit(ds, 2)
+    fit(ds, 1)
     monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", rows * 4 * 8 - 1)
     monkeypatch.setattr(regression, "_design_matrix", None)
     with pytest.raises(FeatureBudgetExceeded, match=f"{rows} rows x 4 features"):
-        fit(ds, 2)
+        fit(ds, 1)
+
+
+def test_cube_lp_budget_counts_its_own_size(monkeypatch):
+    # Degree 2 over 3 variables: 7 features, one cube row v_{012} with 8
+    # nonzeros, so 24 constraint entries and 24 variables, whatever the
+    # number of rows; the grouped rows never enter the charge.
+    ds = make_dataset([[0, 0, 0], [0, 1, 0], [0, 1, 0], [1, 1, 1]] * 50, [0, 0, 1, 1] * 50)
+    assert regression.l1_over_cube(3, 2)
+    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", (24 + 24) * 8)
+    l1_regress(ds, 2)
+    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", (24 + 24) * 8 - 1)
+    monkeypatch.setattr(regression, "_mobius_rows", None)
+    with pytest.raises(FeatureBudgetExceeded, match="cube LP of 24 entries over 24 variables"):
+        l1_regress(ds, 2)
 
 
 def test_l2_skips_the_gram_matrix_with_fewer_inputs_than_features(monkeypatch):
