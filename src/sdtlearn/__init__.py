@@ -25,7 +25,6 @@ from .trees import (
     mean_polynomial,
     random_tree,
     round_prob,
-    sample,
     stochastic_leaf_approx,
     stochastic_leaf_to_deterministic,
     truncate,

@@ -22,7 +22,6 @@ from .trees import (
     mean_vector,
     pack_inputs,
     round_prob,
-    sample,
     unpack_inputs,
 )
 
@@ -83,11 +82,18 @@ class Dataset:
 
 
 def draw_clean(tree: StochasticTree, m: int, rng: np.random.Generator) -> Dataset:
-    """m i.i.d. rows: x uniform on {0,1}^n, y drawn from the tree on x."""
+    """m i.i.d. rows: x uniform on {0,1}^n, y = 1 with probability mu(x).
+
+    The generator is consumed in a fixed order: all inputs first, as one
+    ``rng.integers(0, 2, size=(m, n))`` call, then one uniform u_i per row
+    from ``rng.random(m)``; row i is labeled 1 exactly when u_i < mu(x_i).
+    Integrating the coins out through the exact mean gives each label the
+    same law as walking the tree and flipping every coin on the way.
+    """
     if m < 0:
         raise ValueError("sample count must be nonnegative")
     xs = rng.integers(0, 2, size=(m, tree.n), dtype=np.uint8)
-    ys = np.fromiter((sample(tree, row, rng) for row in xs), dtype=np.uint8, count=m)
+    ys = (rng.random(m) < mean_on_points(tree, pack_inputs(xs))).astype(np.uint8)
     return Dataset(tree.n, xs, ys, np.zeros(m, dtype=bool))
 
 
@@ -194,36 +200,51 @@ def _replacement_point(clean: Dataset, tree: StochasticTree, enumeration_cap: in
 
 def dump_dataset(ds: Dataset) -> str:
     """Header `n=<n> m=<m>`, then one `<bits> <label> <flag>` row per line."""
-    lines = [f"n={ds.n} m={ds.m}"]
-    for row, y, flag in zip(ds.xs, ds.ys, ds.corrupted):
-        bits = "".join(str(int(b)) for b in row)
-        lines.append(f"{bits} {int(y)} {int(flag)}")
-    return "\n".join(lines) + "\n"
+    n = ds.n
+    rows = np.empty((ds.m, n + 5), dtype=np.uint8)
+    rows[:, :n] = ds.xs + ord("0")
+    rows[:, n] = rows[:, n + 2] = ord(" ")
+    rows[:, n + 1] = ds.ys + ord("0")
+    rows[:, n + 3] = ds.corrupted + ord("0")
+    rows[:, n + 4] = ord("\n")
+    return f"n={n} m={ds.m}\n" + rows.tobytes().decode("ascii")
 
 
 def load_dataset(text: str) -> Dataset:
+    """Parse `dump_dataset` text; fields may be separated by any whitespace.
+
+    Every row goes through the same checks at once, in this order: three
+    fields, n bits, and only 0/1 characters.  The first row that fails
+    any check is named, with the first check it fails.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("dataset text is empty")
     n, m = parse_header(lines[0], ("n", "m"))
     if len(lines) - 1 != m:
         raise ValueError(f"header says m={m} but found {len(lines) - 1} rows")
-    xs = np.zeros((m, n), dtype=np.uint8)
-    ys = np.zeros(m, dtype=np.uint8)
-    flags = np.zeros(m, dtype=bool)
-    for i, ln in enumerate(lines[1:]):
-        fields = ln.split()
-        if len(fields) != 3:
-            raise ValueError(f"row {i} has {len(fields)} fields, expected `<bits> <label> <flag>`")
-        bits, label, flag = fields
-        if len(bits) != n:
-            raise ValueError(f"row {i} has {len(bits)} bits, expected {n}")
-        if set(bits) - {"0", "1"} or label not in ("0", "1") or flag not in ("0", "1"):
-            raise ValueError(f"row {i} must hold only 0/1 bits, label and flag")
-        xs[i] = [int(b) for b in bits]
-        ys[i] = int(label)
-        flags[i] = flag == "1"
-    return Dataset(n, xs, ys, flags)
+    rows = [ln.split() for ln in lines[1:]]
+    fields = np.fromiter(map(len, rows), dtype=np.int64, count=m)
+    widths = np.fromiter((len(r[0]) if len(r) == 3 else 0 for r in rows), dtype=np.int64, count=m)
+    # Each row's n + 2 characters, or n + 2 placeholders that fail the 0/1
+    # check when the row has another shape; non-ASCII characters become
+    # one "?" each, so the buffer always holds m * (n + 2) bytes.
+    cells = "".join(
+        "".join(r) if len(r) == 3 and len(r[0]) == n and len(r[1]) == len(r[2]) == 1 else "?" * (n + 2)
+        for r in rows
+    )
+    codes = np.frombuffer(cells.encode("ascii", "replace"), dtype=np.uint8).reshape(m, n + 2) - ord("0")
+    failed = np.stack([fields != 3, widths != n, (codes > 1).any(axis=1)])
+    bad_rows = np.flatnonzero(failed.any(axis=0))
+    if bad_rows.size:
+        i = int(bad_rows[0])
+        messages = (
+            f"row {i} has {fields[i]} fields, expected `<bits> <label> <flag>`",
+            f"row {i} has {widths[i]} bits, expected {n}",
+            f"row {i} must hold only 0/1 bits, label and flag",
+        )
+        raise ValueError(messages[int(np.argmax(failed[:, i]))])
+    return Dataset(n, codes[:, :n], codes[:, n], codes[:, n + 1] == 1)
 
 
 def load_learner_dataset(text: str) -> Dataset:

@@ -195,17 +195,6 @@ def mean(tree: StochasticTree, x: Sequence[int]) -> float:
     return rec(tree.root)
 
 
-def sample(tree: StochasticTree, x: Sequence[int], rng: np.random.Generator) -> int:
-    """Draw one output bit; equals 1 with probability mean(tree, x)."""
-    node = tree.root
-    while not isinstance(node, Leaf):
-        if isinstance(node, Query):
-            node = node.child1 if x[node.var] else node.child0
-        else:
-            node = node.child_heads if rng.random() < node.p else node.child_tails
-    return node.label
-
-
 def mean_vector(tree: StochasticTree) -> np.ndarray:
     """mu over all 2^n packed inputs; index z has variable i = bit i of z."""
     return mean_on_points(tree, np.arange(1 << tree.n, dtype=np.int64))

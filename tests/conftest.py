@@ -1,9 +1,10 @@
 """Shared fixtures and independent oracles.
 
 The oracles here recompute tree semantics by brute force (enumerating
-randomness strings or truth tables), and regression objectives row by
-row, so library results are checked against arithmetic that shares no
-code path with them.
+randomness strings or truth tables, or walking the tree and flipping
+each coin on the way), and regression objectives row by row, so library
+results are checked against arithmetic that shares no code path with
+them.
 """
 
 from __future__ import annotations
@@ -57,6 +58,18 @@ def enumerate_fixed_moments(tree: StochasticTree, x) -> tuple[float, float]:
             weight *= p if bit else (1.0 - p)
         mean_acc += weight * evaluate_fixed(tree, x, bits)
     return mean_acc, mean_acc * (1.0 - mean_acc)
+
+
+def sample(tree: StochasticTree, x, rng: np.random.Generator) -> int:
+    """Draw one output bit by walking the tree, one uniform per coin visited;
+    equals 1 with probability mean(tree, x)."""
+    node = tree.root
+    while not isinstance(node, Leaf):
+        if isinstance(node, Query):
+            node = node.child1 if x[node.var] else node.child0
+        else:
+            node = node.child_heads if rng.random() < node.p else node.child_tails
+    return node.label
 
 
 def all_points(n: int):

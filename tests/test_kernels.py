@@ -5,21 +5,25 @@ spirit: a per-row dict loop for the margin adversary, ``np.unique`` over
 (input, label) keys for the regression rows, a recursive walk over all
 2^n inputs for the mean vector, the slack-split primal LP for the L1 fit
 (and that fit's dual LP for its cube LP, used when d is near n),
-``lstsq`` over the grouped rows for the L2 fit, and the ``find`` search
-keyed by sorted (variable, bit) tuples.  The new code must agree exactly,
-dtype included, on randomized instances (``find`` down to its tree and
-search counters); the L1 fit, whose optimum need not be unique, must
-reach the same objective, and the L2 fit, solved in another order, the
-same predictions to a set tolerance.
+``lstsq`` over the grouped rows for the L2 fit, the ``find`` search
+keyed by sorted (variable, bit) tuples, the label draw that walks the
+tree once per row, and the row-by-row dataset text format.  The new code
+must agree exactly, dtype included, on randomized instances (``find``
+down to its tree and search counters); the L1 fit, whose optimum need
+not be unique, must reach the same objective, the L2 fit, solved in
+another order, the same predictions to a set tolerance, and the label
+draw, which takes one uniform per row instead of one per coin, the same
+inputs and the labels its own uniforms give.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import l1_objective
+from conftest import l1_objective, sample
 from sdtlearn.data import (
     Adversary,
     Dataset,
@@ -27,7 +31,10 @@ from sdtlearn.data import (
     corrupt,
     corruption_budget,
     draw_clean,
+    dump_dataset,
+    load_dataset,
 )
+from sdtlearn.polynomials import parse_header
 from sdtlearn.evaluation import exact_error
 from sdtlearn.find import SearchStats, find
 from sdtlearn.polynomials import monomials
@@ -45,7 +52,9 @@ from sdtlearn.trees import (
     Leaf,
     Node,
     Query,
+    Stoch,
     StochasticTree,
+    mean,
     mean_on_points,
     mean_vector,
     random_tree,
@@ -206,6 +215,47 @@ def reference_mean_vector(tree: StochasticTree) -> np.ndarray:
 
     rec(tree.root, np.arange(size, dtype=np.int64), 1.0)
     return out
+
+
+def reference_draw_clean(tree: StochasticTree, m: int, rng: np.random.Generator) -> Dataset:
+    """All inputs first, then one walk down the tree per row, drawing one
+    uniform per coin visited."""
+    xs = rng.integers(0, 2, size=(m, tree.n), dtype=np.uint8)
+    ys = np.fromiter((sample(tree, row, rng) for row in xs), dtype=np.uint8, count=m)
+    return Dataset(tree.n, xs, ys, np.zeros(m, dtype=bool))
+
+
+def reference_dump_dataset(ds: Dataset) -> str:
+    lines = [f"n={ds.n} m={ds.m}"]
+    for row, y, flag in zip(ds.xs, ds.ys, ds.corrupted):
+        bits = "".join(str(int(b)) for b in row)
+        lines.append(f"{bits} {int(y)} {int(flag)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_load_dataset(text: str) -> Dataset:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("dataset text is empty")
+    n, m = parse_header(lines[0], ("n", "m"))
+    if len(lines) - 1 != m:
+        raise ValueError(f"header says m={m} but found {len(lines) - 1} rows")
+    xs = np.zeros((m, n), dtype=np.uint8)
+    ys = np.zeros(m, dtype=np.uint8)
+    flags = np.zeros(m, dtype=bool)
+    for i, ln in enumerate(lines[1:]):
+        fields = ln.split()
+        if len(fields) != 3:
+            raise ValueError(f"row {i} has {len(fields)} fields, expected `<bits> <label> <flag>`")
+        bits, label, flag = fields
+        if len(bits) != n:
+            raise ValueError(f"row {i} has {len(bits)} bits, expected {n}")
+        if set(bits) - {"0", "1"} or label not in ("0", "1") or flag not in ("0", "1"):
+            raise ValueError(f"row {i} must hold only 0/1 bits, label and flag")
+        xs[i] = [int(b) for b in bits]
+        ys[i] = int(label)
+        flags[i] = flag == "1"
+    return Dataset(n, xs, ys, flags)
 
 
 def _tree(n: int, s: int, stoch: float, seed: int) -> StochasticTree:
@@ -419,3 +469,105 @@ def _assert_same_search(result, reference) -> None:
     assert result.error_count == error_count
     assert result.stats.nodes_expanded == stats.nodes_expanded
     assert result.stats.cache_hits == stats.cache_hits
+
+
+def _assert_same_dataset(new: Dataset, ref: Dataset) -> None:
+    assert new.n == ref.n
+    _assert_identical(new.xs, ref.xs)
+    _assert_identical(new.ys, ref.ys)
+    _assert_identical(new.corrupted, ref.corrupted)
+
+
+random_trees = st.builds(
+    lambda n, s, stoch, seed: _tree(n, min(s, 1 << n), stoch, seed),
+    n=st.integers(0, 6),
+    s=st.integers(1, 10),
+    stoch=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+# Coins that always or never come up heads: the walk still draws a uniform
+# at each, the new draw none, and the labels must not differ.
+CERTAIN_COINS = StochasticTree(
+    2, Stoch(1.0, Query(0, Stoch(0.0, Leaf(1), Leaf(0)), Leaf(1)), Stoch(0.0, Leaf(1), Leaf(0)))
+)
+
+
+@PROPERTY
+@given(tree=random_trees, m=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+@example(tree=_tree(3, 4, 0.3, 0), m=0, seed=0)
+@example(tree=StochasticTree(0, Stoch(0.3, Leaf(1), Leaf(0))), m=200, seed=1)
+@example(tree=StochasticTree(3, Leaf(1)), m=50, seed=2)
+@example(tree=CERTAIN_COINS, m=100, seed=3)
+def test_draw_clean_matches_per_row_walk(tree, m, seed):
+    new = draw_clean(tree, m, np.random.default_rng(seed))
+    ref = reference_draw_clean(tree, m, np.random.default_rng(seed))
+    assert new.n == tree.n and not new.corrupted.any()
+    # Both draw the inputs with the same first call.
+    _assert_identical(new.xs, ref.xs)
+    twin = np.random.default_rng(seed)
+    twin.integers(0, 2, size=(m, tree.n), dtype=np.uint8)
+    u = twin.random(m)
+    mu = np.array([mean(tree, row) for row in new.xs], dtype=np.float64)
+    _assert_identical(new.ys, (u < mu).astype(np.uint8))
+    # Where the label is certain, no uniform can change it.
+    certain = (mu == 0.0) | (mu == 1.0)
+    assert np.array_equal(new.ys[certain], ref.ys[certain])
+    if tree.is_deterministic:
+        _assert_identical(new.ys, ref.ys)
+
+
+@PROPERTY
+@given(tree=random_trees, m=st.integers(0, 200), eta=st.sampled_from([0.0, 0.1, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(tree=StochasticTree(0, Leaf(1)), m=3, eta=0.0, seed=0)
+@example(tree=_tree(4, 5, 0.3, 1), m=0, eta=0.0, seed=1)
+def test_dataset_text_matches_row_by_row_format(tree, m, eta, seed):
+    rng = np.random.default_rng(seed)
+    ds = corrupt(draw_clean(tree, m, rng), eta, Adversary.LABEL_FLIP_RANDOM, tree, rng)
+    text = dump_dataset(ds)
+    assert text == reference_dump_dataset(ds)
+    if ds.n == 0 and ds.m:
+        # A row without bits dumps as ` <label> <flag>`: two fields, which
+        # neither loader reads back.
+        return
+    _assert_same_dataset(load_dataset(text), ds)
+    _assert_same_dataset(load_dataset(text), reference_load_dataset(text))
+
+
+def _row_texts(n: int):
+    """Lists of rows with assorted whitespace: well formed ones; three
+    fields of bits of several widths, junk and non-ASCII characters; and
+    up to four such fields, where a "\r" splits a row in two."""
+    sep = st.sampled_from([" ", "  ", "\t", "\u2003"])
+    bit = st.sampled_from("01")
+    tok = st.sampled_from(["0", "1", "01", "10", "11", "011", "0a", "2", "\u00e9", "1\u00e9"])
+    valid = st.tuples(sep, st.text("01", min_size=n, max_size=n), sep, bit, sep, bit).map("".join)
+    three = st.tuples(sep, tok, sep, tok, sep, tok).map("".join)
+    field = st.tuples(st.sampled_from([" ", "\t", "\u2003", "\r"]), tok).map("".join)
+    fields = st.lists(field, max_size=4).map("".join)
+    return st.lists(st.one_of(valid, valid, three, fields), max_size=6)
+
+
+@PROPERTY
+@given(case=st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), _row_texts(n))),
+       extra=st.sampled_from([0, 0, 0, 1, -1]))
+@example(case=(2, ["01 1 0", "0a 1 0", "011 1"]), extra=0)
+@example(case=(2, ["01\t1\u20030", " 10  0 1 "]), extra=0)
+@example(case=(1, ["\u00e9 1 0"]), extra=0)
+@example(case=(2, ["01 1 0", "10 1 00", "01 11 0"]), extra=0)
+@example(case=(0, [" 1 0", "0 1"]), extra=0)
+def test_dataset_loader_matches_row_by_row_parse(case, extra):
+    n, rows = case
+    body = "\n".join(rows)
+    # The header counts the nonblank lines, give or take one.
+    m = max(sum(1 for ln in body.splitlines() if ln.strip()) + extra, 0)
+    text = f"n={n} m={m}\n{body}"
+    try:
+        ref = reference_load_dataset(text)
+    except ValueError as err:
+        with pytest.raises(ValueError) as caught:
+            load_dataset(text)
+        assert str(caught.value) == str(err)
+        return
+    _assert_same_dataset(load_dataset(text), ref)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_points, enumerate_fixed_moments, force_fair_coins
+from conftest import all_points, enumerate_fixed_moments, force_fair_coins, sample
 from sdtlearn.trees import (
     Leaf,
     Query,
@@ -24,7 +24,6 @@ from sdtlearn.trees import (
     preorder,
     random_tree,
     round_prob,
-    sample,
     sample_randomness,
     stochastic_leaf_approx,
     stochastic_leaf_to_deterministic,
