@@ -11,17 +11,13 @@ from .regression import (
     l2_regress,
     learn_l1_pipeline,
     learn_l2_pipeline,
-    predict,
 )
 from .trees import (
     Leaf,
     Query,
     Stoch,
     StochasticTree,
-    bayes_classifier,
-    evaluate_fixed,
     fix_randomness,
-    mean,
     mean_polynomial,
     random_tree,
     round_prob,

@@ -56,7 +56,7 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 def cmd_find(args: argparse.Namespace) -> int:
     ds = data.load_learner_dataset(_read(args.data))
     start = time.perf_counter()
-    result = find(ds, args.depth, memo=not args.no_memo)
+    result = find(ds, args.depth)
     wall_time = time.perf_counter() - start
     _write(args.out, trees.dump_tree(result.tree))
     stats = {
@@ -187,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find", help="fit the optimal depth-bounded tree")
     p.add_argument("--data", required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--no-memo", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_find)
 

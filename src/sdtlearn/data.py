@@ -184,9 +184,14 @@ def _flip_margin_rows(clean: Dataset, budget: int, tree: StochasticTree) -> np.n
     return np.sort(chosen).astype(np.int64, copy=False)
 
 
-def _replacement_point(clean: Dataset, tree: StochasticTree, enumeration_cap: int = 20) -> tuple[int, int]:
+#: Largest n for which ``_replacement_point`` searches all of {0,1}^n
+#: rather than the sample's inputs.
+_REPLACEMENT_ENUMERATION_CAP = 20
+
+
+def _replacement_point(clean: Dataset, tree: StochasticTree) -> tuple[int, int]:
     """The most confidently classified input, mislabeled."""
-    if tree.n <= enumeration_cap:
+    if tree.n <= _REPLACEMENT_ENUMERATION_CAP:
         mu = mean_vector(tree)
         z_star = int(np.argmax(np.abs(mu - 0.5)))
         mu_star = float(mu[z_star])
@@ -215,7 +220,8 @@ def load_dataset(text: str) -> Dataset:
 
     Every row goes through the same checks at once, in this order: three
     fields, n bits, and only 0/1 characters.  The first row that fails
-    any check is named, with the first check it fails.
+    any check is named, with the first check it fails.  With n = 0 the
+    bits field is empty, so a row `<label> <flag>` has all three.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -224,6 +230,8 @@ def load_dataset(text: str) -> Dataset:
     if len(lines) - 1 != m:
         raise ValueError(f"header says m={m} but found {len(lines) - 1} rows")
     rows = [ln.split() for ln in lines[1:]]
+    if n == 0:
+        rows = [[""] + r if len(r) == 2 else r for r in rows]
     fields = np.fromiter(map(len, rows), dtype=np.int64, count=m)
     widths = np.fromiter((len(r[0]) if len(r) == 3 else 0 for r in rows), dtype=np.int64, count=m)
     # Each row's n + 2 characters, or n + 2 placeholders that fail the 0/1

@@ -52,11 +52,6 @@ def _hypothesis_means(hypothesis: Hypothesis, n: int, zs: np.ndarray) -> np.ndar
     return q
 
 
-def hypothesis_mean_vector(hypothesis: Hypothesis, n: int) -> np.ndarray:
-    """Pr[hypothesis outputs 1] over all 2^n inputs."""
-    return _hypothesis_means(hypothesis, n, np.arange(1 << n, dtype=np.int64))
-
-
 def _disagreement(tree: StochasticTree, hypothesis: Hypothesis, zs: np.ndarray) -> np.ndarray:
     """Pr[tree(x) != hypothesis(x)] at each packed input: q(1-mu) + (1-q)mu,
     where q is the hypothesis's own output probability, so the coins of

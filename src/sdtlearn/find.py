@@ -26,14 +26,12 @@ keeps that search's counters: ``nodes_expanded`` is the number of
 nonempty subcubes with at most L fixed variables, and ``cache_hits`` the
 number of further calls such a search would make on them (a nonempty
 subcube with k fixed variables is reached once from each of its k
-parents).  ``find(..., memo=False)`` runs that recursive search itself,
-without a cache, for comparison.
+parents).
 
 The table has sum_{k <= L} C(n, k) * 2^k cells, and the search peaks at
 about 45 bytes a cell (measured at n=24, depth 5).  ``find`` rejects a
 table over ``TABLE_CELLS_CAP`` with ``TableBudgetExceeded`` before it
-counts or allocates anything.  The search without a table is charged, to
-the same cap, its worst-case expansions sum_{k <= L} n!/(n-k)! * 2^k.
+counts or allocates anything.
 """
 
 from __future__ import annotations
@@ -46,12 +44,14 @@ import numpy as np
 from .data import Dataset
 from .trees import Leaf, Node, Query, StochasticTree, mean_on_points, unpack_inputs
 
-#: Largest restriction table (cells over all levels) ``find`` builds, and
-#: most expansions the search without a table may make.
+#: Largest restriction table (cells over all levels) ``find`` builds.
 TABLE_CELLS_CAP = 1 << 21
 
 #: Entries per block of the leaf level's bit keys.
 _KEY_BLOCK = 1 << 20
+
+#: Most trees ``find_brute_oracle`` enumerates.
+_BRUTE_TREE_LIMIT = 5_000_000
 
 
 class TableBudgetExceeded(ValueError):
@@ -77,35 +77,23 @@ def table_cells(n: int, depth: int) -> int:
     return sum(math.comb(n, k) << k for k in range(min(depth, n) + 1))
 
 
-def plain_expansions(n: int, depth: int) -> int:
-    """Most node expansions of the search without a table: one per ordered
-    choice of k <= min(depth, n) distinct variables and values for them."""
-    return sum(math.perm(n, k) << k for k in range(min(depth, n) + 1))
-
-
-def check_table_budget(n: int, depth: int, memo: bool = True) -> None:
-    """Reject a search whose restriction table (memo) or worst-case count
-    of expansions (no memo) exceeds TABLE_CELLS_CAP."""
-    count = table_cells(n, depth) if memo else plain_expansions(n, depth)
+def check_table_budget(n: int, depth: int) -> None:
+    """Reject a search whose restriction table exceeds TABLE_CELLS_CAP."""
+    count = table_cells(n, depth)
     if count > TABLE_CELLS_CAP:
-        need = f"a {count}-cell search table" if memo else f"up to {count} expansions without a table"
         raise TableBudgetExceeded(
-            f"depth {depth} over {n} variables needs {need}, cap is {TABLE_CELLS_CAP}"
+            f"depth {depth} over {n} variables needs a {count}-cell search table, cap is {TABLE_CELLS_CAP}"
         )
 
 
-def find(dataset: Dataset, depth: int, *, memo: bool = True) -> FindResult:
+def find(dataset: Dataset, depth: int) -> FindResult:
     """Return the canonical minimum-empirical-error tree of depth <= depth."""
     if depth < 0:
         raise ValueError("depth budget must be nonnegative")
     n = dataset.n
-    check_table_budget(n, depth, memo)
+    check_table_budget(n, depth)
     uz, w0, w1, _ = dataset.counts()
-    if memo:
-        node, err, stats = _table_search(uz, w0, w1, n, min(depth, n))
-    else:
-        stats = SearchStats()
-        node, err = _plain_search(uz, w0, w1, n, np.arange(uz.size), 0, depth, stats)
+    node, err, stats = _table_search(uz, w0, w1, n, min(depth, n))
     return FindResult(
         tree=StochasticTree(n, node),
         error_count=int(err),
@@ -214,34 +202,6 @@ def _rebuild(
     raise AssertionError("no variable reaches the table's minimum")
 
 
-def _plain_search(
-    uz: np.ndarray, w0: np.ndarray, w1: np.ndarray, n: int,
-    idx: np.ndarray, mask: int, depth: int, stats: SearchStats,
-) -> tuple[Node, int]:
-    """The recursive search without a cache: every free variable at the
-    root, both halves with one less depth, the first best kept."""
-    if idx.size == 0:
-        # Empty restriction: any tree is vacuously optimal; the constant
-        # tie rule picks the 0-leaf.
-        return Leaf(0), 0
-    stats.nodes_expanded += 1
-    if depth == 0 or mask.bit_count() == n:
-        ones, zeros = int(w1[idx].sum()), int(w0[idx].sum())
-        return (Leaf(1), zeros) if ones > zeros else (Leaf(0), ones)
-    best: tuple[Node, int] | None = None
-    zvals = uz[idx]
-    for var in range(n):
-        b = 1 << var
-        if mask & b:
-            continue  # querying a path-fixed variable cannot reduce error
-        one = (zvals & b) != 0
-        node0, err0 = _plain_search(uz, w0, w1, n, idx[~one], mask | b, depth - 1, stats)
-        node1, err1 = _plain_search(uz, w0, w1, n, idx[one], mask | b, depth - 1, stats)
-        if best is None or err0 + err1 < best[1]:
-            best = (Query(var, node0, node1), err0 + err1)
-    return best
-
-
 def empirical_error(tree: StochasticTree, dataset: Dataset) -> float:
     """Fraction of rows the tree misclassifies (stochastic trees contribute
     their per-row disagreement probability)."""
@@ -251,7 +211,7 @@ def empirical_error(tree: StochasticTree, dataset: Dataset) -> float:
     return float(np.mean(np.where(dataset.ys == 1, 1.0 - mu, mu)))
 
 
-def find_brute_oracle(dataset: Dataset, depth: int, tree_limit: int = 5_000_000) -> float:
+def find_brute_oracle(dataset: Dataset, depth: int) -> float:
     """Minimal empirical error over ALL depth-<= depth trees, by enumeration.
 
     Independent check for ``find``: every tree is generated explicitly
@@ -264,8 +224,8 @@ def find_brute_oracle(dataset: Dataset, depth: int, tree_limit: int = 5_000_000)
     count = 2
     for _ in range(depth):
         count = 2 + n * count * count
-    if count > tree_limit:
-        raise ValueError(f"would enumerate {count} trees, above the limit {tree_limit}")
+    if count > _BRUTE_TREE_LIMIT:
+        raise ValueError(f"would enumerate {count} trees, above the limit {_BRUTE_TREE_LIMIT}")
 
     uz, w0, w1, _ = dataset.counts()
     if uz.size == 0:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal, Sequence
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,13 +50,7 @@ from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpstrf
 from scipy.optimize import linprog
 
-from .polynomials import (
-    MultilinearPolynomial,
-    feature_count,
-    monomials,
-    trunc,
-    trunc_array,
-)
+from .polynomials import MultilinearPolynomial, feature_count, monomials, trunc_array
 
 if TYPE_CHECKING:
     from .data import Dataset
@@ -337,9 +331,6 @@ class TruncatedPolyHypothesis:
         if self.mode not in ("rounded", "randomized"):
             raise ValueError(f"unknown hypothesis mode {self.mode!r}")
 
-    def clamped(self, x: Sequence[int]) -> float:
-        return trunc(self.poly.evaluate(x))
-
     def clamped_packed(self, zs: np.ndarray) -> np.ndarray:
         return trunc_array(self.poly.evaluate_packed(zs))
 
@@ -349,19 +340,6 @@ def round_half_up(q):
     one half - ROUND_TIE_TOL up, so a tie rounds to 1 as in
     trees.round_prob even when the solver leaves it a few ulps low."""
     return q >= 0.5 - ROUND_TIE_TOL
-
-
-def predict(
-    hypothesis: TruncatedPolyHypothesis,
-    x: Sequence[int],
-    rng: np.random.Generator | None = None,
-) -> int:
-    q = hypothesis.clamped(x)
-    if hypothesis.mode == "rounded":
-        return int(round_half_up(q))
-    if rng is None:
-        raise ValueError("randomized prediction needs an rng")
-    return int(rng.random() < q)
 
 
 def degree_budget(s: int, eps: float) -> int:

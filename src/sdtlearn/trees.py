@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -164,14 +164,20 @@ MAX_PACKED_VARS = 62
 
 
 def pack_inputs(xs: np.ndarray) -> np.ndarray:
-    """Pack rows of bits into int64 values (bit i = variable i)."""
-    xs = np.asarray(xs, dtype=np.int64)
+    """Pack rows of bits into int64 values (bit i = variable i), widening
+    a block of rows at a time so that the int64 copy stays within 4 MiB."""
+    xs = np.asarray(xs)
     if xs.ndim != 2:
         raise ValueError("expected a 2-d array of rows")
-    if xs.shape[1] > MAX_PACKED_VARS:
+    m, n = xs.shape
+    if n > MAX_PACKED_VARS:
         raise ValueError(f"packing supports at most {MAX_PACKED_VARS} variables")
-    weights = np.int64(1) << np.arange(xs.shape[1], dtype=np.int64)
-    return xs @ weights
+    weights = np.int64(1) << np.arange(n, dtype=np.int64)
+    out = np.empty(m, dtype=np.int64)
+    step = (1 << 19) // max(n, 1)
+    for start in range(0, m, step):
+        out[start : start + step] = xs[start : start + step].astype(np.int64) @ weights
+    return out
 
 
 def unpack_inputs(zs: np.ndarray, n: int) -> np.ndarray:
@@ -234,11 +240,6 @@ def round_prob(t: float) -> int:
     return int(t >= 0.5)
 
 
-def bayes_classifier(tree: StochasticTree) -> Callable[[Sequence[int]], int]:
-    """The minimum-error deterministic predictor x -> round(mu(x))."""
-    return lambda x: round_prob(mean(tree, x))
-
-
 def stochastic_probabilities(tree: StochasticTree) -> list[float]:
     """Heads probabilities of all stochastic nodes, in preorder."""
     return [node.p for node in preorder(tree.root) if isinstance(node, Stoch)]
@@ -247,31 +248,6 @@ def stochastic_probabilities(tree: StochasticTree) -> list[float]:
 def sample_randomness(tree: StochasticTree, rng: np.random.Generator) -> tuple[int, ...]:
     """Draw a randomness string; bit j is heads with the j-th node's probability."""
     return tuple(int(rng.random() < p) for p in stochastic_probabilities(tree))
-
-
-def evaluate_fixed(tree: StochasticTree, x: Sequence[int], r: RandomnessString) -> int:
-    """Evaluate with all coin flips predetermined by the randomness string."""
-    m = stoch_count(tree.root)
-    if len(r) != m:
-        raise ValueError(f"randomness string has length {len(r)}, tree has {m} stochastic nodes")
-    if len(x) != tree.n:
-        raise ValueError(f"input has length {len(x)}, expected {tree.n}")
-    node, base = tree.root, 0
-    while not isinstance(node, Leaf):
-        if isinstance(node, Query):
-            if x[node.var]:
-                base += stoch_count(node.child0)
-                node = node.child1
-            else:
-                node = node.child0
-        else:
-            if r[base]:
-                base += 1
-                node = node.child_heads
-            else:
-                base += 1 + stoch_count(node.child_heads)
-                node = node.child_tails
-    return node.label
 
 
 def fix_randomness(tree: StochasticTree, r: RandomnessString) -> StochasticTree:
@@ -296,6 +272,10 @@ def fix_randomness(tree: StochasticTree, r: RandomnessString) -> StochasticTree:
     return StochasticTree(tree.n, rec(tree.root, 0))
 
 
+#: Largest n for which ``stochastic_leaf_approx`` measures its exact l1 distance.
+_APPROX_ENUMERATION_CAP = 20
+
+
 @dataclass(frozen=True)
 class StochasticLeafApproximation:
     """Result of the stacking construction.
@@ -316,7 +296,6 @@ def stochastic_leaf_approx(
     tree: StochasticTree,
     eps: float,
     rng: np.random.Generator,
-    enumeration_cap: int = 20,
 ) -> StochasticLeafApproximation:
     """Approximate an arbitrary tree by one whose coins sit just above leaves.
 
@@ -351,7 +330,7 @@ def stochastic_leaf_approx(
 
     approx = StochasticTree(tree.n, build(0, roots[0], {}, 0))
     l1 = None
-    if tree.n <= enumeration_cap:
+    if tree.n <= _APPROX_ENUMERATION_CAP:
         l1 = float(np.mean(np.abs(mean_vector(tree) - mean_vector(approx))))
     return StochasticLeafApproximation(approx, c, l1)
 

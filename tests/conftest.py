@@ -2,28 +2,36 @@
 
 The oracles here recompute tree semantics by brute force (enumerating
 randomness strings or truth tables, or walking the tree and flipping
-each coin on the way), and regression objectives row by row, so library
-results are checked against arithmetic that shares no code path with
-them.
+each coin on the way), hypotheses one input at a time, regression
+objectives row by row, and the depth-bounded search as the recursion
+that ``find``'s table replaced, so library results are checked against
+arithmetic that shares no code path with them.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
 
 from sdtlearn.data import Dataset
-from sdtlearn.polynomials import MultilinearPolynomial
+from sdtlearn.evaluation import Hypothesis, _hypothesis_means
+from sdtlearn.find import SearchStats
+from sdtlearn.polynomials import MultilinearPolynomial, trunc
+from sdtlearn.regression import TruncatedPolyHypothesis, round_half_up
 from sdtlearn.trees import (
     Leaf,
     Node,
     Query,
+    RandomnessString,
     Stoch,
     StochasticTree,
-    evaluate_fixed,
+    mean,
     pack_inputs,
+    round_prob,
+    stoch_count,
     stochastic_probabilities,
 )
 
@@ -45,6 +53,36 @@ def demo_tree() -> StochasticTree:
             Stoch(0.7, Query(2, Leaf(0), Leaf(1)), Leaf(1)),
         ),
     )
+
+
+def evaluate_fixed(tree: StochasticTree, x: Sequence[int], r: RandomnessString) -> int:
+    """Evaluate with all coin flips predetermined by the randomness string."""
+    m = stoch_count(tree.root)
+    if len(r) != m:
+        raise ValueError(f"randomness string has length {len(r)}, tree has {m} stochastic nodes")
+    if len(x) != tree.n:
+        raise ValueError(f"input has length {len(x)}, expected {tree.n}")
+    node, base = tree.root, 0
+    while not isinstance(node, Leaf):
+        if isinstance(node, Query):
+            if x[node.var]:
+                base += stoch_count(node.child0)
+                node = node.child1
+            else:
+                node = node.child0
+        else:
+            if r[base]:
+                base += 1
+                node = node.child_heads
+            else:
+                base += 1 + stoch_count(node.child_heads)
+                node = node.child_tails
+    return node.label
+
+
+def bayes_classifier(tree: StochasticTree) -> Callable[[Sequence[int]], int]:
+    """The minimum-error deterministic predictor x -> round(mu(x))."""
+    return lambda x: round_prob(mean(tree, x))
 
 
 def enumerate_fixed_moments(tree: StochasticTree, x) -> tuple[float, float]:
@@ -95,3 +133,84 @@ def l2_objective(poly: MultilinearPolynomial, dataset: Dataset) -> float:
     """Mean squared error of the polynomial against the dataset labels."""
     preds = poly.evaluate_packed(pack_inputs(dataset.xs))
     return float(np.mean((preds - dataset.ys) ** 2))
+
+
+def predict(
+    hypothesis: TruncatedPolyHypothesis,
+    x: Sequence[int],
+    rng: np.random.Generator | None = None,
+) -> int:
+    """One prediction of the hypothesis at x, from the clamped polynomial."""
+    q = trunc(hypothesis.poly.evaluate(x))
+    if hypothesis.mode == "rounded":
+        return int(round_half_up(q))
+    if rng is None:
+        raise ValueError("randomized prediction needs an rng")
+    return int(rng.random() < q)
+
+
+def hypothesis_mean_vector(hypothesis: Hypothesis, n: int) -> np.ndarray:
+    """Pr[hypothesis outputs 1] over all 2^n inputs."""
+    return _hypothesis_means(hypothesis, n, np.arange(1 << n, dtype=np.int64))
+
+
+class ReferenceFindSolver:
+    """The search keyed by (sorted (var, bit) tuple, depth)."""
+
+    def __init__(self, uz: np.ndarray, w0: np.ndarray, w1: np.ndarray, n: int, memo: bool):
+        self.uz = uz
+        self.w0 = w0
+        self.w1 = w1
+        self.n = n
+        self.cache: dict | None = {} if memo else None
+        self.stats = SearchStats()
+
+    def solve(self, idx: np.ndarray, fixed: tuple, mask: int, depth: int) -> tuple[Node, int]:
+        if idx.size == 0:
+            return Leaf(0), 0
+        key = (fixed, depth)
+        if self.cache is not None:
+            hit = self.cache.get(key)
+            if hit is not None:
+                self.stats.cache_hits += 1
+                return hit
+        self.stats.nodes_expanded += 1
+
+        ones = int(self.w1[idx].sum())
+        zeros = int(self.w0[idx].sum())
+        if depth == 0 or mask.bit_count() == self.n:
+            label = 1 if ones > zeros else 0
+            result: tuple[Node, int] = (Leaf(label), zeros if label else ones)
+        else:
+            best_err = -1
+            best_node: Node = Leaf(0)
+            zvals = self.uz[idx]
+            for var in range(self.n):
+                if (mask >> var) & 1:
+                    continue
+                bit = (zvals >> var) & 1
+                idx0 = idx[bit == 0]
+                idx1 = idx[bit == 1]
+                child_mask = mask | (1 << var)
+                node0, err0 = self.solve(idx0, _extend(fixed, var, 0), child_mask, depth - 1)
+                node1, err1 = self.solve(idx1, _extend(fixed, var, 1), child_mask, depth - 1)
+                if best_err < 0 or err0 + err1 < best_err:
+                    best_err = err0 + err1
+                    best_node = Query(var, node0, node1)
+            result = (best_node, best_err)
+
+        if self.cache is not None:
+            self.cache[key] = result
+        return result
+
+
+def _extend(fixed: tuple, var: int, bit: int) -> tuple:
+    return tuple(sorted(fixed + ((var, bit),)))
+
+
+def reference_find(dataset: Dataset, depth: int, memo: bool):
+    """(tree, error count, search counters) of the tuple-keyed search."""
+    uz, w0, w1, _ = dataset.counts()
+    solver = ReferenceFindSolver(uz, w0, w1, dataset.n, memo)
+    node, err = solver.solve(np.arange(uz.size, dtype=np.int64), (), 0, depth)
+    return StochasticTree(dataset.n, node), int(err), solver.stats

@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import enumerate_fixed_moments
+from conftest import enumerate_fixed_moments, reference_find
 from sdtlearn.data import Adversary, Dataset, corrupt, corruption_budget, draw_clean
 from sdtlearn.evaluation import exact_error, exact_opt
 from sdtlearn.find import empirical_error, find, find_brute_oracle
@@ -65,8 +65,8 @@ def test_criterion_2_find_scaling():
     tree = random_tree(12, 12, 0.3, rng)
     ds = draw_clean(tree, 5000, rng)
     n = 12
-    plain = {d: find(ds, d, memo=False).stats.nodes_expanded for d in (2, 3, 4)}
-    memoized = {d: find(ds, d, memo=True).stats.nodes_expanded for d in (3, 4)}
+    plain = {d: reference_find(ds, d, memo=False)[2].nodes_expanded for d in (2, 3, 4)}
+    memoized = {d: find(ds, d).stats.nodes_expanded for d in (3, 4)}
     c = plain[2] / ((2 * n) ** 2 * n * 2)
     under_ceiling = all(plain[d] <= (2 * n) ** d * c * n * d for d in (3, 4))
     memo_reduces = all(memoized[d] < plain[d] for d in (3, 4))

@@ -59,15 +59,15 @@ def test_corrupt_find_eval_pipeline(workspace, capsys):
     assert len(lines) == 2
 
 
-def test_no_memo_flag_changes_stats_not_output(workspace, capsys):
-    args = ["find", "--data", str(workspace["clean"]), "--depth", "3", "--out"]
-    assert main(args + [str(workspace["found"])]) == 0
-    memo_stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    memo_tree = workspace["found"].read_text()
-    assert main(args + [str(workspace["found"]), "--no-memo"]) == 0
-    plain_stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert workspace["found"].read_text() == memo_tree
-    assert plain_stats["nodes_expanded"] > memo_stats["nodes_expanded"]
+def test_zero_variable_dataset_round_trips(tmp_path, capsys):
+    # Rows over no variables dump as ` <label> <flag>`.
+    tree, data, found = (tmp_path / name for name in ("tree.txt", "data.txt", "found.txt"))
+    assert main(["gen-tree", "--n", "0", "--size", "1", "--out", str(tree)]) == 0
+    assert main(["sample", "--tree", str(tree), "--samples", "3", "--out", str(data)]) == 0
+    assert main(["find", "--data", str(data), "--depth", "2", "--out", str(found)]) == 0
+    stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert stats["error_count"] == 0
+    assert load_tree(found.read_text()) == load_tree(tree.read_text())
 
 
 def test_regress_and_eval(workspace, capsys):
@@ -191,8 +191,6 @@ BAD_FILES = {
                       "--trials", "0"], "trials must be positive", id="sweep-trials-0"),
         pytest.param(["find", "--data", "{wide_data}", "--depth", "6"], "search table",
                      id="find-depth-over-table-cap"),
-        pytest.param(["find", "--data", "{wide_data}", "--depth", "4", "--no-memo"],
-                     "expansions without a table", id="find-no-memo-over-cap"),
         pytest.param(["find", "--data", "{missing}", "--depth", "2"], "No such file",
                      id="find-missing-data"),
         pytest.param(["gen-tree", "--n", "3", "--size", "2", "--out", "{unwritable}"],

@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from conftest import hypothesis_mean_vector
 from sdtlearn.evaluation import (
     ErrorReport,
     exact_error,
     exact_opt,
     guarantee_bound,
-    hypothesis_mean_vector,
     mc_error,
 )
 from sdtlearn.polynomials import MultilinearPolynomial

@@ -4,6 +4,7 @@ import importlib
 import numpy as np
 import pytest
 
+from conftest import reference_find
 from sdtlearn.data import Dataset, draw_clean
 from sdtlearn.find import (
     FindResult,
@@ -11,7 +12,6 @@ from sdtlearn.find import (
     empirical_error,
     find,
     find_brute_oracle,
-    plain_expansions,
     table_cells,
 )
 from sdtlearn.trees import Leaf, Query, StochasticTree, random_tree
@@ -107,12 +107,12 @@ class TestSearchProperties:
         rng = np.random.default_rng(4)
         tree = random_tree(8, 10, 0.3, rng)
         ds = draw_clean(tree, 1000, rng)
-        with_memo = find(ds, 3, memo=True)
-        without = find(ds, 3, memo=False)
-        assert with_memo.tree == without.tree
-        assert with_memo.stats.nodes_expanded < without.stats.nodes_expanded
+        with_memo = find(ds, 3)
+        without_tree, _, without_stats = reference_find(ds, 3, memo=False)
+        assert with_memo.tree == without_tree
+        assert with_memo.stats.nodes_expanded < without_stats.nodes_expanded
         assert with_memo.stats.cache_hits > 0
-        assert without.stats.cache_hits == 0
+        assert without_stats.cache_hits == 0
 
     def test_empty_dataset(self):
         ds = make_dataset(np.zeros((0, 3), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
@@ -129,17 +129,16 @@ class TestSearchProperties:
         assert result.tree.depth <= 1
 
     def test_search_leaves_no_reference_cycle(self):
-        # The memo cache must be freed when find returns, not left for the
-        # cyclic collector: a retained cache raises the peak memory of runs
+        # The search table must be freed when find returns, not left for the
+        # cyclic collector: a retained table raises the peak memory of runs
         # that call find many times.
         rng = np.random.default_rng(5)
         ds = draw_clean(random_tree(6, 6, 0.3, rng), 500, rng)
         gc.collect()
         gc.disable()
         try:
-            for memo in (True, False):
-                find(ds, 3, memo=memo)
-                assert gc.collect() == 0
+            find(ds, 3)
+            assert gc.collect() == 0
         finally:
             gc.enable()
 
@@ -171,32 +170,6 @@ class TestTableBudget:
         monkeypatch.setattr(find_module, "TABLE_CELLS_CAP", table_cells(2, 2) - 1)
         with pytest.raises(TableBudgetExceeded):
             find(xor_dataset, 2)
-
-
-class TestPlainSearchBudget:
-    def test_expansions_count_every_ordered_path(self):
-        # Criterion 2's n=12, depth-4 search expands exactly this many
-        # nodes on its dataset, so the bound is tight there.
-        assert plain_expansions(12, 4) == 201_193 <= find_module.TABLE_CELLS_CAP
-        assert plain_expansions(2, 4) == plain_expansions(2, 2) == 1 + 2 * 2 + 2 * 4
-
-    def test_over_the_cap_rejected_before_counting(self, monkeypatch):
-        # One row over 30 variables at depth 4: up to 10.7M expansions.
-        ds = make_dataset(np.zeros((1, 30), dtype=np.uint8), [1])
-
-        def no_counts(self):
-            raise AssertionError("count table built before the budget check")
-
-        monkeypatch.setattr(Dataset, "counts", no_counts)
-        with pytest.raises(TableBudgetExceeded, match="10721941 expansions without a table"):
-            find(ds, 4, memo=False)
-
-    def test_cap_is_inclusive(self, xor_dataset, monkeypatch):
-        monkeypatch.setattr(find_module, "TABLE_CELLS_CAP", plain_expansions(2, 2))
-        assert find(xor_dataset, 2, memo=False).error_count == 0
-        monkeypatch.setattr(find_module, "TABLE_CELLS_CAP", plain_expansions(2, 2) - 1)
-        with pytest.raises(TableBudgetExceeded):
-            find(xor_dataset, 2, memo=False)
 
 
 class TestEmpiricalError:

@@ -1,18 +1,19 @@
 """The vectorized kernels against the plain loops they replaced.
 
-Each reference below is the earlier implementation kept verbatim in
-spirit: a per-row dict loop for the margin adversary, ``np.unique`` over
-(input, label) keys for the regression rows, a recursive walk over all
-2^n inputs for the mean vector, the slack-split primal LP for the L1 fit
+Each reference is the earlier implementation kept verbatim in spirit: a
+per-row dict loop for the margin adversary, ``np.unique`` over (input,
+label) keys for the regression rows, a recursive walk over all 2^n
+inputs for the mean vector, the slack-split primal LP for the L1 fit
 (and that fit's dual LP for its cube LP, used when d is near n),
 ``lstsq`` over the grouped rows for the L2 fit, the ``find`` search
-keyed by sorted (variable, bit) tuples, the label draw that walks the
-tree once per row, and the row-by-row dataset text format.  The new code
-must agree exactly, dtype included, on randomized instances (``find``
-down to its tree and search counters); the L1 fit, whose optimum need
-not be unique, must reach the same objective, the L2 fit, solved in
-another order, the same predictions to a set tolerance, and the label
-draw, which takes one uniform per row instead of one per coin, the same
+keyed by sorted (variable, bit) tuples (in conftest), one int64 matrix
+product over all rows for input packing, the label draw that walks the
+tree once per row, and the row-by-row dataset text format.  The new code must agree
+exactly, dtype included, on randomized instances (``find`` down to its
+tree and search counters); the L1 fit, whose optimum need not be
+unique, must reach the same objective, the L2 fit, solved in another
+order, the same predictions to a set tolerance, and the label draw,
+which takes one uniform per row instead of one per coin, the same
 inputs and the labels its own uniforms give.
 """
 
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import l1_objective, sample
+from conftest import l1_objective, reference_find, sample
 from sdtlearn.data import (
     Adversary,
     Dataset,
@@ -36,7 +37,7 @@ from sdtlearn.data import (
 )
 from sdtlearn.polynomials import parse_header
 from sdtlearn.evaluation import exact_error
-from sdtlearn.find import SearchStats, find
+from sdtlearn.find import find
 from sdtlearn.polynomials import monomials
 from sdtlearn.regression import (
     TruncatedPolyHypothesis,
@@ -57,6 +58,7 @@ from sdtlearn.trees import (
     mean,
     mean_on_points,
     mean_vector,
+    pack_inputs,
     random_tree,
     unpack_inputs,
 )
@@ -132,68 +134,6 @@ def reference_l2_regress(dataset: Dataset, d: int):
     return _to_poly(dataset.n, d, monos, beta)
 
 
-class ReferenceFindSolver:
-    """The search keyed by (sorted (var, bit) tuple, depth)."""
-
-    def __init__(self, uz: np.ndarray, w0: np.ndarray, w1: np.ndarray, n: int, memo: bool):
-        self.uz = uz
-        self.w0 = w0
-        self.w1 = w1
-        self.n = n
-        self.cache: dict | None = {} if memo else None
-        self.stats = SearchStats()
-
-    def solve(self, idx: np.ndarray, fixed: tuple, mask: int, depth: int) -> tuple[Node, int]:
-        if idx.size == 0:
-            return Leaf(0), 0
-        key = (fixed, depth)
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                self.stats.cache_hits += 1
-                return hit
-        self.stats.nodes_expanded += 1
-
-        ones = int(self.w1[idx].sum())
-        zeros = int(self.w0[idx].sum())
-        if depth == 0 or mask.bit_count() == self.n:
-            label = 1 if ones > zeros else 0
-            result: tuple[Node, int] = (Leaf(label), zeros if label else ones)
-        else:
-            best_err = -1
-            best_node: Node = Leaf(0)
-            zvals = self.uz[idx]
-            for var in range(self.n):
-                if (mask >> var) & 1:
-                    continue
-                bit = (zvals >> var) & 1
-                idx0 = idx[bit == 0]
-                idx1 = idx[bit == 1]
-                child_mask = mask | (1 << var)
-                node0, err0 = self.solve(idx0, _extend(fixed, var, 0), child_mask, depth - 1)
-                node1, err1 = self.solve(idx1, _extend(fixed, var, 1), child_mask, depth - 1)
-                if best_err < 0 or err0 + err1 < best_err:
-                    best_err = err0 + err1
-                    best_node = Query(var, node0, node1)
-            result = (best_node, best_err)
-
-        if self.cache is not None:
-            self.cache[key] = result
-        return result
-
-
-def _extend(fixed: tuple, var: int, bit: int) -> tuple:
-    return tuple(sorted(fixed + ((var, bit),)))
-
-
-def reference_find(dataset: Dataset, depth: int, memo: bool):
-    """(tree, error count, search counters) of the tuple-keyed search."""
-    uz, w0, w1, _ = dataset.counts()
-    solver = ReferenceFindSolver(uz, w0, w1, dataset.n, memo)
-    node, err = solver.solve(np.arange(uz.size, dtype=np.int64), (), 0, depth)
-    return StochasticTree(dataset.n, node), int(err), solver.stats
-
-
 def reference_mean_vector(tree: StochasticTree) -> np.ndarray:
     size = 1 << tree.n
     out = np.zeros(size, dtype=np.float64)
@@ -215,6 +155,12 @@ def reference_mean_vector(tree: StochasticTree) -> np.ndarray:
 
     rec(tree.root, np.arange(size, dtype=np.int64), 1.0)
     return out
+
+
+def reference_pack_inputs(xs) -> np.ndarray:
+    """One int64 copy of the whole array times the vector of bit weights."""
+    xs = np.asarray(xs, dtype=np.int64)
+    return xs @ (np.int64(1) << np.arange(xs.shape[1], dtype=np.int64))
 
 
 def reference_draw_clean(tree: StochasticTree, m: int, rng: np.random.Generator) -> Dataset:
@@ -245,6 +191,8 @@ def reference_load_dataset(text: str) -> Dataset:
     flags = np.zeros(m, dtype=bool)
     for i, ln in enumerate(lines[1:]):
         fields = ln.split()
+        if n == 0 and len(fields) == 2:
+            fields = ["", *fields]
         if len(fields) != 3:
             raise ValueError(f"row {i} has {len(fields)} fields, expected `<bits> <label> <flag>`")
         bits, label, flag = fields
@@ -415,6 +363,18 @@ def test_mean_vector_matches_recursive_walk(n, s, stoch, seed):
 
 
 @PROPERTY
+@given(m=st.integers(0, 200), n=st.integers(0, 62), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.uint8, np.bool_, np.int64, np.float64]))
+@example(m=0, n=5, seed=0, dtype=np.uint8)
+@example(m=7, n=0, seed=1, dtype=np.uint8)
+@example(m=50, n=62, seed=2, dtype=np.uint8)
+@example(m=20_000, n=62, seed=3, dtype=np.uint8)
+def test_pack_inputs_matches_matrix_product(m, n, seed, dtype):
+    xs = np.random.default_rng(seed).integers(0, 2, size=(m, n)).astype(dtype)
+    _assert_identical(pack_inputs(xs), reference_pack_inputs(xs))
+
+
+@PROPERTY
 @given(**instances)
 def test_count_table_matches_rows(n, s, stoch, m, noisy, seed):
     tree = _tree(n, min(s, 1 << n), stoch, seed)
@@ -448,8 +408,9 @@ def test_find_matches_tuple_keyed_search(n, depth, rows):
     zs = np.array([z & ((1 << n) - 1) for z, _ in rows], dtype=np.int64)
     ys = np.array([y for _, y in rows], dtype=np.uint8)
     ds = Dataset(n, unpack_inputs(zs, n), ys, np.zeros(len(rows), dtype=bool))
-    for memo in (True, False):
-        _assert_same_search(find(ds, depth, memo=memo), reference_find(ds, depth, memo))
+    result = find(ds, depth)
+    _assert_same_search(result, reference_find(ds, depth, memo=True))
+    assert result.tree == reference_find(ds, depth, memo=False)[0]
 
 
 def test_find_matches_tuple_keyed_search_on_acceptance_instance():
@@ -527,10 +488,6 @@ def test_dataset_text_matches_row_by_row_format(tree, m, eta, seed):
     ds = corrupt(draw_clean(tree, m, rng), eta, Adversary.LABEL_FLIP_RANDOM, tree, rng)
     text = dump_dataset(ds)
     assert text == reference_dump_dataset(ds)
-    if ds.n == 0 and ds.m:
-        # A row without bits dumps as ` <label> <flag>`: two fields, which
-        # neither loader reads back.
-        return
     _assert_same_dataset(load_dataset(text), ds)
     _assert_same_dataset(load_dataset(text), reference_load_dataset(text))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from conftest import l1_objective, l2_objective
+from conftest import l1_objective, l2_objective, predict
 from sdtlearn import regression
 from sdtlearn.data import Dataset, draw_clean
 from sdtlearn.evaluation import exact_error, exact_opt, guarantee_bound
@@ -18,7 +18,6 @@ from sdtlearn.regression import (
     l2_regress,
     learn_l1_pipeline,
     learn_l2_pipeline,
-    predict,
 )
 from sdtlearn.trees import Leaf, StochasticTree, mean_polynomial, mean_vector, random_tree
 

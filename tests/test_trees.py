@@ -4,16 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_points, enumerate_fixed_moments, force_fair_coins, sample
+from conftest import (
+    all_points,
+    bayes_classifier,
+    enumerate_fixed_moments,
+    evaluate_fixed,
+    force_fair_coins,
+    sample,
+)
 from sdtlearn.trees import (
     Leaf,
     Query,
     Stoch,
     StochasticTree,
-    bayes_classifier,
     deep_leaf_count,
     dump_tree,
-    evaluate_fixed,
     fix_randomness,
     load_tree,
     mean,
