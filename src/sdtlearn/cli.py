@@ -83,6 +83,13 @@ def cmd_regress(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     tree = trees.load_tree(_read(args.tree))
+    # The experiment the report describes; building it checks the arguments'
+    # ranges, the depth budget's as max_depth.  A tree over no variables is
+    # still evaluated.
+    harness.ExperimentConfig(
+        n=max(tree.n, 1), s=tree.size, m=args.samples, eps=args.eps, method=args.method,
+        eta=args.eta, adversary=args.adversary, seed=args.seed, max_depth=args.depth_budget or 0,
+    )
     if args.method == "find":
         hypothesis: evaluation.Hypothesis = trees.load_tree(_read(args.hypothesis))
         depth_budget, degree_budget = args.depth_budget, None
@@ -125,11 +132,11 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> harness.Exp
     parsed: dict = {}
     for key, raw in values.items():
         if key not in known:
-            raise SystemExit(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         try:
             parsed[key] = known[key](raw)
         except ValueError:
-            raise SystemExit(f"config key {key!r} needs a {known[key].__name__}, got {raw!r}") from None
+            raise ValueError(f"config key {key!r} needs a {known[key].__name__}, got {raw!r}") from None
     for key in ("n", "s", "m", "eps", "method", "seed", "stoch_fraction",
                 "max_depth", "adversary"):
         value = getattr(overrides, key.replace("-", "_"), None)
@@ -138,7 +145,7 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> harness.Exp
     try:
         return harness.ExperimentConfig(**parsed)
     except TypeError as exc:
-        raise SystemExit(f"incomplete sweep config: {exc}") from None
+        raise ValueError(f"incomplete sweep config: {exc}") from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -206,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--adversary", default="none")
+    p.add_argument("--adversary", default="none", choices=[a.value for a in data.Adversary])
     p.add_argument("--depth-budget", type=int, default=None)
     p.add_argument("--out", default=None, help="also write a CSV row here")
     p.set_defaults(func=cmd_eval)

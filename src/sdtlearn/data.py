@@ -114,6 +114,8 @@ def corrupt(
         raise ValueError(f"eta must lie in [0,1], got {eta}")
     if clean.corrupted.any():
         raise ValueError("corrupt expects an all-clean sample")
+    if tree.n != clean.n:
+        raise ValueError(f"tree is over {tree.n} variables, sample over {clean.n}")
     m = clean.m
     budget = corruption_budget(eta, m)
     xs = np.array(clean.xs)

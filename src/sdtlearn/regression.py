@@ -55,7 +55,8 @@ from .polynomials import MultilinearPolynomial, feature_count, monomials, trunc_
 if TYPE_CHECKING:
     from .data import Dataset
 
-DEFAULT_FEATURE_CAP = 20_000
+#: Most monomial features a regression fit may use.
+FEATURE_CAP = 20_000
 
 #: Largest float64 design matrix (rows x monomial features) or cube LP
 #: (constraint entries and variables) a fit may build; the solvers' own
@@ -84,28 +85,6 @@ class L1SolverError(Exception):
         self.incumbent = incumbent
 
 
-def _check_features(n: int, d: int, feature_cap: int) -> int:
-    count = feature_count(n, d)
-    if count > feature_cap:
-        raise FeatureBudgetExceeded(
-            f"degree {d} over {n} variables needs {count} features, cap is {feature_cap}"
-        )
-    return count
-
-
-def check_budget(n: int, d: int, rows: int, feature_cap: int) -> None:
-    """Reject a degree-d fit over n variables and ``rows`` design rows
-    whose monomial basis exceeds ``feature_cap`` or whose design matrix
-    exceeds DESIGN_BYTES_CAP, before anything is allocated."""
-    count = _check_features(n, d, feature_cap)
-    nbytes = rows * count * 8
-    if nbytes > DESIGN_BYTES_CAP:
-        raise FeatureBudgetExceeded(
-            f"{rows} rows x {count} features need a {nbytes / 2**30:.1f} GiB design "
-            f"matrix, cap is {DESIGN_BYTES_CAP / 2**30:.1f} GiB"
-        )
-
-
 def l1_over_cube(n: int, d: int) -> bool:
     """Whether ``l1_regress`` solves the cube LP (2^n - F equality rows)
     rather than the dual LP (F rows), F the degree-<= d monomial count."""
@@ -113,18 +92,28 @@ def l1_over_cube(n: int, d: int) -> bool:
     return (1 << n) - count < count
 
 
-def check_cube_budget(n: int, d: int, feature_cap: int) -> None:
-    """check_budget for the cube LP: its 3 nnz(V) constraint entries, with
-    nnz(V) = sum over |T| > d of 2^|T|, and its 3 * 2^n variables, at 8
-    bytes each (the variables matter when d = n and V is empty)."""
-    _check_features(n, d, feature_cap)
-    entries = 3 * sum(math.comb(n, k) << k for k in range(d + 1, n + 1))
-    nbytes = (entries + (3 << n)) * 8
-    if nbytes > DESIGN_BYTES_CAP:
+def check_budget(method: str, n: int, d: int, rows: int) -> None:
+    """Reject a degree-d ``method`` fit over n variables, before anything
+    is allocated, when its monomial basis exceeds FEATURE_CAP or what it
+    builds exceeds DESIGN_BYTES_CAP at 8 bytes an entry.  An l1 fit on the
+    cube side (``l1_over_cube``) builds 3 nnz(V) constraint entries, with
+    nnz(V) = sum over |T| > d of 2^|T|, and 3 * 2^n variables (these matter
+    when d = n and V is empty); any other fit builds a ``rows`` x F design
+    matrix."""
+    count = feature_count(n, d)
+    if count > FEATURE_CAP:
         raise FeatureBudgetExceeded(
-            f"a cube LP of {entries} entries over {3 << n} variables needs "
-            f"{nbytes / 2**30:.1f} GiB, cap is {DESIGN_BYTES_CAP / 2**30:.1f} GiB"
+            f"degree {d} over {n} variables needs {count} features, cap is {FEATURE_CAP}"
         )
+    if method == "l1" and l1_over_cube(n, d):
+        entries = 3 * sum(math.comb(n, k) << k for k in range(d + 1, n + 1))
+        nbytes = (entries + (3 << n)) * 8
+        need = f"a cube LP of {entries} entries over {3 << n} variables needs {nbytes / 2**30:.1f} GiB"
+    else:
+        nbytes = rows * count * 8
+        need = f"{rows} rows x {count} features need a {nbytes / 2**30:.1f} GiB design matrix"
+    if nbytes > DESIGN_BYTES_CAP:
+        raise FeatureBudgetExceeded(f"{need}, cap is {DESIGN_BYTES_CAP / 2**30:.1f} GiB")
 
 
 def _grouped_rows(dataset: "Dataset") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,7 +142,7 @@ def _to_poly(n: int, d: int, monos: list[tuple[int, ...]], beta: np.ndarray) -> 
     return MultilinearPolynomial(n, d, coeffs)
 
 
-def l2_regress(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CAP) -> MultilinearPolynomial:
+def l2_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     """Least-squares fit over degree-<= d monomials (minimum-norm on ties).
 
     Over the u distinct inputs, with A = sqrt(W) Phi and t = c1 / sqrt(W),
@@ -167,7 +156,7 @@ def l2_regress(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CA
     if d > dataset.n:
         raise ValueError(f"degree {d} exceeds the variable count {dataset.n}")
     zs, c0, c1, _ = dataset.counts()
-    check_budget(dataset.n, d, zs.size, feature_cap)
+    check_budget("l2", dataset.n, d, zs.size)
     monos = monomials(dataset.n, d)
     sw = np.sqrt((c0 + c1).astype(np.float64))
     a = _design_matrix(zs, monos)
@@ -187,16 +176,16 @@ def l2_regress(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CA
     return _to_poly(dataset.n, d, monos, beta)
 
 
-def l1_regress(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CAP) -> MultilinearPolynomial:
+def l1_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     """Least-absolute-deviations fit over degree-<= d monomials, by the cube
     LP when ``l1_over_cube(n, d)`` and by the dual LP otherwise."""
     if d > dataset.n:
         raise ValueError(f"degree {d} exceeds the variable count {dataset.n}")
     solve = _l1_cube if l1_over_cube(dataset.n, d) else _l1_dual
-    return solve(dataset, d, feature_cap)
+    return solve(dataset, d)
 
 
-def _l1_dual(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CAP) -> MultilinearPolynomial:
+def _l1_dual(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     """The primal  min_b sum_i w_i |phi_i b - y_i|  solved through its dual
 
         max y^T u  s.t.  phi^T u = 0,  -w <= u <= w,
@@ -206,7 +195,7 @@ def _l1_dual(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CAP)
     certified by strong duality.
     """
     zs, ys, w = _grouped_rows(dataset)
-    check_budget(dataset.n, d, zs.size, feature_cap)
+    check_budget("l1", dataset.n, d, zs.size)
     if zs.size == 0:  # every polynomial is optimal; HiGHS rejects an LP without variables
         return MultilinearPolynomial(dataset.n, d, {})
     monos = monomials(dataset.n, d)
@@ -222,7 +211,7 @@ def _l1_dual(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CAP)
     return poly
 
 
-def _l1_cube(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CAP) -> MultilinearPolynomial:
+def _l1_cube(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     """The fit's values q on {0,1}^n, from
 
         min sum_z c0(z) |q_z| + c1(z) |q_z - 1|  s.t.  V q = 0,
@@ -234,8 +223,8 @@ def _l1_cube(dataset: "Dataset", d: int, feature_cap: int = DEFAULT_FEATURE_CAP)
     |s_z| <= W(z) for every z.
     """
     n, size = dataset.n, 1 << dataset.n
-    check_cube_budget(n, d, feature_cap)
     zs, c0, c1, _ = dataset.counts()
+    check_budget("l1", n, d, zs.size)
     w0 = np.zeros(size)
     w1 = np.zeros(size)
     w0[zs] = c0
@@ -349,15 +338,11 @@ def degree_budget(s: int, eps: float) -> int:
     return max(0, math.ceil(math.log2(s / eps) - 1e-12))
 
 
-def learn_l2_pipeline(
-    dataset: "Dataset", s: int, eps: float, feature_cap: int = DEFAULT_FEATURE_CAP
-) -> TruncatedPolyHypothesis:
+def learn_l2_pipeline(dataset: "Dataset", s: int, eps: float) -> TruncatedPolyHypothesis:
     d = min(degree_budget(s, eps), dataset.n)
-    return TruncatedPolyHypothesis(l2_regress(dataset, d, feature_cap), "rounded")
+    return TruncatedPolyHypothesis(l2_regress(dataset, d), "rounded")
 
 
-def learn_l1_pipeline(
-    dataset: "Dataset", s: int, eps: float, feature_cap: int = DEFAULT_FEATURE_CAP
-) -> TruncatedPolyHypothesis:
+def learn_l1_pipeline(dataset: "Dataset", s: int, eps: float) -> TruncatedPolyHypothesis:
     d = min(degree_budget(s, eps), dataset.n)
-    return TruncatedPolyHypothesis(l1_regress(dataset, d, feature_cap), "randomized")
+    return TruncatedPolyHypothesis(l1_regress(dataset, d), "randomized")

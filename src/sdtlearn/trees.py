@@ -60,23 +60,30 @@ Node = Union[Leaf, Query, Stoch]
 RandomnessString = Sequence[int]
 
 
+#: Most nodes on a root-to-leaf path.  The tree functions recurse once per
+#: node on a path, so this stays well below Python's recursion limit.
+MAX_NESTING = 256
+
+
 def _validate_node(node: Node, n: int) -> None:
-    stack = [node]
+    stack = [(node, 1)]
     while stack:
-        cur = stack.pop()
+        cur, depth = stack.pop()
+        if depth > MAX_NESTING:
+            raise ValueError(f"tree nests deeper than {MAX_NESTING} nodes")
         if isinstance(cur, Leaf):
             if cur.label not in (0, 1):
                 raise ValueError(f"leaf label must be 0 or 1, got {cur.label!r}")
         elif isinstance(cur, Query):
             if not 0 <= cur.var < n:
                 raise ValueError(f"query variable {cur.var} out of range for n={n}")
-            stack.append(cur.child0)
-            stack.append(cur.child1)
+            stack.append((cur.child0, depth + 1))
+            stack.append((cur.child1, depth + 1))
         elif isinstance(cur, Stoch):
             if not 0.0 <= cur.p <= 1.0:
                 raise ValueError(f"stochastic probability {cur.p} outside [0,1]")
-            stack.append(cur.child_heads)
-            stack.append(cur.child_tails)
+            stack.append((cur.child_heads, depth + 1))
+            stack.append((cur.child_tails, depth + 1))
         else:
             raise TypeError(f"not a tree node: {cur!r}")
 
@@ -255,21 +262,20 @@ def fix_randomness(tree: StochasticTree, r: RandomnessString) -> StochasticTree:
     m = stoch_count(tree.root)
     if len(r) != m:
         raise ValueError(f"randomness string has length {len(r)}, tree has {m} stochastic nodes")
+    bits = iter(r)
 
-    def rec(node: Node, base: int) -> Node:
+    def rec(node: Node) -> Node:
         if isinstance(node, Leaf):
             return node
         if isinstance(node, Query):
-            return Query(
-                node.var,
-                rec(node.child0, base),
-                rec(node.child1, base + stoch_count(node.child0)),
-            )
-        if r[base]:
-            return rec(node.child_heads, base + 1)
-        return rec(node.child_tails, base + 1 + stoch_count(node.child_heads))
+            return Query(node.var, rec(node.child0), rec(node.child1))
+        # Both branches are rebuilt so that r is read in preorder, one bit
+        # per coin; the branch r's bit selects is kept.
+        heads_taken = next(bits)
+        heads, tails = rec(node.child_heads), rec(node.child_tails)
+        return heads if heads_taken else tails
 
-    return StochasticTree(tree.n, rec(tree.root, 0))
+    return StochasticTree(tree.n, rec(tree.root))
 
 
 #: Largest n for which ``stochastic_leaf_approx`` measures its exact l1 distance.
@@ -496,7 +502,9 @@ def load_tree(text: str) -> StochasticTree:
     (n,) = parse_header(lines[0], ("n",))
     it = iter(lines[1:])
 
-    def parse() -> Node:
+    def parse(depth: int) -> Node:
+        if depth > MAX_NESTING:
+            raise ValueError(f"tree nests deeper than {MAX_NESTING} nodes")
         try:
             line = next(it)
         except StopIteration:
@@ -505,12 +513,12 @@ def load_tree(text: str) -> StochasticTree:
         if kind == "L":
             return Leaf(int(value))
         if kind == "Q":
-            return Query(int(value), parse(), parse())
+            return Query(int(value), parse(depth + 1), parse(depth + 1))
         if kind == "S":
-            return Stoch(float(value), parse(), parse())
+            return Stoch(float(value), parse(depth + 1), parse(depth + 1))
         raise ValueError(f"unknown node line: {line!r}")
 
-    root = parse()
+    root = parse(1)
     if next(it, None) is not None:
         raise ValueError("trailing node lines after the tree was complete")
     return StochasticTree(n, root)

@@ -68,6 +68,8 @@ def test_zero_variable_dataset_round_trips(tmp_path, capsys):
     stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert stats["error_count"] == 0
     assert load_tree(found.read_text()) == load_tree(tree.read_text())
+    assert main(["eval", "--tree", str(tree), "--hypothesis", str(found), "--method", "find",
+                 "--eps", "0.2"]) == 0
 
 
 def test_regress_and_eval(workspace, capsys):
@@ -165,7 +167,13 @@ BAD_FILES = {
     "bad_data": "n=3 m=1\n01 0 0\n",
     "bad_poly": "n=3 d=1\nnot a monomial line\n",
     "wide_data": "n=30 m=1\n" + "0" * 30 + " 1 0\n",
+    "narrow_tree": "n=4\nQ 3\nL 0\nL 1\n",
+    "wide_tree": "n=8\nQ 7\nL 0\nL 1\n",
+    "deep_tree": "n=1\n" + "S 0.5\nL 1\n" * 3000 + "L 1\n",
+    "feature_cap_cfg": "n=5\ns=4\nm=100\neps=0.2\nfeature_cap=100\n",
 }
+
+EVAL = ["eval", "--tree", "{tree}", "--hypothesis", "{tree}", "--method", "find"]
 
 
 @pytest.mark.parametrize(
@@ -195,6 +203,22 @@ BAD_FILES = {
                      id="find-missing-data"),
         pytest.param(["gen-tree", "--n", "3", "--size", "2", "--out", "{unwritable}"],
                      "No such file", id="gen-tree-unwritable-out"),
+        pytest.param(["corrupt", "--data", "{clean}", "--tree", "{narrow_tree}", "--eta", "0.1",
+                      "--adversary", "label_flip_margin"], "tree is over 4 variables, sample over 5",
+                     id="corrupt-narrower-tree"),
+        pytest.param(["corrupt", "--data", "{clean}", "--tree", "{wide_tree}", "--eta", "0.1",
+                      "--adversary", "example_replace"], "tree is over 8 variables, sample over 5",
+                     id="corrupt-wider-tree"),
+        pytest.param(EVAL + ["--eps", "0.2", "--eta", "2"], "eta must lie in", id="eval-eta-2"),
+        pytest.param(EVAL + ["--eps", "-3"], "eps must lie in", id="eval-eps-neg"),
+        pytest.param(EVAL + ["--eps", "0.2", "--samples", "-5"], "m must be nonnegative",
+                     id="eval-samples-neg"),
+        pytest.param(EVAL + ["--eps", "0.2", "--depth-budget", "-4"], "max_depth must be nonnegative",
+                     id="eval-depth-budget-neg"),
+        pytest.param(["eval", "--tree", "{deep_tree}", "--hypothesis", "{tree}", "--method", "find",
+                      "--eps", "0.2"], "nests deeper than", id="eval-deeply-nested-tree"),
+        pytest.param(["sweep", "--config", "{feature_cap_cfg}"], "unknown config key 'feature_cap'",
+                     id="sweep-config-feature-cap"),
     ],
 )
 def test_bad_input_exits_in_one_line(workspace, tmp_path, argv, cause):
@@ -207,6 +231,14 @@ def test_bad_input_exits_in_one_line(workspace, tmp_path, argv, cause):
     message = _exit_message([arg.format(**paths) for arg in argv])
     assert message.startswith(f"sdtlearn {argv[0]}: ")
     assert cause in message
+
+
+def test_eval_rejects_unknown_adversary(workspace, capsys):
+    argv = [arg.format(**{key: str(path) for key, path in workspace.items()}) for arg in EVAL]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--eps", "0.2", "--adversary", "bogus"])
+    assert info.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_sweep_opens_output_before_running(tmp_path, monkeypatch):

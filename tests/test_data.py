@@ -133,6 +133,15 @@ class TestCorrupt:
         with pytest.raises(ValueError):
             corrupt(dirty, 0.1, Adversary.NONE, tree, rng)
 
+    @pytest.mark.parametrize("tree_n,data_n", [(4, 8), (8, 4)])
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_rejects_tree_over_other_variable_count(self, tree_n, data_n, strategy):
+        rng = np.random.default_rng(3)
+        clean = draw_clean(random_tree(data_n, 6, 0.4, rng), 200, rng)
+        tree = random_tree(tree_n, 6, 0.4, rng)
+        with pytest.raises(ValueError, match=f"tree is over {tree_n} variables, sample over {data_n}"):
+            corrupt(clean, 0.1, strategy, tree, rng)
+
 
 class TestFileFormat:
     def test_roundtrip(self):

@@ -54,8 +54,9 @@ class TestBudgets:
         assert find_depth_budget(1, 0.25, 10) == 2
         assert find_depth_budget(2, 0.5, 10) == 5
 
-    def test_infeasible_feature_budget_reported_before_compute(self):
-        cfg = ExperimentConfig(n=20, s=16, m=100, eps=0.05, method="l2", feature_cap=1000)
+    def test_infeasible_feature_budget_reported_before_compute(self, monkeypatch):
+        cfg = ExperimentConfig(n=20, s=16, m=100, eps=0.05, method="l2")
+        monkeypatch.setattr(regression, "FEATURE_CAP", 1000)
         with pytest.raises(ValueError, match="features"):
             budgets_for(cfg)
         with pytest.raises(ValueError, match="features"):

@@ -69,10 +69,11 @@ class TestL2:
                 candidate = mean_polynomial(tree, d)
                 assert l2_objective(fitted, ds) <= l2_objective(candidate, ds) + 1e-12
 
-    def test_feature_cap(self):
+    def test_feature_cap(self, monkeypatch):
         ds = make_dataset(np.zeros((4, 12), dtype=np.uint8), np.zeros(4, dtype=np.uint8))
+        monkeypatch.setattr(regression, "FEATURE_CAP", 100)
         with pytest.raises(FeatureBudgetExceeded):
-            l2_regress(ds, 6, feature_cap=100)
+            l2_regress(ds, 6)
 
     def test_degree_above_n_rejected(self, xor_dataset):
         with pytest.raises(ValueError):

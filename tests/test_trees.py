@@ -12,7 +12,9 @@ from conftest import (
     force_fair_coins,
     sample,
 )
+from sdtlearn import trees
 from sdtlearn.trees import (
+    MAX_NESTING,
     Leaf,
     Query,
     Stoch,
@@ -158,6 +160,27 @@ class TestFixedRandomness:
             assert fixed.size <= tree.size
             for x in all_points(tree.n):
                 assert mean(fixed, x) == evaluate_fixed(tree, x, r)
+
+    def test_fix_randomness_visits_each_node_once(self, monkeypatch):
+        # Queries chained along child0, each with a coin as child1: counting
+        # the coins under child0 at every level visits the chain
+        # quadratically often.
+        node, fixed_node = Leaf(0), Leaf(0)
+        for _ in range(40):
+            node = Query(0, node, Stoch(0.5, Leaf(1), Leaf(0)))
+            fixed_node = Query(0, fixed_node, Leaf(1))
+        tree = StochasticTree(1, node)
+        visits = 0
+        count = trees.stoch_count
+
+        def counting(node):
+            nonlocal visits
+            visits += 1
+            return count(node)
+
+        monkeypatch.setattr(trees, "stoch_count", counting)
+        assert fix_randomness(tree, [1] * 40).root == fixed_node
+        assert visits <= sum(1 for _ in preorder(tree.root))
 
 
 class TestBayes:
@@ -391,6 +414,24 @@ class TestSerialization:
             load_tree("n=2\nQ 0\nL 1\n")  # incomplete
         with pytest.raises(ValueError):
             load_tree("n=2\nL 1\nL 0\n")  # trailing node
+
+    def test_nesting_limit(self):
+        # A coin chain 3,000 deep, past Python's recursion limit.
+        deep = "n=1\n" + "S 0.5\nL 1\n" * 3000 + "L 1\n"
+        with pytest.raises(ValueError, match=f"nests deeper than {MAX_NESTING}"):
+            load_tree(deep)
+        node = Leaf(1)
+        for _ in range(3000):
+            node = Stoch(0.5, Leaf(1), node)
+        with pytest.raises(ValueError, match=f"nests deeper than {MAX_NESTING}"):
+            StochasticTree(1, node)
+
+        at_limit = "n=1\n" + "S 0.5\nL 1\n" * (MAX_NESTING - 1) + "L 0\n"
+        tree = load_tree(at_limit)
+        assert tree.num_stochastic == MAX_NESTING - 1
+        assert mean(tree, (0,)) == pytest.approx(1.0 - 0.5 ** (MAX_NESTING - 1))
+        with pytest.raises(ValueError, match="nests deeper"):
+            load_tree("n=1\nS 0.5\nL 1\n" + at_limit.partition("\n")[2])
 
 
 class TestPacking:
