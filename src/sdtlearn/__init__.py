@@ -2,7 +2,7 @@
 
 from .data import Adversary, Dataset, corrupt, draw_clean
 from .evaluation import ErrorReport, exact_error, exact_opt, mc_error
-from .find import FindResult, SearchStats, empirical_error, find, find_brute_oracle
+from .find import FindResult, SearchStats, empirical_error, find
 from .harness import ExperimentConfig, run_experiment, run_sweep, sweep_grid
 from .polynomials import MultilinearPolynomial, trunc
 from .regression import (

@@ -5,6 +5,10 @@ adversary may rewrite any floor(eta * m) rows, both inputs and labels,
 with full knowledge of the target tree and the clean sample.  The
 ``corrupted`` flags record which rows were touched; they are provenance
 metadata only and learners never read them.
+
+A dataset holds its inputs packed, as int64 values with bit i holding
+variable i, which is the form every kernel reads.  Rows of bits exist only
+in the text format: ``dump_dataset`` unpacks and ``load_dataset`` packs.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 
 from .polynomials import parse_header
 from .trees import (
+    MAX_PACKED_VARS,
     StochasticTree,
     mean_on_points,
     mean_vector,
@@ -35,47 +40,52 @@ class Adversary(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A multiset of labeled rows with per-row corruption flags."""
+    """A multiset of labeled inputs with per-row corruption flags; row i
+    has the packed input zs[i], label ys[i] and flag corrupted[i]."""
 
     n: int
-    xs: np.ndarray
+    zs: np.ndarray
     ys: np.ndarray
     corrupted: np.ndarray
 
     def __post_init__(self) -> None:
-        xs = np.ascontiguousarray(np.asarray(self.xs, dtype=np.uint8))
+        if not 0 <= self.n <= MAX_PACKED_VARS:
+            raise ValueError(f"n must lie in [0, {MAX_PACKED_VARS}]")
+        zs = np.ascontiguousarray(np.asarray(self.zs, dtype=np.int64))
         ys = np.ascontiguousarray(np.asarray(self.ys, dtype=np.uint8))
         flags = np.ascontiguousarray(np.asarray(self.corrupted, dtype=bool))
-        if xs.ndim != 2 or xs.shape[1] != self.n:
-            raise ValueError(f"xs must have shape (m, {self.n})")
-        if ys.shape != (xs.shape[0],) or flags.shape != (xs.shape[0],):
+        if zs.ndim != 1:
+            raise ValueError("zs must be a 1-d array of packed inputs")
+        if ys.shape != zs.shape or flags.shape != zs.shape:
             raise ValueError("ys and corrupted must have one entry per row")
-        if xs.size and xs.max() > 1:
-            raise ValueError("inputs must be 0/1 valued")
+        if zs.size and (zs.min() < 0 or zs.max() >= 1 << self.n):
+            raise ValueError(f"packed inputs must lie in [0, 2^{self.n})")
         if ys.size and ys.max() > 1:
             raise ValueError("labels must be 0/1 valued")
-        for arr in (xs, ys, flags):
+        for arr in (zs, ys, flags):
             arr.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "zs", zs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "corrupted", flags)
 
     @property
     def m(self) -> int:
-        return self.xs.shape[0]
+        return self.zs.size
 
     @property
     def corrupted_count(self) -> int:
         return int(self.corrupted.sum())
 
     def packed(self) -> np.ndarray:
-        return pack_inputs(self.xs)
+        # Kept for the benchmark's tracer, which counts distinct inputs
+        # through this accessor; the library reads ``zs``.
+        return self.zs
 
     def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The count table: distinct packed inputs in ascending order, the
         number of rows labeled 0 and labeled 1 at each (int64), and each
         row's index into the table."""
-        zs, inverse = np.unique(self.packed(), return_inverse=True)
+        zs, inverse = np.unique(self.zs, return_inverse=True)
         total = np.bincount(inverse, minlength=zs.size).astype(np.int64)
         c1 = np.bincount(inverse[self.ys == 1], minlength=zs.size).astype(np.int64)
         return zs, total - c1, c1, inverse
@@ -85,16 +95,17 @@ def draw_clean(tree: StochasticTree, m: int, rng: np.random.Generator) -> Datase
     """m i.i.d. rows: x uniform on {0,1}^n, y = 1 with probability mu(x).
 
     The generator is consumed in a fixed order: all inputs first, as one
-    ``rng.integers(0, 2, size=(m, n))`` call, then one uniform u_i per row
-    from ``rng.random(m)``; row i is labeled 1 exactly when u_i < mu(x_i).
-    Integrating the coins out through the exact mean gives each label the
-    same law as walking the tree and flipping every coin on the way.
+    ``rng.integers(0, 2, size=(m, n))`` call whose rows are packed at once,
+    then one uniform u_i per row from ``rng.random(m)``; row i is labeled 1
+    exactly when u_i < mu(x_i).  Integrating the coins out through the exact
+    mean gives each label the same law as walking the tree and flipping
+    every coin on the way.
     """
     if m < 0:
         raise ValueError("sample count must be nonnegative")
-    xs = rng.integers(0, 2, size=(m, tree.n), dtype=np.uint8)
-    ys = (rng.random(m) < mean_on_points(tree, pack_inputs(xs))).astype(np.uint8)
-    return Dataset(tree.n, xs, ys, np.zeros(m, dtype=bool))
+    zs = pack_inputs(rng.integers(0, 2, size=(m, tree.n), dtype=np.uint8))
+    ys = (rng.random(m) < mean_on_points(tree, zs)).astype(np.uint8)
+    return Dataset(tree.n, zs, ys, np.zeros(m, dtype=bool))
 
 
 def corruption_budget(eta: float, m: int) -> int:
@@ -118,11 +129,11 @@ def corrupt(
         raise ValueError(f"tree is over {tree.n} variables, sample over {clean.n}")
     m = clean.m
     budget = corruption_budget(eta, m)
-    xs = np.array(clean.xs)
+    zs = np.array(clean.zs)
     ys = np.array(clean.ys)
     flags = np.zeros(m, dtype=bool)
     if budget == 0:
-        return Dataset(clean.n, xs, ys, flags)
+        return Dataset(clean.n, zs, ys, flags)
 
     if strategy is Adversary.NONE:
         # The do-nothing adversary still spends its budget: it replaces
@@ -137,13 +148,13 @@ def corrupt(
     elif strategy is Adversary.EXAMPLE_REPLACE:
         chosen = np.sort(rng.choice(m, size=budget, replace=False))
         z_star, y_star = _replacement_point(clean, tree)
-        xs[chosen] = unpack_inputs(np.array([z_star]), clean.n)[0]
+        zs[chosen] = z_star
         ys[chosen] = y_star
     else:
         raise ValueError(f"unknown adversary {strategy!r}")
 
     flags[chosen] = True
-    return Dataset(clean.n, xs, ys, flags)
+    return Dataset(clean.n, zs, ys, flags)
 
 
 def _flip_margin_rows(clean: Dataset, budget: int, tree: StochasticTree) -> np.ndarray:
@@ -209,7 +220,7 @@ def dump_dataset(ds: Dataset) -> str:
     """Header `n=<n> m=<m>`, then one `<bits> <label> <flag>` row per line."""
     n = ds.n
     rows = np.empty((ds.m, n + 5), dtype=np.uint8)
-    rows[:, :n] = ds.xs + ord("0")
+    rows[:, :n] = unpack_inputs(ds.zs, n) + ord("0")
     rows[:, n] = rows[:, n + 2] = ord(" ")
     rows[:, n + 1] = ds.ys + ord("0")
     rows[:, n + 3] = ds.corrupted + ord("0")
@@ -254,10 +265,10 @@ def load_dataset(text: str) -> Dataset:
             f"row {i} must hold only 0/1 bits, label and flag",
         )
         raise ValueError(messages[int(np.argmax(failed[:, i]))])
-    return Dataset(n, codes[:, :n], codes[:, n], codes[:, n + 1] == 1)
+    return Dataset(n, pack_inputs(codes[:, :n]), codes[:, n], codes[:, n + 1] == 1)
 
 
 def load_learner_dataset(text: str) -> Dataset:
     """Load with the provenance flag column dropped (all rows marked clean)."""
     ds = load_dataset(text)
-    return Dataset(ds.n, ds.xs, ds.ys, np.zeros(ds.m, dtype=bool))
+    return Dataset(ds.n, ds.zs, ds.ys, np.zeros(ds.m, dtype=bool))

@@ -4,9 +4,10 @@ For n up to the enumeration cap every quantity here is computed exactly
 by enumerating {0,1}^n: the Bayes error, the classification error of a
 hypothesis against the target tree, and the mean-square/mean-absolute
 distances used by the regression guarantees.  Above the cap, inputs are
-sampled but tree coins never are: every error is an average of exact
-per-input means, and randomized hypotheses are integrated out in closed
-form rather than sampled.
+sampled, as packed integers drawn uniformly below 2^n, but tree coins
+never are: every error is an average of exact per-input means, and
+randomized hypotheses are integrated out in closed form rather than
+sampled.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .regression import TruncatedPolyHypothesis, round_half_up
-from .trees import StochasticTree, mean_on_points, mean_vector, pack_inputs
+from .trees import StochasticTree, mean_on_points, mean_vector
 
 Hypothesis = Union[StochasticTree, TruncatedPolyHypothesis]
 
@@ -69,6 +70,20 @@ def exact_error(
     return float(np.mean(_disagreement(tree, hypothesis, np.arange(1 << tree.n, dtype=np.int64))))
 
 
+def _draw_inputs(n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """``trials`` packed inputs drawn uniformly from {0,1}^n."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    return rng.integers(0, 1 << n, size=trials, dtype=np.int64)
+
+
+def mc_opt(tree: StochasticTree, trials: int, rng: np.random.Generator) -> float:
+    """Monte Carlo Bayes error: sampled inputs, exact per-input means, so an
+    unbiased estimate without enumerating {0,1}^n."""
+    mu = mean_on_points(tree, _draw_inputs(tree.n, trials, rng))
+    return float(np.mean(np.minimum(mu, 1.0 - mu)))
+
+
 def mc_error(
     tree: StochasticTree,
     hypothesis: Hypothesis,
@@ -80,10 +95,7 @@ def mc_error(
     Only the inputs are sampled; the disagreement at each is exact, so the
     estimate carries no noise from the coins of either tree.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    xs = rng.integers(0, 2, size=(trials, tree.n), dtype=np.uint8)
-    per_input = _disagreement(tree, hypothesis, pack_inputs(xs))
+    per_input = _disagreement(tree, hypothesis, _draw_inputs(tree.n, trials, rng))
     estimate = float(np.mean(per_input))
     stderr = float(np.sqrt(max(float(np.var(per_input)), 1e-12) / trials))
     return estimate, stderr

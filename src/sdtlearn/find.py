@@ -50,9 +50,6 @@ TABLE_CELLS_CAP = 1 << 21
 #: Entries per block of the leaf level's bit keys.
 _KEY_BLOCK = 1 << 20
 
-#: Most trees ``find_brute_oracle`` enumerates.
-_BRUTE_TREE_LIMIT = 5_000_000
-
 
 class TableBudgetExceeded(ValueError):
     """The restriction table of a depth-bounded search would exceed its cap."""
@@ -207,38 +204,5 @@ def empirical_error(tree: StochasticTree, dataset: Dataset) -> float:
     their per-row disagreement probability)."""
     if dataset.m == 0:
         return 0.0
-    mu = mean_on_points(tree, dataset.packed())
+    mu = mean_on_points(tree, dataset.zs)
     return float(np.mean(np.where(dataset.ys == 1, 1.0 - mu, mu)))
-
-
-def find_brute_oracle(dataset: Dataset, depth: int) -> float:
-    """Minimal empirical error over ALL depth-<= depth trees, by enumeration.
-
-    Independent check for ``find``: every tree is generated explicitly
-    (including ones that re-query path variables), so agreement is not
-    inherited from shared search logic.  Feasible around n <= 4, depth <= 2.
-    """
-    if depth < 0:
-        raise ValueError("depth budget must be nonnegative")
-    n = dataset.n
-    count = 2
-    for _ in range(depth):
-        count = 2 + n * count * count
-    if count > _BRUTE_TREE_LIMIT:
-        raise ValueError(f"would enumerate {count} trees, above the limit {_BRUTE_TREE_LIMIT}")
-
-    uz, w0, w1, _ = dataset.counts()
-    if uz.size == 0:
-        return 0.0
-    preds = [np.zeros(uz.size, dtype=np.uint8), np.ones(uz.size, dtype=np.uint8)]
-    for _ in range(depth):
-        prev = preds
-        preds = list(prev)
-        for var in range(n):
-            bit = ((uz >> var) & 1).astype(bool)
-            for p0 in prev:
-                for p1 in prev:
-                    preds.append(np.where(bit, p1, p0))
-    m = int(w0.sum() + w1.sum())
-    best = min(int(w1[p == 0].sum() + w0[p == 1].sum()) for p in preds)
-    return best / m

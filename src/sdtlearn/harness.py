@@ -14,10 +14,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Adversary, corrupt, draw_clean
-from .evaluation import DEFAULT_ENUMERATION_CAP, ErrorReport, exact_error, exact_opt, mc_error
+from .evaluation import DEFAULT_ENUMERATION_CAP, ErrorReport, exact_error, exact_opt, mc_error, mc_opt
 from .find import check_table_budget, find
 from .regression import check_budget, degree_budget, learn_l1_pipeline, learn_l2_pipeline
-from .trees import MAX_PACKED_VARS, StochasticTree, mean_on_points, pack_inputs, random_tree
+from .trees import MAX_PACKED_VARS, random_tree
 
 METHODS = ("find", "l1", "l2")
 
@@ -106,7 +106,7 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
         err = exact_error(tree, hypothesis, cfg.enumeration_cap)
         estimation = "exact"
     else:
-        opt = _mc_opt(tree, cfg.mc_trials, rng_eval)
+        opt = mc_opt(tree, cfg.mc_trials, rng_eval)
         err = mc_error(tree, hypothesis, cfg.mc_trials, rng_eval)[0]
         estimation = "monte_carlo"
 
@@ -125,14 +125,6 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
         degree_budget=degree,
         error_estimation=estimation,
     )
-
-
-def _mc_opt(tree: StochasticTree, trials: int, rng: np.random.Generator) -> float:
-    # Sampled inputs, exact per-point means: an unbiased estimate of the
-    # Bayes error without enumerating {0,1}^n.
-    xs = rng.integers(0, 2, size=(trials, tree.n), dtype=np.uint8)
-    mu = mean_on_points(tree, pack_inputs(xs))
-    return float(np.mean(np.minimum(mu, 1.0 - mu)))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from it.
 Conventions used throughout the package:
 
 * Trees are immutable values; every construction returns a new tree.
-* Inputs may be packed into integers, with bit i of z holding variable i.
+* Inputs are packed into int64 values, with bit i of z holding variable i.
+  Datasets hold packed inputs; rows of bits exist only in text files.
 * Stochastic nodes are enumerated in preorder (node before children,
   the 0/heads child before the 1/tails child).  A randomness string has
   one bit per stochastic node in that order; bit j = 1 means the j-th
@@ -319,20 +320,24 @@ def stochastic_leaf_approx(
     roots = [fix_randomness(tree, sample_randomness(tree, rng)).root for _ in range(c)]
 
     def build(i: int, node: Node, assign: dict[int, int], ones: int) -> Node:
-        if isinstance(node, Leaf):
-            ones += node.label
-            if i + 1 == c:
-                return Stoch(ones / c, Leaf(1), Leaf(0))
-            return build(i + 1, roots[i + 1], assign, ones)
-        assert isinstance(node, Query)
-        if node.var in assign:
-            nxt = node.child1 if assign[node.var] else node.child0
-            return build(i, nxt, assign, ones)
-        return Query(
-            node.var,
-            build(i, node.child0, {**assign, node.var: 0}, ones),
-            build(i, node.child1, {**assign, node.var: 1}, ones),
-        )
+        # Walks copy i from node, then copies i + 1, ..., c - 1 from their
+        # roots, and recurses only on a variable no earlier query fixed, so
+        # the recursion is at most n + 1 calls deep whatever c is.
+        while True:
+            if isinstance(node, Leaf):
+                ones += node.label
+                i += 1
+                if i == c:
+                    return Stoch(ones / c, Leaf(1), Leaf(0))
+                node = roots[i]
+            elif node.var in assign:
+                node = node.child1 if assign[node.var] else node.child0
+            else:
+                return Query(
+                    node.var,
+                    build(i, node.child0, {**assign, node.var: 0}, ones),
+                    build(i, node.child1, {**assign, node.var: 1}, ones),
+                )
 
     approx = StochasticTree(tree.n, build(0, roots[0], {}, 0))
     l1 = None

@@ -3,9 +3,10 @@
 The oracles here recompute tree semantics by brute force (enumerating
 randomness strings or truth tables, or walking the tree and flipping
 each coin on the way), hypotheses one input at a time, regression
-objectives row by row, and the depth-bounded search as the recursion
-that ``find``'s table replaced, so library results are checked against
-arithmetic that shares no code path with them.
+objectives row by row, the depth-bounded search as the recursion that
+``find``'s table replaced, and the best depth-bounded tree by enumerating
+every tree, so library results are checked against arithmetic that shares
+no code path with them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from sdtlearn.trees import (
     Stoch,
     StochasticTree,
     mean,
-    pack_inputs,
     round_prob,
     stoch_count,
     stochastic_probabilities,
@@ -125,13 +125,13 @@ def force_fair_coins(node: Node) -> Node:
 
 def l1_objective(poly: MultilinearPolynomial, dataset: Dataset) -> float:
     """Mean absolute error of the polynomial against the dataset labels."""
-    preds = poly.evaluate_packed(pack_inputs(dataset.xs))
+    preds = poly.evaluate_packed(dataset.zs)
     return float(np.mean(np.abs(preds - dataset.ys)))
 
 
 def l2_objective(poly: MultilinearPolynomial, dataset: Dataset) -> float:
     """Mean squared error of the polynomial against the dataset labels."""
-    preds = poly.evaluate_packed(pack_inputs(dataset.xs))
+    preds = poly.evaluate_packed(dataset.zs)
     return float(np.mean((preds - dataset.ys) ** 2))
 
 
@@ -214,3 +214,40 @@ def reference_find(dataset: Dataset, depth: int, memo: bool):
     solver = ReferenceFindSolver(uz, w0, w1, dataset.n, memo)
     node, err = solver.solve(np.arange(uz.size, dtype=np.int64), (), 0, depth)
     return StochasticTree(dataset.n, node), int(err), solver.stats
+
+
+#: Most trees ``find_brute_oracle`` enumerates.
+_BRUTE_TREE_LIMIT = 5_000_000
+
+
+def find_brute_oracle(dataset: Dataset, depth: int) -> float:
+    """Minimal empirical error over ALL depth-<= depth trees, by enumeration.
+
+    Independent check for ``find``: every tree is generated explicitly
+    (including ones that re-query path variables), so agreement is not
+    inherited from shared search logic.  Feasible around n <= 4, depth <= 2.
+    """
+    if depth < 0:
+        raise ValueError("depth budget must be nonnegative")
+    n = dataset.n
+    count = 2
+    for _ in range(depth):
+        count = 2 + n * count * count
+    if count > _BRUTE_TREE_LIMIT:
+        raise ValueError(f"would enumerate {count} trees, above the limit {_BRUTE_TREE_LIMIT}")
+
+    uz, w0, w1, _ = dataset.counts()
+    if uz.size == 0:
+        return 0.0
+    preds = [np.zeros(uz.size, dtype=np.uint8), np.ones(uz.size, dtype=np.uint8)]
+    for _ in range(depth):
+        prev = preds
+        preds = list(prev)
+        for var in range(n):
+            bit = ((uz >> var) & 1).astype(bool)
+            for p0 in prev:
+                for p1 in prev:
+                    preds.append(np.where(bit, p1, p0))
+    m = int(w0.sum() + w1.sum())
+    best = min(int(w1[p == 0].sum() + w0[p == 1].sum()) for p in preds)
+    return best / m

@@ -11,15 +11,16 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import enumerate_fixed_moments, reference_find
+from conftest import enumerate_fixed_moments, find_brute_oracle, reference_find
 from sdtlearn.data import Adversary, Dataset, corrupt, corruption_budget, draw_clean
 from sdtlearn.evaluation import exact_error, exact_opt
-from sdtlearn.find import empirical_error, find, find_brute_oracle
+from sdtlearn.find import empirical_error, find
 from sdtlearn.harness import ExperimentConfig, run_experiment
 from sdtlearn.regression import learn_l1_pipeline, learn_l2_pipeline
 from sdtlearn.trees import (
     mean,
     mean_vector,
+    pack_inputs,
     random_tree,
     stochastic_leaf_approx,
 )
@@ -51,7 +52,7 @@ def test_criterion_1_find_optimality():
         m = int(rng.integers(1, 33))
         xs = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
         ys = rng.integers(0, 2, size=m, dtype=np.uint8)
-        ds = Dataset(n, xs, ys, np.zeros(m, dtype=bool))
+        ds = Dataset(n, pack_inputs(xs), ys, np.zeros(m, dtype=bool))
         if find(ds, d).empirical_error == find_brute_oracle(ds, d):
             exact_matches += 1
     elapsed = time.time() - start
@@ -116,14 +117,14 @@ def test_criterion_5_corruption_fact():
         tree, clean, noisy = _draw_instance(
             seed, n=6, s=8, m=500, stoch=0.4, eta=eta, adversary=strategy)
         pairs += 1
-        keys = {(int(z), int(y)) for z, y in zip(clean.packed(), clean.ys)}
-        keys |= {(int(z), int(y)) for z, y in zip(noisy.packed(), noisy.ys)}
+        keys = {(int(z), int(y)) for z, y in zip(clean.zs, clean.ys)}
+        keys |= {(int(z), int(y)) for z, y in zip(noisy.zs, noisy.ys)}
         for _ in range(100):
             table = {k: float(table_rng.random()) for k in keys}
             clean_avg = np.mean([table[(int(z), int(y))]
-                                 for z, y in zip(clean.packed(), clean.ys)])
+                                 for z, y in zip(clean.zs, clean.ys)])
             noisy_avg = np.mean([table[(int(z), int(y))]
-                                 for z, y in zip(noisy.packed(), noisy.ys)])
+                                 for z, y in zip(noisy.zs, noisy.ys)])
             if abs(clean_avg - noisy_avg) >= eta:
                 failures += 1
     _report(5, "bounded expectations move by strictly less than eta under corruption",

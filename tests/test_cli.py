@@ -167,6 +167,7 @@ BAD_FILES = {
     "bad_data": "n=3 m=1\n01 0 0\n",
     "bad_poly": "n=3 d=1\nnot a monomial line\n",
     "wide_data": "n=30 m=1\n" + "0" * 30 + " 1 0\n",
+    "unpackable_data": "n=63 m=1\n" + "1" * 63 + " 1 0\n",
     "narrow_tree": "n=4\nQ 3\nL 0\nL 1\n",
     "wide_tree": "n=8\nQ 7\nL 0\nL 1\n",
     "deep_tree": "n=1\n" + "S 0.5\nL 1\n" * 3000 + "L 1\n",
@@ -201,6 +202,8 @@ EVAL = ["eval", "--tree", "{tree}", "--hypothesis", "{tree}", "--method", "find"
                      id="find-depth-over-table-cap"),
         pytest.param(["find", "--data", "{missing}", "--depth", "2"], "No such file",
                      id="find-missing-data"),
+        pytest.param(["find", "--data", "{unpackable_data}", "--depth", "2"],
+                     "at most 62 variables", id="find-data-over-62-variables"),
         pytest.param(["gen-tree", "--n", "3", "--size", "2", "--out", "{unwritable}"],
                      "No such file", id="gen-tree-unwritable-out"),
         pytest.param(["corrupt", "--data", "{clean}", "--tree", "{narrow_tree}", "--eta", "0.1",

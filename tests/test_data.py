@@ -17,7 +17,7 @@ ALL_STRATEGIES = list(Adversary)
 
 
 def table_expectation(ds: Dataset, table: dict[tuple[int, int], float]) -> float:
-    zs = ds.packed()
+    zs = ds.zs
     return float(np.mean([table[(int(z), int(y))] for z, y in zip(zs, ds.ys)]))
 
 
@@ -69,7 +69,7 @@ class TestCorrupt:
         tree, clean, rng = setup
         out = corrupt(clean, 0.0, Adversary.LABEL_FLIP_RANDOM, tree, rng)
         assert np.array_equal(out.ys, clean.ys)
-        assert np.array_equal(out.xs, clean.xs)
+        assert np.array_equal(out.zs, clean.zs)
         assert out.corrupted_count == 0
 
     def test_eta_one_flips_every_label(self, setup):
@@ -82,21 +82,21 @@ class TestCorrupt:
         tree, clean, rng = setup
         out = corrupt(clean, 0.2, Adversary.NONE, tree, rng)
         assert np.array_equal(out.ys, clean.ys)
-        assert np.array_equal(out.xs, clean.xs)
+        assert np.array_equal(out.zs, clean.zs)
         assert out.corrupted_count == corruption_budget(0.2, clean.m)
 
     def test_flip_strategies_change_only_labels(self, setup):
         tree, clean, rng = setup
         for strategy in (Adversary.LABEL_FLIP_RANDOM, Adversary.LABEL_FLIP_MARGIN):
             out = corrupt(clean, 0.1, strategy, tree, np.random.default_rng(8))
-            assert np.array_equal(out.xs, clean.xs)
+            assert np.array_equal(out.zs, clean.zs)
             changed = out.ys != clean.ys
             assert np.array_equal(changed, out.corrupted)
 
     def test_margin_adversary_prefers_high_margin_rows(self, setup):
         tree, clean, rng = setup
         out = corrupt(clean, 0.05, Adversary.LABEL_FLIP_MARGIN, tree, rng)
-        mu = mean_on_points(tree, clean.packed())
+        mu = mean_on_points(tree, clean.zs)
         margins = np.abs(mu - 0.5)
         flipped = margins[out.corrupted]
         # The flipped rows should sit in the upper half of the margin range.
@@ -105,7 +105,7 @@ class TestCorrupt:
     def test_example_replace_concentrates_one_point(self, setup):
         tree, clean, rng = setup
         out = corrupt(clean, 0.1, Adversary.EXAMPLE_REPLACE, tree, rng)
-        zs = out.packed()[out.corrupted]
+        zs = out.zs[out.corrupted]
         assert len(set(zs.tolist())) == 1
         labels = out.ys[out.corrupted]
         assert len(set(labels.tolist())) == 1
@@ -118,8 +118,8 @@ class TestCorrupt:
         for strategy in ALL_STRATEGIES:
             for eta in (0.02, 0.1):
                 out = corrupt(clean, eta, strategy, tree, np.random.default_rng(10))
-                keys = {(int(z), int(y)) for z, y in zip(clean.packed(), clean.ys)}
-                keys |= {(int(z), int(y)) for z, y in zip(out.packed(), out.ys)}
+                keys = {(int(z), int(y)) for z, y in zip(clean.zs, clean.ys)}
+                keys |= {(int(z), int(y)) for z, y in zip(out.zs, out.ys)}
                 for _ in range(20):
                     table = {k: float(table_rng.random()) for k in keys}
                     shift = abs(table_expectation(clean, table) - table_expectation(out, table))
@@ -150,7 +150,7 @@ class TestFileFormat:
         ds = corrupt(draw_clean(tree, 50, rng), 0.1, Adversary.LABEL_FLIP_RANDOM, tree, rng)
         again = load_dataset(dump_dataset(ds))
         assert again.n == ds.n
-        assert np.array_equal(again.xs, ds.xs)
+        assert np.array_equal(again.zs, ds.zs)
         assert np.array_equal(again.ys, ds.ys)
         assert np.array_equal(again.corrupted, ds.corrupted)
 
@@ -185,15 +185,42 @@ class TestFileFormat:
             load_dataset(text)
 
 
+BAD_ARRAYS = [
+    (np.zeros((3, 2), dtype=np.uint8), np.zeros(3), np.zeros(3, dtype=bool), "1-d"),
+    ([0, -1, 2], np.zeros(3), np.zeros(3, dtype=bool), "lie in"),
+    ([0, 4, 2], np.zeros(3), np.zeros(3, dtype=bool), "lie in"),
+    ([0, 1 << 40], np.zeros(2), np.zeros(2, dtype=bool), "lie in"),
+    ([0, 1, 2], np.zeros(2), np.zeros(3, dtype=bool), "one entry per row"),
+    ([0, 1], np.zeros(3), np.zeros(2, dtype=bool), "one entry per row"),
+    ([0, 1, 2], np.zeros(3), np.zeros(2, dtype=bool), "one entry per row"),
+    ([0, 1, 2], [0, 2, 1], np.zeros(3, dtype=bool), "0/1"),
+]
+
+
 class TestDatasetValidation:
     def test_shape_and_value_checks(self):
-        with pytest.raises(ValueError):
-            Dataset(2, np.zeros((3, 4), dtype=np.uint8), np.zeros(3), np.zeros(3, dtype=bool))
-        with pytest.raises(ValueError):
-            Dataset(2, np.full((3, 2), 2, dtype=np.uint8), np.zeros(3), np.zeros(3, dtype=bool))
+        # Rows instead of packed inputs, inputs outside [0, 2^2), and
+        # labels or flags of another length.
+        for zs, ys, flags, problem in BAD_ARRAYS:
+            with pytest.raises(ValueError, match=problem):
+                Dataset(2, zs, ys, flags)
+
+    @pytest.mark.parametrize("n", [-1, 63])
+    def test_rejects_variable_count_outside_packing(self, n):
+        with pytest.raises(ValueError, match="n must lie in"):
+            Dataset(n, np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool))
+
+    def test_accepts_full_range(self):
+        ds = Dataset(62, [0, (1 << 62) - 1], [0, 1], [False, True])
+        assert ds.zs.dtype == np.int64 and ds.m == 2
 
     def test_rows_are_read_only(self):
-        ds = Dataset(2, np.zeros((3, 2), dtype=np.uint8), np.zeros(3, dtype=np.uint8),
-                     np.zeros(3, dtype=bool))
-        with pytest.raises(ValueError):
-            ds.xs[0, 0] = 1
+        ds = Dataset(2, np.array([0, 3, 1]), np.zeros(3, dtype=np.uint8), np.zeros(3, dtype=bool))
+        for arr in (ds.zs, ds.ys, ds.corrupted):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_loader_rejects_too_many_variables(self):
+        text = "n=63 m=1\n" + "1" * 63 + " 1 0\n"
+        with pytest.raises(ValueError, match="at most 62 variables"):
+            load_dataset(text)

@@ -10,6 +10,7 @@ from sdtlearn.evaluation import (
     exact_opt,
     guarantee_bound,
     mc_error,
+    mc_opt,
 )
 from sdtlearn.polynomials import MultilinearPolynomial
 from sdtlearn.regression import TruncatedPolyHypothesis, degree_budget
@@ -43,6 +44,22 @@ class TestExactOpt:
     def test_cap_enforced(self, demo_tree):
         with pytest.raises(ValueError):
             exact_opt(demo_tree, cap=2)
+
+    def test_monte_carlo_within_four_standard_errors(self, demo_tree):
+        mu = mean_vector(demo_tree)
+        spread = np.std(np.minimum(mu, 1.0 - mu)) / np.sqrt(60_000)
+        estimate = mc_opt(demo_tree, 60_000, np.random.default_rng(3))
+        assert abs(estimate - exact_opt(demo_tree)) <= 4 * spread
+
+    def test_monte_carlo_shares_the_input_draw_with_mc_error(self, demo_tree):
+        # Equal generators give both estimators the same inputs, and the
+        # Bayes classifier's disagreement at each input is min(mu, 1 - mu).
+        bayes = _tree_from_table(3, mean_vector(demo_tree) >= 0.5)
+        opt = mc_opt(demo_tree, 500, np.random.default_rng(4))
+        err, _ = mc_error(demo_tree, bayes, 500, np.random.default_rng(4))
+        assert opt == pytest.approx(err, abs=1e-12)
+        with pytest.raises(ValueError, match="at least one trial"):
+            mc_opt(demo_tree, 0, np.random.default_rng(4))
 
 
 class TestExactError:

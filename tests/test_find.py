@@ -4,17 +4,16 @@ import importlib
 import numpy as np
 import pytest
 
-from conftest import reference_find
+from conftest import find_brute_oracle, reference_find
 from sdtlearn.data import Dataset, draw_clean
 from sdtlearn.find import (
     FindResult,
     TableBudgetExceeded,
     empirical_error,
     find,
-    find_brute_oracle,
     table_cells,
 )
-from sdtlearn.trees import Leaf, Query, StochasticTree, random_tree
+from sdtlearn.trees import Leaf, Query, StochasticTree, pack_inputs, random_tree
 
 # The package exports the function ``find`` under the module's name.
 find_module = importlib.import_module("sdtlearn.find")
@@ -23,7 +22,7 @@ find_module = importlib.import_module("sdtlearn.find")
 def make_dataset(xs, ys):
     xs = np.asarray(xs, dtype=np.uint8)
     ys = np.asarray(ys, dtype=np.uint8)
-    return Dataset(xs.shape[1], xs, ys, np.zeros(len(ys), dtype=bool))
+    return Dataset(xs.shape[1], pack_inputs(xs), ys, np.zeros(len(ys), dtype=bool))
 
 
 @pytest.fixture

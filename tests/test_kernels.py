@@ -8,7 +8,8 @@ inputs for the mean vector, the slack-split primal LP for the L1 fit
 ``lstsq`` over the grouped rows for the L2 fit, the ``find`` search
 keyed by sorted (variable, bit) tuples (in conftest), one int64 matrix
 product over all rows for input packing, the label draw that walks the
-tree once per row, and the row-by-row dataset text format.  The new code must agree
+tree once per row, the row-by-row dataset text format, and the stacking
+construction that recursed once per stacked copy.  The new code must agree
 exactly, dtype included, on randomized instances (``find`` down to its
 tree and search counters); the L1 fit, whose optimum need not be
 unique, must reach the same objective, the L2 fit, solved in another
@@ -16,6 +17,8 @@ order, the same predictions to a set tolerance, and the label draw,
 which takes one uniform per row instead of one per coin, the same
 inputs and the labels its own uniforms give.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -55,11 +58,14 @@ from sdtlearn.trees import (
     Query,
     Stoch,
     StochasticTree,
+    fix_randomness,
     mean,
     mean_on_points,
     mean_vector,
     pack_inputs,
     random_tree,
+    sample_randomness,
+    stochastic_leaf_approx,
     unpack_inputs,
 )
 
@@ -67,7 +73,7 @@ PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
 
 def reference_flip_margin_rows(clean: Dataset, budget: int, tree: StochasticTree) -> np.ndarray:
-    zs = clean.packed()
+    zs = clean.zs
     mu = mean_on_points(tree, zs)
     margin = np.abs(mu - 0.5)
     bayes = (mu >= 0.5).astype(np.uint8)
@@ -103,7 +109,7 @@ def reference_flip_margin_rows(clean: Dataset, budget: int, tree: StochasticTree
 
 
 def reference_grouped_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    keys = dataset.packed() * 2 + dataset.ys
+    keys = dataset.zs * 2 + dataset.ys
     uniq, counts = np.unique(keys, return_counts=True)
     return uniq >> 1, (uniq & 1).astype(np.float64), counts.astype(np.float64)
 
@@ -157,6 +163,32 @@ def reference_mean_vector(tree: StochasticTree) -> np.ndarray:
     return out
 
 
+def reference_stochastic_leaf_approx(
+    tree: StochasticTree, eps: float, rng: np.random.Generator
+) -> StochasticTree:
+    """The stacked tree, built by a recursion that moves to the next copy
+    at each leaf, so it nests once per copy."""
+    c = math.ceil(1.0 / (eps * eps))
+    roots = [fix_randomness(tree, sample_randomness(tree, rng)).root for _ in range(c)]
+
+    def build(i: int, node: Node, assign: dict[int, int], ones: int) -> Node:
+        if isinstance(node, Leaf):
+            ones += node.label
+            if i + 1 == c:
+                return Stoch(ones / c, Leaf(1), Leaf(0))
+            return build(i + 1, roots[i + 1], assign, ones)
+        if node.var in assign:
+            nxt = node.child1 if assign[node.var] else node.child0
+            return build(i, nxt, assign, ones)
+        return Query(
+            node.var,
+            build(i, node.child0, {**assign, node.var: 0}, ones),
+            build(i, node.child1, {**assign, node.var: 1}, ones),
+        )
+
+    return StochasticTree(tree.n, build(0, roots[0], {}, 0))
+
+
 def reference_pack_inputs(xs) -> np.ndarray:
     """One int64 copy of the whole array times the vector of bit weights."""
     xs = np.asarray(xs, dtype=np.int64)
@@ -168,12 +200,12 @@ def reference_draw_clean(tree: StochasticTree, m: int, rng: np.random.Generator)
     uniform per coin visited."""
     xs = rng.integers(0, 2, size=(m, tree.n), dtype=np.uint8)
     ys = np.fromiter((sample(tree, row, rng) for row in xs), dtype=np.uint8, count=m)
-    return Dataset(tree.n, xs, ys, np.zeros(m, dtype=bool))
+    return Dataset(tree.n, pack_inputs(xs), ys, np.zeros(m, dtype=bool))
 
 
 def reference_dump_dataset(ds: Dataset) -> str:
     lines = [f"n={ds.n} m={ds.m}"]
-    for row, y, flag in zip(ds.xs, ds.ys, ds.corrupted):
+    for row, y, flag in zip(unpack_inputs(ds.zs, ds.n), ds.ys, ds.corrupted):
         bits = "".join(str(int(b)) for b in row)
         lines.append(f"{bits} {int(y)} {int(flag)}")
     return "\n".join(lines) + "\n"
@@ -203,7 +235,7 @@ def reference_load_dataset(text: str) -> Dataset:
         xs[i] = [int(b) for b in bits]
         ys[i] = int(label)
         flags[i] = flag == "1"
-    return Dataset(n, xs, ys, flags)
+    return Dataset(n, pack_inputs(xs), ys, flags)
 
 
 def _tree(n: int, s: int, stoch: float, seed: int) -> StochasticTree:
@@ -218,7 +250,7 @@ def _sample(tree: StochasticTree, m: int, noisy: bool, seed: int) -> Dataset:
     if not noisy:
         return clean
     ys = rng.integers(0, 2, size=m, dtype=np.uint8)
-    return Dataset(clean.n, clean.xs, ys, clean.corrupted)
+    return Dataset(clean.n, clean.zs, ys, clean.corrupted)
 
 
 def _assert_identical(new: np.ndarray, ref: np.ndarray) -> None:
@@ -255,7 +287,7 @@ def test_flip_margin_rows_fills_leftover_budget():
     # Input 0 needs one flip and input 1 needs two; the fourth flip goes to
     # the lowest untaken row.
     tree = StochasticTree(1, Query(0, Leaf(0), Leaf(1)))
-    clean = Dataset(1, [[0], [1], [0], [1], [0]], [0, 1, 1, 1, 0], np.zeros(5, dtype=bool))
+    clean = Dataset(1, [0, 1, 0, 1, 0], [0, 1, 1, 1, 0], np.zeros(5, dtype=bool))
     ref = reference_flip_margin_rows(clean, 4, tree)
     _assert_identical(_flip_margin_rows(clean, 4, tree), ref)
     assert ref.tolist() == [0, 1, 2, 3]
@@ -346,7 +378,8 @@ def test_l2_rank_short_gram_falls_back_to_min_norm():
     rng = np.random.default_rng(6)
     xs = rng.integers(0, 2, size=(400, 4), dtype=np.uint8)
     xs[:, 0] = 0
-    ds = Dataset(4, xs, rng.integers(0, 2, size=400, dtype=np.uint8), np.zeros(400, dtype=bool))
+    ys = rng.integers(0, 2, size=400, dtype=np.uint8)
+    ds = Dataset(4, pack_inputs(xs), ys, np.zeros(400, dtype=bool))
     poly = l2_regress(ds, 1)
     assert abs(poly.coeffs.get((0,), 0.0)) <= 1e-12
     cube = np.arange(16, dtype=np.int64)
@@ -360,6 +393,22 @@ def test_l2_rank_short_gram_falls_back_to_min_norm():
 def test_mean_vector_matches_recursive_walk(n, s, stoch, seed):
     tree = _tree(n, min(s, 1 << n), stoch, seed)
     _assert_identical(mean_vector(tree), reference_mean_vector(tree))
+
+
+@PROPERTY
+@given(n=st.integers(0, 6), s=st.integers(1, 10), stoch=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       eps=st.floats(0.12, 0.49), seed=st.integers(0, 2**32 - 1))
+@example(n=6, s=10, stoch=1.0, eps=0.12, seed=0)
+@example(n=0, s=1, stoch=0.0, eps=0.3, seed=1)
+def test_stochastic_leaf_approx_matches_recursive_stacking(n, s, stoch, eps, seed):
+    # Trees with many coins give copies that differ, so later copies query
+    # variables the earlier ones left free.
+    tree = _tree(n, min(s, 1 << n), stoch, seed)
+    new_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    new = stochastic_leaf_approx(tree, eps, new_rng)
+    assert new.tree == reference_stochastic_leaf_approx(tree, eps, ref_rng)
+    # Both consumed the generator alike.
+    assert new_rng.random() == ref_rng.random()
 
 
 @PROPERTY
@@ -382,7 +431,7 @@ def test_count_table_matches_rows(n, s, stoch, m, noisy, seed):
     zs, c0, c1, inverse = ds.counts()
     assert zs.dtype == c0.dtype == c1.dtype == np.int64
     assert np.all(np.diff(zs) > 0)
-    assert np.array_equal(zs[inverse], ds.packed())
+    assert np.array_equal(zs[inverse], ds.zs)
     assert np.array_equal(c0, np.bincount(inverse, weights=ds.ys == 0, minlength=zs.size))
     assert np.array_equal(c1, np.bincount(inverse, weights=ds.ys == 1, minlength=zs.size))
 
@@ -407,7 +456,7 @@ def test_find_matches_tuple_keyed_search(n, depth, rows):
     # repeats inputs, often with both labels; depth may exceed n.
     zs = np.array([z & ((1 << n) - 1) for z, _ in rows], dtype=np.int64)
     ys = np.array([y for _, y in rows], dtype=np.uint8)
-    ds = Dataset(n, unpack_inputs(zs, n), ys, np.zeros(len(rows), dtype=bool))
+    ds = Dataset(n, zs, ys, np.zeros(len(rows), dtype=bool))
     result = find(ds, depth)
     _assert_same_search(result, reference_find(ds, depth, memo=True))
     assert result.tree == reference_find(ds, depth, memo=False)[0]
@@ -434,7 +483,7 @@ def _assert_same_search(result, reference) -> None:
 
 def _assert_same_dataset(new: Dataset, ref: Dataset) -> None:
     assert new.n == ref.n
-    _assert_identical(new.xs, ref.xs)
+    _assert_identical(new.zs, ref.zs)
     _assert_identical(new.ys, ref.ys)
     _assert_identical(new.corrupted, ref.corrupted)
 
@@ -465,11 +514,11 @@ def test_draw_clean_matches_per_row_walk(tree, m, seed):
     ref = reference_draw_clean(tree, m, np.random.default_rng(seed))
     assert new.n == tree.n and not new.corrupted.any()
     # Both draw the inputs with the same first call.
-    _assert_identical(new.xs, ref.xs)
+    _assert_identical(new.zs, ref.zs)
     twin = np.random.default_rng(seed)
     twin.integers(0, 2, size=(m, tree.n), dtype=np.uint8)
     u = twin.random(m)
-    mu = np.array([mean(tree, row) for row in new.xs], dtype=np.float64)
+    mu = np.array([mean(tree, row) for row in unpack_inputs(new.zs, tree.n)], dtype=np.float64)
     _assert_identical(new.ys, (u < mu).astype(np.uint8))
     # Where the label is certain, no uniform can change it.
     certain = (mu == 0.0) | (mu == 1.0)

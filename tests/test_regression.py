@@ -19,13 +19,20 @@ from sdtlearn.regression import (
     learn_l1_pipeline,
     learn_l2_pipeline,
 )
-from sdtlearn.trees import Leaf, StochasticTree, mean_polynomial, mean_vector, random_tree
+from sdtlearn.trees import (
+    Leaf,
+    StochasticTree,
+    mean_polynomial,
+    mean_vector,
+    pack_inputs,
+    random_tree,
+)
 
 
 def make_dataset(xs, ys):
     xs = np.asarray(xs, dtype=np.uint8)
     ys = np.asarray(ys, dtype=np.uint8)
-    return Dataset(xs.shape[1], xs, ys, np.zeros(len(ys), dtype=bool))
+    return Dataset(xs.shape[1], pack_inputs(xs), ys, np.zeros(len(ys), dtype=bool))
 
 
 @pytest.fixture
@@ -245,7 +252,7 @@ class TestTruncation:
             for i in range(n):
                 coeffs[(i,)] = float(rng.normal(0, 2))
             poly = MultilinearPolynomial(n, 1, coeffs)
-            raw = poly.evaluate_packed(ds.packed())
+            raw = poly.evaluate_packed(ds.zs)
             cut = np.clip(raw, 0.0, 1.0)
             assert np.mean(np.abs(cut - ds.ys)) <= np.mean(np.abs(raw - ds.ys)) + 1e-15
             assert np.mean((cut - ds.ys) ** 2) <= np.mean((raw - ds.ys) ** 2) + 1e-15

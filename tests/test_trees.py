@@ -259,6 +259,15 @@ class TestStochasticLeafApprox:
             assert result.tree.is_stochastic_leaf
             assert result.tree.n == tree.n
 
+    def test_small_eps_stacks_many_copies(self):
+        # 400 copies: a builder that nests once per copy overflows the stack.
+        tree = random_tree(8, 16, 0.3, np.random.default_rng(0))
+        result = stochastic_leaf_approx(tree, 0.05, np.random.default_rng(1))
+        assert result.c == 400
+        assert result.tree.is_stochastic_leaf
+        assert result.tree.depth <= tree.n
+        assert result.l1_distance <= 0.05
+
     def test_eps_range_enforced(self, demo_tree):
         rng = np.random.default_rng(0)
         for bad in (0.0, 0.5, 0.9, -0.1):
