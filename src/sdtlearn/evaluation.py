@@ -26,16 +26,18 @@ Hypothesis = Union[StochasticTree, TruncatedPolyHypothesis]
 DEFAULT_ENUMERATION_CAP = 24
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
+def _check_cap(n: int) -> None:
+    """Refuse to enumerate 2^n inputs past the cap, before allocating any."""
+    if n > DEFAULT_ENUMERATION_CAP:
         raise ValueError(
-            f"exact enumeration over n={n} exceeds the cap {cap}; use mc_error instead"
+            f"exact enumeration over n={n} exceeds the cap {DEFAULT_ENUMERATION_CAP}; "
+            "use mc_error instead"
         )
 
 
-def exact_opt(tree: StochasticTree, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def exact_opt(tree: StochasticTree) -> float:
     """Bayes error: the exact average of min(mu, 1 - mu) over all inputs."""
-    _check_cap(tree.n, cap)
+    _check_cap(tree.n)
     mu = mean_vector(tree)
     return float(np.mean(np.minimum(mu, 1.0 - mu)))
 
@@ -62,11 +64,9 @@ def _disagreement(tree: StochasticTree, hypothesis: Hypothesis, zs: np.ndarray) 
     return q + mu - 2.0 * q * mu
 
 
-def exact_error(
-    tree: StochasticTree, hypothesis: Hypothesis, cap: int = DEFAULT_ENUMERATION_CAP
-) -> float:
+def exact_error(tree: StochasticTree, hypothesis: Hypothesis) -> float:
     """Exact disagreement probability E_x Pr[tree(x) != hypothesis(x)]."""
-    _check_cap(tree.n, cap)
+    _check_cap(tree.n)
     return float(np.mean(_disagreement(tree, hypothesis, np.arange(1 << tree.n, dtype=np.int64))))
 
 

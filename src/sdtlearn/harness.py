@@ -62,7 +62,7 @@ class ExperimentConfig:
 
 
 def find_depth_budget(s: int, eps: float, max_depth: int) -> int:
-    """Depth for the backtracking learner: ceil(log2(stacked_size / eps))
+    """Depth for the table search: ceil(log2(stacked_size / eps))
     with stacked_size = s^ceil(1/eps^2), clamped to the configured cap."""
     c = math.ceil(1.0 / (eps * eps))
     raw = c * math.log2(s) - math.log2(eps) if s > 1 else -math.log2(eps)
@@ -102,8 +102,8 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
         hypothesis = learn_l1_pipeline(corrupted, cfg.s, cfg.eps)
 
     if cfg.n <= cfg.enumeration_cap:
-        opt = exact_opt(tree, cfg.enumeration_cap)
-        err = exact_error(tree, hypothesis, cfg.enumeration_cap)
+        opt = exact_opt(tree)
+        err = exact_error(tree, hypothesis)
         estimation = "exact"
     else:
         opt = mc_opt(tree, cfg.mc_trials, rng_eval)

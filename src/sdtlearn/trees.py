@@ -28,7 +28,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .polynomials import Monomial, MultilinearPolynomial, parse_header
+from .polynomials import MultilinearPolynomial, parse_header
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,10 @@ Node = Union[Leaf, Query, Stoch]
 RandomnessString = Sequence[int]
 
 
-#: Most nodes on a root-to-leaf path.  The tree functions recurse once per
-#: node on a path, so this stays well below Python's recursion limit.
+#: Most nodes on a root-to-leaf path.  ``mean``, ``fix_randomness``,
+#: ``truncate``, ``stochastic_leaf_to_deterministic`` and ``load_tree``'s
+#: parser recurse once per node on a path, so this stays well below
+#: Python's recursion limit.
 MAX_NESTING = 256
 
 
@@ -89,31 +91,6 @@ def _validate_node(node: Node, n: int) -> None:
             raise TypeError(f"not a tree node: {cur!r}")
 
 
-def leaf_count(node: Node) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    if isinstance(node, Query):
-        return leaf_count(node.child0) + leaf_count(node.child1)
-    return leaf_count(node.child_heads) + leaf_count(node.child_tails)
-
-
-def query_depth(node: Node) -> int:
-    """Maximum number of Query nodes on any root-to-leaf path."""
-    if isinstance(node, Leaf):
-        return 0
-    if isinstance(node, Query):
-        return 1 + max(query_depth(node.child0), query_depth(node.child1))
-    return max(query_depth(node.child_heads), query_depth(node.child_tails))
-
-
-def stoch_count(node: Node) -> int:
-    if isinstance(node, Leaf):
-        return 0
-    if isinstance(node, Query):
-        return stoch_count(node.child0) + stoch_count(node.child1)
-    return 1 + stoch_count(node.child_heads) + stoch_count(node.child_tails)
-
-
 def preorder(node: Node) -> Iterator[Node]:
     """Preorder traversal; fixes the canonical stochastic-node order."""
     stack = [node]
@@ -126,6 +103,35 @@ def preorder(node: Node) -> Iterator[Node]:
         elif isinstance(cur, Stoch):
             stack.append(cur.child_tails)
             stack.append(cur.child_heads)
+
+
+def stoch_count(node: Node) -> int:
+    return sum(isinstance(cur, Stoch) for cur in preorder(node))
+
+
+def leaf_paths(node: Node) -> Iterator[tuple[int, float, int, int, int]]:
+    """Every leaf in preorder as (label, weight, mask, bits, query depth).
+
+    The leaf's path fixes the subcube {z : z & mask == bits}, and on that
+    subcube the leaf is reached with probability ``weight``: the product of
+    the coin probabilities on the path, multiplied root first.  A path that
+    answers one variable both ways is never taken and has weight 0.
+    """
+    stack = [(node, 1.0, 0, 0, 0)]
+    while stack:
+        cur, weight, mask, bits, depth = stack.pop()
+        if isinstance(cur, Leaf):
+            yield cur.label, weight, mask, bits, depth
+        elif isinstance(cur, Query):
+            bit = 1 << cur.var
+            w0 = w1 = weight
+            if mask & bit:
+                w0, w1 = (0.0, weight) if bits & bit else (weight, 0.0)
+            stack.append((cur.child1, w1, mask | bit, bits | bit, depth + 1))
+            stack.append((cur.child0, w0, mask | bit, bits, depth + 1))
+        else:
+            stack.append((cur.child_tails, weight * (1.0 - cur.p), mask, bits, depth))
+            stack.append((cur.child_heads, weight * cur.p, mask, bits, depth))
 
 
 @dataclass(frozen=True)
@@ -143,11 +149,12 @@ class StochasticTree:
     @property
     def size(self) -> int:
         """Number of leaves."""
-        return leaf_count(self.root)
+        return sum(isinstance(node, Leaf) for node in preorder(self.root))
 
     @property
     def depth(self) -> int:
-        return query_depth(self.root)
+        """Most Query nodes on any root-to-leaf path."""
+        return max(depth for *_, depth in leaf_paths(self.root))
 
     @property
     def num_stochastic(self) -> int:
@@ -215,31 +222,13 @@ def mean_vector(tree: StochasticTree) -> np.ndarray:
 
 
 def mean_on_points(tree: StochasticTree, zs: np.ndarray) -> np.ndarray:
-    """mu evaluated at the given packed inputs."""
+    """mu evaluated at the given packed inputs: each reachable 1-leaf adds
+    its weight on its subcube, in preorder."""
     zs = np.asarray(zs, dtype=np.int64)
     out = np.zeros(zs.shape, dtype=np.float64)
-    idx0 = np.arange(zs.size, dtype=np.int64)
-
-    def rec(node: Node, idx: np.ndarray, weight: float) -> None:
-        if weight == 0.0 or idx.size == 0:
-            return
-        if isinstance(node, Leaf):
-            if node.label:
-                out[idx] += weight
-            return
-        if isinstance(node, Query):
-            bit = (zs[idx] >> node.var) & 1
-            rec(node.child0, idx[bit == 0], weight)
-            rec(node.child1, idx[bit == 1], weight)
-            return
-        rec(node.child_heads, idx, weight * node.p)
-        rec(node.child_tails, idx, weight * (1.0 - node.p))
-
-    rec(tree.root, idx0, 1.0)
-    # rec's closure holds rec itself; unbinding it frees zs now rather than
-    # at the next cyclic garbage collection, which a caller that makes few
-    # Python objects may not reach for many calls.
-    del rec
+    for label, weight, mask, bits, _ in leaf_paths(tree.root):
+        if label and weight != 0.0:
+            out += np.where((zs & mask) == bits, weight, 0.0)
     return out
 
 
@@ -386,15 +375,7 @@ def truncate(tree: StochasticTree, d: int) -> StochasticTree:
 
 def deep_leaf_count(tree: StochasticTree, d: int) -> int:
     """Number of leaves whose path crosses more than d query nodes."""
-
-    def rec(node: Node, qdepth: int) -> int:
-        if isinstance(node, Leaf):
-            return 1 if qdepth > d else 0
-        if isinstance(node, Query):
-            return rec(node.child0, qdepth + 1) + rec(node.child1, qdepth + 1)
-        return rec(node.child_heads, qdepth) + rec(node.child_tails, qdepth)
-
-    return rec(tree.root, 0)
+    return sum(depth > d for *_, depth in leaf_paths(tree.root))
 
 
 def mean_polynomial(tree: StochasticTree, depth_cutoff: int) -> MultilinearPolynomial:
@@ -402,47 +383,29 @@ def mean_polynomial(tree: StochasticTree, depth_cutoff: int) -> MultilinearPolyn
 
     Leaves at query depth beyond the cutoff contribute nothing (as if they
     were 0-leaves), so the result has degree at most ``depth_cutoff`` and
-    can disagree with mu only on inputs reaching such a leaf.
+    can disagree with mu only on inputs reaching such a leaf.  A 1-leaf of
+    weight w on the subcube z & mask == bits is w times the product of x_i
+    over bits and of (1 - x_i) over the rest of mask: it adds (-1)^|T| w to
+    the monomial bits | T for every subset T of mask & ~bits.
     """
     if depth_cutoff < 0:
         raise ValueError("depth cutoff must be nonnegative")
-    coeffs: dict[Monomial, float] = {}
-
-    def add_path(factors: tuple[tuple[int, int], ...], weight: float) -> None:
-        poly: dict[Monomial, float] = {(): weight}
-        for var, bit in factors:
-            nxt: dict[Monomial, float] = {}
-            for mono, coef in poly.items():
-                grown = tuple(sorted(set(mono) | {var}))
-                if bit:
-                    nxt[grown] = nxt.get(grown, 0.0) + coef
-                else:
-                    nxt[mono] = nxt.get(mono, 0.0) + coef
-                    nxt[grown] = nxt.get(grown, 0.0) - coef
-            poly = nxt
-        for mono, coef in poly.items():
-            coeffs[mono] = coeffs.get(mono, 0.0) + coef
-
-    def rec(node: Node, factors: tuple[tuple[int, int], ...], weight: float, qdepth: int) -> None:
-        if weight == 0.0:
-            return
-        if isinstance(node, Leaf):
-            if node.label and qdepth <= depth_cutoff:
-                add_path(factors, weight)
-            return
-        if isinstance(node, Query):
-            if qdepth >= depth_cutoff:
-                # Every leaf below is too deep; nothing can contribute.
-                return
-            rec(node.child0, factors + ((node.var, 0),), weight, qdepth + 1)
-            rec(node.child1, factors + ((node.var, 1),), weight, qdepth + 1)
-            return
-        rec(node.child_heads, factors, weight * node.p, qdepth)
-        rec(node.child_tails, factors, weight * (1.0 - node.p), qdepth)
-
-    rec(tree.root, (), 1.0, 0)
-    coeffs = {m: c for m, c in coeffs.items() if c != 0.0}
-    return MultilinearPolynomial(tree.n, min(depth_cutoff, tree.n), coeffs)
+    coeffs: dict[int, float] = {}
+    for label, weight, mask, bits, depth in leaf_paths(tree.root):
+        if not label or weight == 0.0 or depth > depth_cutoff:
+            continue
+        free = mask & ~bits
+        sub = free
+        while True:
+            coef = -weight if sub.bit_count() % 2 else weight
+            coeffs[bits | sub] = coeffs.get(bits | sub, 0.0) + coef
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+    monos = {
+        tuple(i for i in range(tree.n) if key >> i & 1): c for key, c in coeffs.items() if c != 0.0
+    }
+    return MultilinearPolynomial(tree.n, min(depth_cutoff, tree.n), monos)
 
 
 def random_tree(

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import hypothesis_mean_vector
 from sdtlearn.evaluation import (
+    DEFAULT_ENUMERATION_CAP,
     ErrorReport,
     exact_error,
     exact_opt,
@@ -41,9 +42,13 @@ class TestExactOpt:
             tree = StochasticTree(1, Stoch(p, Leaf(1), Leaf(0)))
             assert exact_opt(tree) == pytest.approx(min(p, 1 - p), abs=1e-15)
 
-    def test_cap_enforced(self, demo_tree):
-        with pytest.raises(ValueError):
-            exact_opt(demo_tree, cap=2)
+    def test_cap_enforced(self):
+        # Rejected before the 2^25 inputs are allocated.
+        tree = StochasticTree(DEFAULT_ENUMERATION_CAP + 1, Leaf(1))
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            exact_opt(tree)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            exact_error(tree, tree)
 
     def test_monte_carlo_within_four_standard_errors(self, demo_tree):
         mu = mean_vector(demo_tree)

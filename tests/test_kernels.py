@@ -2,8 +2,10 @@
 
 Each reference is the earlier implementation kept verbatim in spirit: a
 per-row dict loop for the margin adversary, ``np.unique`` over (input,
-label) keys for the regression rows, a recursive walk over all 2^n
-inputs for the mean vector, the slack-split primal LP for the L1 fit
+label) keys for the regression rows, a recursive walk that splits the
+inputs at each query for the mean at given points, the expansion of each
+path's (variable, bit) factors one at a time for the mean polynomial,
+the slack-split primal LP for the L1 fit
 (and that fit's dual LP for its cube LP, used when d is near n),
 ``lstsq`` over the grouped rows for the L2 fit, the ``find`` search
 keyed by sorted (variable, bit) tuples (in conftest), one int64 matrix
@@ -13,7 +15,8 @@ construction that recursed once per stacked copy.  The new code must agree
 exactly, dtype included, on randomized instances (``find`` down to its
 tree and search counters); the L1 fit, whose optimum need not be
 unique, must reach the same objective, the L2 fit, solved in another
-order, the same predictions to a set tolerance, and the label draw,
+order, the same predictions to a set tolerance, the mean polynomial,
+summed in another order, the same coefficients to 1e-12, and the label draw,
 which takes one uniform per row instead of one per coin, the same
 inputs and the labels its own uniforms give.
 """
@@ -61,6 +64,7 @@ from sdtlearn.trees import (
     fix_randomness,
     mean,
     mean_on_points,
+    mean_polynomial,
     mean_vector,
     pack_inputs,
     random_tree,
@@ -140,27 +144,65 @@ def reference_l2_regress(dataset: Dataset, d: int):
     return _to_poly(dataset.n, d, monos, beta)
 
 
-def reference_mean_vector(tree: StochasticTree) -> np.ndarray:
-    size = 1 << tree.n
-    out = np.zeros(size, dtype=np.float64)
+def reference_mean_on_points(tree: StochasticTree, zs: np.ndarray) -> np.ndarray:
+    zs = np.asarray(zs, dtype=np.int64)
+    out = np.zeros(zs.shape, dtype=np.float64)
 
     def rec(node: Node, idx: np.ndarray, weight: float) -> None:
-        if weight == 0.0:
+        if weight == 0.0 or idx.size == 0:
             return
         if isinstance(node, Leaf):
             if node.label:
                 out[idx] += weight
             return
         if isinstance(node, Query):
-            bit = (idx >> node.var) & 1
+            bit = (zs[idx] >> node.var) & 1
             rec(node.child0, idx[bit == 0], weight)
             rec(node.child1, idx[bit == 1], weight)
             return
         rec(node.child_heads, idx, weight * node.p)
         rec(node.child_tails, idx, weight * (1.0 - node.p))
 
-    rec(tree.root, np.arange(size, dtype=np.int64), 1.0)
+    rec(tree.root, np.arange(zs.size, dtype=np.int64), 1.0)
     return out
+
+
+def reference_mean_polynomial(tree: StochasticTree, depth_cutoff: int) -> dict:
+    coeffs: dict[tuple[int, ...], float] = {}
+
+    def add_path(factors: tuple[tuple[int, int], ...], weight: float) -> None:
+        poly: dict[tuple[int, ...], float] = {(): weight}
+        for var, bit in factors:
+            nxt: dict[tuple[int, ...], float] = {}
+            for mono, coef in poly.items():
+                grown = tuple(sorted(set(mono) | {var}))
+                if bit:
+                    nxt[grown] = nxt.get(grown, 0.0) + coef
+                else:
+                    nxt[mono] = nxt.get(mono, 0.0) + coef
+                    nxt[grown] = nxt.get(grown, 0.0) - coef
+            poly = nxt
+        for mono, coef in poly.items():
+            coeffs[mono] = coeffs.get(mono, 0.0) + coef
+
+    def rec(node: Node, factors: tuple[tuple[int, int], ...], weight: float, qdepth: int) -> None:
+        if weight == 0.0:
+            return
+        if isinstance(node, Leaf):
+            if node.label and qdepth <= depth_cutoff:
+                add_path(factors, weight)
+            return
+        if isinstance(node, Query):
+            if qdepth >= depth_cutoff:
+                return
+            rec(node.child0, factors + ((node.var, 0),), weight, qdepth + 1)
+            rec(node.child1, factors + ((node.var, 1),), weight, qdepth + 1)
+            return
+        rec(node.child_heads, factors, weight * node.p, qdepth)
+        rec(node.child_tails, factors, weight * (1.0 - node.p), qdepth)
+
+    rec(tree.root, (), 1.0, 0)
+    return {m: c for m, c in coeffs.items() if c != 0.0}
 
 
 def reference_stochastic_leaf_approx(
@@ -392,7 +434,45 @@ def test_l2_rank_short_gram_falls_back_to_min_norm():
        seed=st.integers(0, 2**32 - 1))
 def test_mean_vector_matches_recursive_walk(n, s, stoch, seed):
     tree = _tree(n, min(s, 1 << n), stoch, seed)
-    _assert_identical(mean_vector(tree), reference_mean_vector(tree))
+    _assert_identical(mean_vector(tree), reference_mean_on_points(tree, np.arange(1 << n)))
+
+
+def _any_tree(n: int, s: int, seed: int) -> StochasticTree:
+    """A tree with s leaves that may query a variable again on a path and
+    whose coins are often certain (p of 0 or 1)."""
+    rng = np.random.default_rng(seed)
+
+    def build(budget: int) -> Node:
+        if budget == 1:
+            return Leaf(int(rng.integers(2)))
+        left = int(rng.integers(1, budget))
+        if rng.random() < 0.5:
+            return Query(int(rng.integers(n)), build(left), build(budget - left))
+        p = float(rng.choice([0.0, 1.0, rng.random()]))
+        return Stoch(p, build(left), build(budget - left))
+
+    return StochasticTree(n, build(s))
+
+
+any_trees = dict(n=st.integers(1, 30), s=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(m=st.integers(0, 300), **any_trees)
+def test_mean_on_points_matches_recursive_walk(m, n, s, seed):
+    tree = _any_tree(n, s, seed)
+    zs = np.random.default_rng(seed).integers(0, 1 << n, size=m, dtype=np.int64)
+    _assert_identical(mean_on_points(tree, zs), reference_mean_on_points(tree, zs))
+
+
+@PROPERTY
+@given(cutoff=st.integers(0, 6), **any_trees)
+def test_mean_polynomial_matches_path_expansion(cutoff, n, s, seed):
+    tree = _any_tree(n, s, seed)
+    new = mean_polynomial(tree, cutoff).coeffs
+    ref = reference_mean_polynomial(tree, cutoff)
+    for mono in new.keys() | ref.keys():
+        assert abs(new.get(mono, 0.0) - ref.get(mono, 0.0)) <= 1e-12
 
 
 @PROPERTY

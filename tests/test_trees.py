@@ -1,5 +1,7 @@
 import gc
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -441,6 +443,43 @@ class TestSerialization:
         assert mean(tree, (0,)) == pytest.approx(1.0 - 0.5 ** (MAX_NESTING - 1))
         with pytest.raises(ValueError, match="nests deeper"):
             load_tree("n=1\nS 0.5\nL 1\n" + at_limit.partition("\n")[2])
+
+
+class TestLeafPaths:
+    def test_nesting_limit_chain_needs_no_recursion(self):
+        # Queries on x0 alternating with coins, MAX_NESTING nodes deep.
+        node = Leaf(1)
+        for level in range(MAX_NESTING - 1):
+            node = Query(0, Leaf(0), node) if level % 2 else Stoch(0.75, node, Leaf(1))
+        tree = StochasticTree(1, node)
+        expected = [mean(tree, (0,)), mean(tree, (1,))]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            mu = mean_on_points(tree, np.arange(2))
+            size, depth = tree.size, tree.depth
+            deep = deep_leaf_count(tree, 0)
+            poly = mean_polynomial(tree, MAX_NESTING // 2)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert mu.tolist() == expected
+        assert size == MAX_NESTING and depth == (MAX_NESTING - 1) // 2
+        assert deep == MAX_NESTING - 1  # all but the root coin's tails leaf
+        assert np.allclose(poly.evaluate_packed(np.arange(2)), expected)
+
+    def test_repeated_variable_on_a_path(self):
+        # x0 is queried twice; its contradictory branch holds a 1-leaf that
+        # no input reaches, and the p = 1 coin never takes its tails leaf.
+        tree = load_tree("n=2\nQ 0\nL 0\nQ 0\nL 1\nS 1.0\nQ 1\nL 0\nL 1\nL 1\n")
+        mu = mean_on_points(tree, np.arange(4))
+        assert mu.tolist() == [mean(tree, x) for x in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        assert mu.tolist() == [0.0, 0.0, 0.0, 1.0]
+        poly = mean_polynomial(tree, tree.depth)
+        assert np.allclose(poly.evaluate_packed(np.arange(4)), mean_vector(tree), atol=1e-15)
+        assert poly.coeffs == {(0, 1): 1.0}
+        assert tree.size == 5 and tree.depth == 3
+        assert deep_leaf_count(tree, 1) == 4
+        assert deep_leaf_count(tree, 2) == 2
 
 
 class TestPacking:
