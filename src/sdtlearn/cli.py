@@ -54,7 +54,7 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 
 
 def cmd_find(args: argparse.Namespace) -> int:
-    ds = data.load_learner_dataset(_read(args.data))
+    ds = data.load_dataset(_read(args.data))
     start = time.perf_counter()
     result = find(ds, args.depth)
     wall_time = time.perf_counter() - start
@@ -71,11 +71,8 @@ def cmd_find(args: argparse.Namespace) -> int:
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
-    ds = data.load_learner_dataset(_read(args.data))
-    if args.norm == "l2":
-        hyp = regression.learn_l2_pipeline(ds, args.size_hint, args.eps)
-    else:
-        hyp = regression.learn_l1_pipeline(ds, args.size_hint, args.eps)
+    ds = data.load_dataset(_read(args.data))
+    hyp = regression.learn_pipeline(ds, args.norm, args.size_hint, args.eps)
     _write(args.out, polynomials.dump_polynomial(hyp.poly))
     print(json.dumps({"mode": hyp.mode, "degree": hyp.poly.degree}, sort_keys=True))
     return 0
@@ -86,7 +83,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # The experiment the report describes; building it checks the arguments'
     # ranges, the depth budget's as max_depth.  A tree over no variables is
     # still evaluated.
-    harness.ExperimentConfig(
+    cfg = harness.ExperimentConfig(
         n=max(tree.n, 1), s=tree.size, m=args.samples, eps=args.eps, method=args.method,
         eta=args.eta, adversary=args.adversary, seed=args.seed, max_depth=args.depth_budget or 0,
     )
@@ -95,23 +92,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         depth_budget, degree_budget = args.depth_budget, None
     else:
         poly = polynomials.load_polynomial(_read(args.hypothesis))
-        mode = "rounded" if args.method == "l2" else "randomized"
-        hypothesis = regression.TruncatedPolyHypothesis(poly, mode)
+        hypothesis = regression.TruncatedPolyHypothesis(poly, regression.MODES[args.method])
         depth_budget, degree_budget = None, poly.d
-    report = evaluation.ErrorReport(
-        method=args.method,
-        opt=evaluation.exact_opt(tree),
-        hypothesis_error=evaluation.exact_error(tree, hypothesis),
-        eta=args.eta,
-        eps=args.eps,
-        n=tree.n,
-        s=tree.size,
-        m=args.samples,
-        seed=args.seed,
-        adversary=args.adversary,
-        depth_budget=depth_budget,
-        degree_budget=degree_budget,
-    )
+    report = harness.report(cfg, tree, hypothesis, depth_budget, degree_budget, _rng(args.seed))
     print(report.to_json())
     if args.out:
         harness.write_csv([report], args.out)
@@ -137,9 +120,9 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> harness.Exp
             parsed[key] = known[key](raw)
         except ValueError:
             raise ValueError(f"config key {key!r} needs a {known[key].__name__}, got {raw!r}") from None
-    for key in ("n", "s", "m", "eps", "method", "seed", "stoch_fraction",
-                "max_depth", "adversary"):
-        value = getattr(overrides, key.replace("-", "_"), None)
+    # Every parsed argument named after a config field overrides the file.
+    for key in known:
+        value = getattr(overrides, key, None)
         if value is not None:
             parsed[key] = value
     try:
@@ -205,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_regress)
 
-    p = sub.add_parser("eval", help="exact guarantee accounting for a hypothesis")
+    p = sub.add_parser("eval", help="guarantee accounting for a hypothesis")
     p.add_argument("--tree", required=True, help="ground-truth tree file")
     p.add_argument("--hypothesis", required=True, help="tree or polynomial file")
     p.add_argument("--method", choices=harness.METHODS, required=True)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .polynomials import parse_header
 from .trees import (
-    MAX_PACKED_VARS,
     StochasticTree,
+    check_var_count,
     mean_on_points,
     mean_vector,
     pack_inputs,
@@ -49,8 +49,7 @@ class Dataset:
     corrupted: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_PACKED_VARS:
-            raise ValueError(f"n must lie in [0, {MAX_PACKED_VARS}]")
+        check_var_count(self.n)
         zs = np.ascontiguousarray(np.asarray(self.zs, dtype=np.int64))
         ys = np.ascontiguousarray(np.asarray(self.ys, dtype=np.uint8))
         flags = np.ascontiguousarray(np.asarray(self.corrupted, dtype=bool))
@@ -240,6 +239,7 @@ def load_dataset(text: str) -> Dataset:
     if not lines:
         raise ValueError("dataset text is empty")
     n, m = parse_header(lines[0], ("n", "m"))
+    check_var_count(n)  # before any row is read at n + 2 bytes
     if len(lines) - 1 != m:
         raise ValueError(f"header says m={m} but found {len(lines) - 1} rows")
     rows = [ln.split() for ln in lines[1:]]
@@ -267,8 +267,3 @@ def load_dataset(text: str) -> Dataset:
         raise ValueError(messages[int(np.argmax(failed[:, i]))])
     return Dataset(n, pack_inputs(codes[:, :n]), codes[:, n], codes[:, n + 1] == 1)
 
-
-def load_learner_dataset(text: str) -> Dataset:
-    """Load with the provenance flag column dropped (all rows marked clean)."""
-    ds = load_dataset(text)
-    return Dataset(ds.n, ds.zs, ds.ys, np.zeros(ds.m, dtype=bool))

@@ -18,7 +18,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .regression import TruncatedPolyHypothesis, round_half_up
+from .regression import TruncatedPolyHypothesis
 from .trees import StochasticTree, mean_on_points, mean_vector
 
 Hypothesis = Union[StochasticTree, TruncatedPolyHypothesis]
@@ -49,10 +49,7 @@ def _hypothesis_means(hypothesis: Hypothesis, n: int, zs: np.ndarray) -> np.ndar
         raise ValueError(f"hypothesis is over {hyp_n} variables, expected {n}")
     if isinstance(hypothesis, StochasticTree):
         return mean_on_points(hypothesis, zs)
-    q = hypothesis.clamped_packed(zs)
-    if hypothesis.mode == "rounded":
-        return round_half_up(q).astype(np.float64)
-    return q
+    return hypothesis.means(zs)
 
 
 def _disagreement(tree: StochasticTree, hypothesis: Hypothesis, zs: np.ndarray) -> np.ndarray:

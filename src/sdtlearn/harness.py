@@ -14,10 +14,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Adversary, corrupt, draw_clean
-from .evaluation import DEFAULT_ENUMERATION_CAP, ErrorReport, exact_error, exact_opt, mc_error, mc_opt
+from .evaluation import DEFAULT_ENUMERATION_CAP, ErrorReport, Hypothesis, exact_error, exact_opt, mc_error, mc_opt
 from .find import check_table_budget, find
-from .regression import check_budget, degree_budget, learn_l1_pipeline, learn_l2_pipeline
-from .trees import MAX_PACKED_VARS, random_tree
+from .regression import check_budget, degree_budget, learn_pipeline
+from .trees import MAX_PACKED_VARS, StochasticTree, random_tree
 
 METHODS = ("find", "l1", "l2")
 
@@ -96,18 +96,30 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
 
     if cfg.method == "find":
         hypothesis = find(corrupted, depth).tree
-    elif cfg.method == "l2":
-        hypothesis = learn_l2_pipeline(corrupted, cfg.s, cfg.eps)
     else:
-        hypothesis = learn_l1_pipeline(corrupted, cfg.s, cfg.eps)
+        hypothesis = learn_pipeline(corrupted, cfg.method, cfg.s, cfg.eps)
+    return report(cfg, tree, hypothesis, depth, degree, rng_eval)
 
-    if cfg.n <= cfg.enumeration_cap:
+
+def report(
+    cfg: ExperimentConfig,
+    tree: StochasticTree,
+    hypothesis: Hypothesis,
+    depth: int | None,
+    degree: int | None,
+    rng: np.random.Generator,
+) -> ErrorReport:
+    """Evaluate the hypothesis against the target tree and account for the
+    guarantee: exactly when the tree's n is within ``cfg.enumeration_cap``,
+    otherwise by Monte Carlo over ``cfg.mc_trials`` inputs drawn from rng.
+    n comes from the tree and everything else from cfg."""
+    if tree.n <= cfg.enumeration_cap:
         opt = exact_opt(tree)
         err = exact_error(tree, hypothesis)
         estimation = "exact"
     else:
-        opt = mc_opt(tree, cfg.mc_trials, rng_eval)
-        err = mc_error(tree, hypothesis, cfg.mc_trials, rng_eval)[0]
+        opt = mc_opt(tree, cfg.mc_trials, rng)
+        err = mc_error(tree, hypothesis, cfg.mc_trials, rng)[0]
         estimation = "monte_carlo"
 
     return ErrorReport(
@@ -116,7 +128,7 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
         hypothesis_error=err,
         eta=cfg.eta,
         eps=cfg.eps,
-        n=cfg.n,
+        n=tree.n,
         s=cfg.s,
         m=cfg.m,
         seed=cfg.seed,

@@ -28,10 +28,6 @@ def trunc(t: float) -> float:
     return float(t)
 
 
-def trunc_array(values: np.ndarray) -> np.ndarray:
-    return np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
-
-
 def monomials(n: int, d: int) -> list[Monomial]:
     """All monomials over n variables of degree at most d, by (size, lex)."""
     out: list[Monomial] = []

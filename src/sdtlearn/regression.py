@@ -32,9 +32,10 @@ L1SolverError is raised with the fit as its incumbent.  The dual LP is
 charged as its design matrix (grouped rows x F), the cube LP as its
 constraint matrix and variables, both against DESIGN_BYTES_CAP.
 
-Hypotheses clamp the fitted polynomial to [0,1]; the rounded mode
-thresholds at one half (ties, up to ROUND_TIE_TOL, round to 1), the
-randomized mode outputs 1 with the clamped probability.
+``learn_pipeline`` fits either method at its degree budget.  Hypotheses
+clamp the fitted polynomial to [0,1]; ``MODES`` gives each method's
+output: l2 rounds, thresholding at one half (ties, up to ROUND_TIE_TOL,
+round to 1), and l1 outputs 1 with the clamped probability.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpstrf
 from scipy.optimize import linprog
 
-from .polynomials import MultilinearPolynomial, feature_count, monomials, trunc_array
+from .polynomials import MultilinearPolynomial, feature_count, monomials
 
 if TYPE_CHECKING:
     from .data import Dataset
@@ -304,6 +305,10 @@ def _subset_transform(values: np.ndarray, n: int, sign: float) -> np.ndarray:
 
 HypothesisMode = Literal["rounded", "randomized"]
 
+#: Each regression method's output mode: l2 rounds its fit, l1 outputs 1
+#: with the clamped fit as probability.
+MODES: dict[str, HypothesisMode] = {"l1": "randomized", "l2": "rounded"}
+
 
 @dataclass(frozen=True)
 class TruncatedPolyHypothesis:
@@ -321,14 +326,16 @@ class TruncatedPolyHypothesis:
             raise ValueError(f"unknown hypothesis mode {self.mode!r}")
 
     def clamped_packed(self, zs: np.ndarray) -> np.ndarray:
-        return trunc_array(self.poly.evaluate_packed(zs))
+        return np.clip(self.poly.evaluate_packed(zs), 0.0, 1.0)
 
-
-def round_half_up(q):
-    """The rounded hypothesis's output at clamped value(s) q: true from
-    one half - ROUND_TIE_TOL up, so a tie rounds to 1 as in
-    trees.round_prob even when the solver leaves it a few ulps low."""
-    return q >= 0.5 - ROUND_TIE_TOL
+    def means(self, zs: np.ndarray) -> np.ndarray:
+        """Pr[output 1] at the packed inputs zs.  The rounded mode is 1 from
+        one half - ROUND_TIE_TOL up, so a tie rounds to 1 as in
+        trees.round_prob even when the solver leaves it a few ulps low."""
+        q = self.clamped_packed(zs)
+        if self.mode == "rounded":
+            return (q >= 0.5 - ROUND_TIE_TOL).astype(np.float64)
+        return q
 
 
 def degree_budget(s: int, eps: float) -> int:
@@ -338,11 +345,13 @@ def degree_budget(s: int, eps: float) -> int:
     return max(0, math.ceil(math.log2(s / eps) - 1e-12))
 
 
-def learn_l2_pipeline(dataset: "Dataset", s: int, eps: float) -> TruncatedPolyHypothesis:
+def learn_pipeline(dataset: "Dataset", method: str, s: int, eps: float) -> TruncatedPolyHypothesis:
+    """Fit ``method`` ("l1" or "l2") at the degree budget for size s and
+    accuracy eps, as a hypothesis in the method's mode."""
+    if method not in MODES:
+        raise ValueError(f"unknown regression method {method!r}")
+    # Read the fits by name at call time, so a wrapped l1_regress or
+    # l2_regress is the one called.
+    fit = l2_regress if method == "l2" else l1_regress
     d = min(degree_budget(s, eps), dataset.n)
-    return TruncatedPolyHypothesis(l2_regress(dataset, d), "rounded")
-
-
-def learn_l1_pipeline(dataset: "Dataset", s: int, eps: float) -> TruncatedPolyHypothesis:
-    d = min(degree_budget(s, eps), dataset.n)
-    return TruncatedPolyHypothesis(l1_regress(dataset, d), "randomized")
+    return TruncatedPolyHypothesis(fit(dataset, d), MODES[method])

@@ -134,6 +134,20 @@ def leaf_paths(node: Node) -> Iterator[tuple[int, float, int, int, int]]:
             stack.append((cur.child_heads, weight * cur.p, mask, bits, depth))
 
 
+#: Most variables an input can have: packed inputs are nonnegative int64.
+MAX_PACKED_VARS = 62
+
+
+def check_var_count(n: int) -> None:
+    """Refuse a variable count that packed inputs cannot hold, before
+    anything is built for it."""
+    if not 0 <= n <= MAX_PACKED_VARS:
+        raise ValueError(
+            f"n must lie in [0, {MAX_PACKED_VARS}], got {n}: packed inputs hold at most "
+            f"{MAX_PACKED_VARS} variables"
+        )
+
+
 @dataclass(frozen=True)
 class StochasticTree:
     """An immutable stochastic decision tree over n boolean variables."""
@@ -142,8 +156,7 @@ class StochasticTree:
     root: Node
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
+        check_var_count(self.n)
         _validate_node(self.root, self.n)
 
     @property
@@ -174,10 +187,6 @@ class StochasticTree:
         return True
 
 
-#: Most variables an input can have: packed inputs are nonnegative int64.
-MAX_PACKED_VARS = 62
-
-
 def pack_inputs(xs: np.ndarray) -> np.ndarray:
     """Pack rows of bits into int64 values (bit i = variable i), widening
     a block of rows at a time so that the int64 copy stays within 4 MiB."""
@@ -185,8 +194,7 @@ def pack_inputs(xs: np.ndarray) -> np.ndarray:
     if xs.ndim != 2:
         raise ValueError("expected a 2-d array of rows")
     m, n = xs.shape
-    if n > MAX_PACKED_VARS:
-        raise ValueError(f"packing supports at most {MAX_PACKED_VARS} variables")
+    check_var_count(n)
     weights = np.int64(1) << np.arange(n, dtype=np.int64)
     out = np.empty(m, dtype=np.int64)
     step = (1 << 19) // max(n, 1)
@@ -421,6 +429,7 @@ def random_tree(
     not yet queried on its path.  Purely deterministic trees need
     s <= 2^n; leaf budgets are split so paths never run out of variables.
     """
+    check_var_count(n)
     if s < 1:
         raise ValueError("tree size must be at least 1")
     if not 0.0 <= stoch_fraction <= 1.0:
@@ -468,6 +477,7 @@ def load_tree(text: str) -> StochasticTree:
     if not lines:
         raise ValueError("tree text is empty")
     (n,) = parse_header(lines[0], ("n",))
+    check_var_count(n)
     it = iter(lines[1:])
 
     def parse(depth: int) -> Node:

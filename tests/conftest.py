@@ -21,7 +21,7 @@ from sdtlearn.data import Dataset
 from sdtlearn.evaluation import Hypothesis, _hypothesis_means
 from sdtlearn.find import SearchStats
 from sdtlearn.polynomials import MultilinearPolynomial, trunc
-from sdtlearn.regression import TruncatedPolyHypothesis, round_half_up
+from sdtlearn.regression import ROUND_TIE_TOL, TruncatedPolyHypothesis
 from sdtlearn.trees import (
     Leaf,
     Node,
@@ -143,7 +143,7 @@ def predict(
     """One prediction of the hypothesis at x, from the clamped polynomial."""
     q = trunc(hypothesis.poly.evaluate(x))
     if hypothesis.mode == "rounded":
-        return int(round_half_up(q))
+        return int(q >= 0.5 - ROUND_TIE_TOL)
     if rng is None:
         raise ValueError("randomized prediction needs an rng")
     return int(rng.random() < q)

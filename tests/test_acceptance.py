@@ -16,7 +16,7 @@ from sdtlearn.data import Adversary, Dataset, corrupt, corruption_budget, draw_c
 from sdtlearn.evaluation import exact_error, exact_opt
 from sdtlearn.find import empirical_error, find
 from sdtlearn.harness import ExperimentConfig, run_experiment
-from sdtlearn.regression import learn_l1_pipeline, learn_l2_pipeline
+from sdtlearn.regression import learn_pipeline
 from sdtlearn.trees import (
     mean,
     mean_vector,
@@ -57,7 +57,7 @@ def test_criterion_1_find_optimality():
             exact_matches += 1
     elapsed = time.time() - start
     ok = exact_matches == 200 and elapsed < 10.0
-    _report(1, "backtracking search matches brute-force optimum",
+    _report(1, "table search matches brute-force optimum",
             ok, f"{exact_matches}/200 exact, {elapsed:.1f}s")
 
 
@@ -169,7 +169,7 @@ def test_criterion_7_l2_guarantee():
         chain_hits = 0
         for seed in range(trials):
             tree, _, noisy = _draw_instance(3000 + seed, eta=eta, adversary=adversary)
-            hyp = learn_l2_pipeline(noisy, 8, eps)
+            hyp = learn_pipeline(noisy, "l2", 8, eps)
             opt = exact_opt(tree)
             err = exact_error(tree, hyp)
             bound_hits += err <= opt + 2 * np.sqrt(3 * eps + 2 * eta) + eps + 1e-12
@@ -191,7 +191,7 @@ def test_criterion_8_l1_guarantee():
         identity_ok = True
         for seed in range(trials):
             tree, _, noisy = _draw_instance(4000 + seed, eta=eta, adversary=adversary)
-            hyp = learn_l1_pipeline(noisy, 8, eps)
+            hyp = learn_pipeline(noisy, "l1", 8, eps)
             opt = exact_opt(tree)
             err = exact_error(tree, hyp)
             bound_hits += err <= 2 * opt + 2 * eta + eps + 1e-12

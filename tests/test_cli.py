@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
+from test_harness import GOLDEN
+
 from sdtlearn import harness, regression
 from sdtlearn.cli import main
-from sdtlearn.data import load_dataset
-from sdtlearn.polynomials import load_polynomial
-from sdtlearn.trees import load_tree
+from sdtlearn.data import Dataset, dump_dataset, load_dataset
+from sdtlearn.polynomials import dump_polynomial, load_polynomial
+from sdtlearn.trees import StochasticTree, dump_tree, load_tree
 
 
 @pytest.fixture
@@ -84,6 +86,68 @@ def test_regress_and_eval(workspace, capsys):
                  "--method", "l2", "--eps", "0.25"]) == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["method"] == "l2" and report["degree_budget"] == poly.d
+
+
+@pytest.mark.parametrize("cfg,expected", GOLDEN, ids=["find", "l2", "l1"])
+def test_eval_reproduces_pinned_reports(tmp_path, capsys, monkeypatch, cfg, expected):
+    # Keep the target and hypothesis the experiment evaluated, then let
+    # `eval` report on them from files.
+    evaluated = []
+
+    def keep(cfg, tree, hypothesis, depth, degree, rng):
+        evaluated.append((tree, hypothesis, depth))
+        return report(cfg, tree, hypothesis, depth, degree, rng)
+
+    report = harness.report
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "report", keep)
+        assert harness.run_experiment(cfg).to_json() == expected
+    (tree, hypothesis, depth), = evaluated
+    tree_path, hyp_path = tmp_path / "tree.txt", tmp_path / "hypothesis.txt"
+    tree_path.write_text(dump_tree(tree))
+    if isinstance(hypothesis, StochasticTree):
+        hyp_path.write_text(dump_tree(hypothesis))
+    else:
+        hyp_path.write_text(dump_polynomial(hypothesis.poly))
+    argv = ["eval", "--tree", str(tree_path), "--hypothesis", str(hyp_path),
+            "--method", cfg.method, "--eta", repr(cfg.eta), "--eps", repr(cfg.eps),
+            "--samples", str(cfg.m), "--seed", str(cfg.seed), "--adversary", cfg.adversary]
+    if depth is not None:
+        argv += ["--depth-budget", str(depth)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_eval_above_enumeration_cap_estimates_by_monte_carlo(tmp_path, capsys):
+    tree = tmp_path / "tree.txt"
+    assert main(["gen-tree", "--n", "25", "--size", "6", "--seed", "1", "--out", str(tree)]) == 0
+    assert main(["eval", "--tree", str(tree), "--hypothesis", str(tree), "--method", "find",
+                 "--eps", "0.2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["error_estimation"] == "monte_carlo" and report["n"] == 25
+    assert 0.0 <= report["opt"] <= 1.0 and 0.0 <= report["hypothesis_error"] <= 1.0
+
+
+def test_learners_ignore_the_flag_column(workspace, tmp_path, capsys):
+    clean = load_dataset(workspace["clean"].read_text())
+    commands = [
+        ["find", "--depth", "3"],
+        ["regress", "--norm", "l1", "--size-hint", "6", "--eps", "0.25"],
+        ["regress", "--norm", "l2", "--size-hint", "6", "--eps", "0.25"],
+    ]
+    outputs = []
+    for flag in (False, True):
+        flagged = Dataset(clean.n, clean.zs, clean.ys, np.full(clean.m, flag))
+        data, out = tmp_path / f"data_{flag}.txt", tmp_path / f"out_{flag}.txt"
+        data.write_text(dump_dataset(flagged))
+        printed = []
+        for command in commands:
+            assert main(command + ["--data", str(data), "--out", str(out)]) == 0
+            stats = json.loads(capsys.readouterr().out)
+            stats.pop("wall_time", None)  # measured, so it differs between runs
+            printed.append((stats, out.read_text()))
+        outputs.append(printed)
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_with_config_file(tmp_path, capsys):
@@ -204,6 +268,8 @@ EVAL = ["eval", "--tree", "{tree}", "--hypothesis", "{tree}", "--method", "find"
                      id="find-missing-data"),
         pytest.param(["find", "--data", "{unpackable_data}", "--depth", "2"],
                      "at most 62 variables", id="find-data-over-62-variables"),
+        pytest.param(["gen-tree", "--n", "63", "--size", "2"], "at most 62 variables",
+                     id="gen-tree-over-62-variables"),
         pytest.param(["gen-tree", "--n", "3", "--size", "2", "--out", "{unwritable}"],
                      "No such file", id="gen-tree-unwritable-out"),
         pytest.param(["corrupt", "--data", "{clean}", "--tree", "{narrow_tree}", "--eta", "0.1",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from sdtlearn.data import (
     draw_clean,
     dump_dataset,
     load_dataset,
-    load_learner_dataset,
 )
 from sdtlearn.trees import Leaf, StochasticTree, mean_on_points, mean_vector, random_tree
 
@@ -154,14 +155,6 @@ class TestFileFormat:
         assert np.array_equal(again.ys, ds.ys)
         assert np.array_equal(again.corrupted, ds.corrupted)
 
-    def test_learner_loader_drops_flags(self):
-        rng = np.random.default_rng(12)
-        tree = random_tree(4, 4, 0.4, rng)
-        ds = corrupt(draw_clean(tree, 40, rng), 0.2, Adversary.LABEL_FLIP_RANDOM, tree, rng)
-        learner_view = load_learner_dataset(dump_dataset(ds))
-        assert learner_view.corrupted_count == 0
-        assert np.array_equal(learner_view.ys, ds.ys)
-
     def test_header_mismatch_rejected(self):
         with pytest.raises(ValueError):
             load_dataset("n=2 m=3\n01 1 0\n10 0 0\n")
@@ -224,3 +217,14 @@ class TestDatasetValidation:
         text = "n=63 m=1\n" + "1" * 63 + " 1 0\n"
         with pytest.raises(ValueError, match="at most 62 variables"):
             load_dataset(text)
+
+    def test_loader_checks_variable_count_before_reading_rows(self):
+        # A malformed row used to be padded to n + 2 bytes before n was checked.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most 62 variables"):
+                load_dataset("n=10000000 m=1\n0 0 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

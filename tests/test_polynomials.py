@@ -8,7 +8,6 @@ from sdtlearn.polynomials import (
     load_polynomial,
     monomials,
     trunc,
-    trunc_array,
 )
 
 
@@ -24,11 +23,6 @@ def test_trunc_idempotent_and_lipschitz():
     for a, b in zip(vals[:-1], vals[1:]):
         assert trunc(trunc(a)) == trunc(a)
         assert abs(trunc(a) - trunc(b)) <= abs(a - b) + 1e-15
-
-
-def test_trunc_array_matches_scalar():
-    vals = np.array([-1.0, 0.0, 0.25, 1.0, 2.5])
-    assert np.array_equal(trunc_array(vals), np.array([trunc(v) for v in vals]))
 
 
 def test_monomials_count_and_order():

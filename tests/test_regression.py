@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from conftest import l1_objective, l2_objective, predict
 from sdtlearn import regression
 from sdtlearn.data import Dataset, draw_clean
 from sdtlearn.evaluation import exact_error, exact_opt, guarantee_bound
-from sdtlearn.polynomials import MultilinearPolynomial
+from sdtlearn.polynomials import MultilinearPolynomial, trunc
 from sdtlearn.regression import (
     FeatureBudgetExceeded,
     L1SolverError,
@@ -16,8 +16,7 @@ from sdtlearn.regression import (
     degree_budget,
     l1_regress,
     l2_regress,
-    learn_l1_pipeline,
-    learn_l2_pipeline,
+    learn_pipeline,
 )
 from sdtlearn.trees import (
     Leaf,
@@ -259,6 +258,14 @@ class TestTruncation:
 
 
 class TestHypotheses:
+    def test_clamped_packed_matches_scalar(self):
+        # Values below 0, inside [0, 1] and above 1 on {0,1}^3.
+        poly = MultilinearPolynomial(3, 2, {(): -0.5, (0,): 0.75, (1,): 1.5, (0, 2): 0.25})
+        hyp = TruncatedPolyHypothesis(poly, "randomized")
+        xs = list(product((0, 1), repeat=3))
+        expected = [trunc(poly.evaluate(x)) for x in xs]
+        assert np.array_equal(hyp.clamped_packed(pack_inputs(np.array(xs))), expected)
+
     def test_predict_saturated(self):
         poly = MultilinearPolynomial(1, 0, {(): 1.8})
         rng = np.random.default_rng(4)
@@ -331,10 +338,10 @@ class TestPipelines:
             ds = draw_clean(tree, 8000, rng)
             opt = exact_opt(tree)
             eps = 0.2
-            h2 = learn_l2_pipeline(ds, 6, eps)
+            h2 = learn_pipeline(ds, "l2", 6, eps)
             assert h2.mode == "rounded"
             assert exact_error(tree, h2) <= guarantee_bound("l2", opt, 0.0, eps) + 1e-12
-            h1 = learn_l1_pipeline(ds, 6, eps)
+            h1 = learn_pipeline(ds, "l1", 6, eps)
             assert h1.mode == "randomized"
             assert exact_error(tree, h1) <= guarantee_bound("l1", opt, 0.0, eps) + 1e-12
 
@@ -346,7 +353,7 @@ class TestPipelines:
         for seed in (3, 4):
             tree = random_tree(7, 6, 0.4, np.random.default_rng(seed))
             ds = draw_clean(tree, 8000, rng)
-            hyp = learn_l2_pipeline(ds, 6, eps)
+            hyp = learn_pipeline(ds, "l2", 6, eps)
             q = hyp.clamped_packed(np.arange(1 << 7))
             mu = mean_vector(tree)
             assert float(np.mean((q - mu) ** 2)) <= 3 * eps + 0.05

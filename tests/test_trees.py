@@ -395,6 +395,11 @@ class TestRandomTree:
         with pytest.raises(ValueError):
             random_tree(2, 5, 0.0, rng)
 
+    def test_variable_count_checked_before_building(self):
+        # The variable tuple each node copies would be 10^5 entries long.
+        with pytest.raises(ValueError, match="at most 62 variables"):
+            random_tree(10**5, 2, 0.0, np.random.default_rng(18))
+
 
 def _assert_no_requery(node, seen):
     if isinstance(node, Leaf):
@@ -490,6 +495,14 @@ class TestPacking:
 
 
 class TestValidation:
+    def test_variable_count_within_packing_limit(self):
+        for n in (-1, 63):
+            with pytest.raises(ValueError, match="at most 62 variables"):
+                StochasticTree(n, Leaf(0))
+        with pytest.raises(ValueError, match="at most 62 variables"):
+            load_tree("n=63\nL 0\n")
+        assert load_tree("n=62\nL 0\n").n == 62
+
     def test_bad_nodes_rejected(self):
         with pytest.raises(ValueError):
             StochasticTree(1, Query(1, Leaf(0), Leaf(1)))
