@@ -19,12 +19,10 @@ from enum import Enum
 
 import numpy as np
 
-from .polynomials import parse_header
+from .polynomials import check_var_count, parse_header
 from .trees import (
     StochasticTree,
-    check_var_count,
     mean_on_points,
-    mean_vector,
     pack_inputs,
     round_prob,
     unpack_inputs,
@@ -119,7 +117,10 @@ def corrupt(
     tree: StochasticTree,
     rng: np.random.Generator,
 ) -> Dataset:
-    """Apply an adversary to exactly floor(eta * m) rows of a clean sample."""
+    """Apply an adversary to exactly floor(eta * m) rows of a clean sample;
+    every strategy but the margin adversary picks them with one rng.choice."""
+    if not isinstance(strategy, Adversary):
+        raise ValueError(f"unknown adversary {strategy!r}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0,1], got {eta}")
     if clean.corrupted.any():
@@ -134,23 +135,16 @@ def corrupt(
     if budget == 0:
         return Dataset(clean.n, zs, ys, flags)
 
-    if strategy is Adversary.NONE:
+    if strategy is Adversary.LABEL_FLIP_MARGIN:
+        chosen = _flip_margin_rows(clean, budget, tree)
+    else:
         # The do-nothing adversary still spends its budget: it replaces
         # rows with identical copies, so the flags stay an exact record.
         chosen = np.sort(rng.choice(m, size=budget, replace=False))
-    elif strategy is Adversary.LABEL_FLIP_RANDOM:
-        chosen = np.sort(rng.choice(m, size=budget, replace=False))
-        ys[chosen] ^= 1
-    elif strategy is Adversary.LABEL_FLIP_MARGIN:
-        chosen = _flip_margin_rows(clean, budget, tree)
+    if strategy in (Adversary.LABEL_FLIP_RANDOM, Adversary.LABEL_FLIP_MARGIN):
         ys[chosen] ^= 1
     elif strategy is Adversary.EXAMPLE_REPLACE:
-        chosen = np.sort(rng.choice(m, size=budget, replace=False))
-        z_star, y_star = _replacement_point(clean, tree)
-        zs[chosen] = z_star
-        ys[chosen] = y_star
-    else:
-        raise ValueError(f"unknown adversary {strategy!r}")
+        zs[chosen], ys[chosen] = _replacement_point(clean, tree)
 
     flags[chosen] = True
     return Dataset(clean.n, zs, ys, flags)
@@ -202,17 +196,16 @@ _REPLACEMENT_ENUMERATION_CAP = 20
 
 
 def _replacement_point(clean: Dataset, tree: StochasticTree) -> tuple[int, int]:
-    """The most confidently classified input, mislabeled."""
+    """The most confidently classified input, mislabeled: the argmax of
+    |mu - 1/2| over {0,1}^n up to the cap, over the sample's distinct
+    inputs above it."""
     if tree.n <= _REPLACEMENT_ENUMERATION_CAP:
-        mu = mean_vector(tree)
-        z_star = int(np.argmax(np.abs(mu - 0.5)))
-        mu_star = float(mu[z_star])
+        zs = np.arange(1 << tree.n, dtype=np.int64)
     else:
-        zs = clean.counts()[0]
-        mu = mean_on_points(tree, zs)
-        best = int(np.argmax(np.abs(mu - 0.5)))
-        z_star, mu_star = int(zs[best]), float(mu[best])
-    return z_star, 1 - round_prob(mu_star)
+        zs = np.unique(clean.zs)
+    mu = mean_on_points(tree, zs)
+    best = int(np.argmax(np.abs(mu - 0.5)))
+    return int(zs[best]), 1 - round_prob(float(mu[best]))
 
 
 def dump_dataset(ds: Dataset) -> str:

@@ -7,7 +7,8 @@ distances used by the regression guarantees.  Above the cap, inputs are
 sampled, as packed integers drawn uniformly below 2^n, but tree coins
 never are: every error is an average of exact per-input means, and
 randomized hypotheses are integrated out in closed form rather than
-sampled.
+sampled.  One draw serves both the Bayes error and the hypothesis's
+error, so the two estimates share their sampling noise.
 """
 
 from __future__ import annotations
@@ -35,11 +36,15 @@ def _check_cap(n: int) -> None:
         )
 
 
+def _bayes_error(mu: np.ndarray) -> float:
+    """E[min(mu, 1 - mu)]: the Bayes error over inputs with target means mu."""
+    return float(np.mean(np.minimum(mu, 1.0 - mu)))
+
+
 def exact_opt(tree: StochasticTree) -> float:
     """Bayes error: the exact average of min(mu, 1 - mu) over all inputs."""
     _check_cap(tree.n)
-    mu = mean_vector(tree)
-    return float(np.mean(np.minimum(mu, 1.0 - mu)))
+    return _bayes_error(mean_vector(tree))
 
 
 def _hypothesis_means(hypothesis: Hypothesis, n: int, zs: np.ndarray) -> np.ndarray:
@@ -52,33 +57,19 @@ def _hypothesis_means(hypothesis: Hypothesis, n: int, zs: np.ndarray) -> np.ndar
     return hypothesis.means(zs)
 
 
-def _disagreement(tree: StochasticTree, hypothesis: Hypothesis, zs: np.ndarray) -> np.ndarray:
-    """Pr[tree(x) != hypothesis(x)] at each packed input: q(1-mu) + (1-q)mu,
-    where q is the hypothesis's own output probability, so the coins of
-    neither side are ever sampled."""
-    mu = mean_on_points(tree, zs)
-    q = _hypothesis_means(hypothesis, tree.n, zs)
+def _disagreement(mu: np.ndarray, hypothesis: Hypothesis, n: int, zs: np.ndarray) -> np.ndarray:
+    """Pr[tree(x) != hypothesis(x)] at each packed input, given the target's
+    means mu there: q(1-mu) + (1-q)mu, where q is the hypothesis's own
+    output probability, so the coins of neither side are ever sampled."""
+    q = _hypothesis_means(hypothesis, n, zs)
     return q + mu - 2.0 * q * mu
 
 
 def exact_error(tree: StochasticTree, hypothesis: Hypothesis) -> float:
     """Exact disagreement probability E_x Pr[tree(x) != hypothesis(x)]."""
     _check_cap(tree.n)
-    return float(np.mean(_disagreement(tree, hypothesis, np.arange(1 << tree.n, dtype=np.int64))))
-
-
-def _draw_inputs(n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """``trials`` packed inputs drawn uniformly from {0,1}^n."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    return rng.integers(0, 1 << n, size=trials, dtype=np.int64)
-
-
-def mc_opt(tree: StochasticTree, trials: int, rng: np.random.Generator) -> float:
-    """Monte Carlo Bayes error: sampled inputs, exact per-input means, so an
-    unbiased estimate without enumerating {0,1}^n."""
-    mu = mean_on_points(tree, _draw_inputs(tree.n, trials, rng))
-    return float(np.mean(np.minimum(mu, 1.0 - mu)))
+    zs = np.arange(1 << tree.n, dtype=np.int64)
+    return float(np.mean(_disagreement(mean_on_points(tree, zs), hypothesis, tree.n, zs)))
 
 
 def mc_error(
@@ -86,16 +77,17 @@ def mc_error(
     hypothesis: Hypothesis,
     trials: int,
     rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte Carlo disagreement estimate with its standard error.
-
-    Only the inputs are sampled; the disagreement at each is exact, so the
-    estimate carries no noise from the coins of either tree.
-    """
-    per_input = _disagreement(tree, hypothesis, _draw_inputs(tree.n, trials, rng))
-    estimate = float(np.mean(per_input))
+) -> tuple[float, float, float]:
+    """Monte Carlo (Bayes error, disagreement estimate, its standard error),
+    both from one draw of ``trials`` packed inputs and one pass of the
+    target's means over it.  The means are exact, so no coin is sampled."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    zs = rng.integers(0, 1 << tree.n, size=trials, dtype=np.int64)
+    mu = mean_on_points(tree, zs)
+    per_input = _disagreement(mu, hypothesis, tree.n, zs)
     stderr = float(np.sqrt(max(float(np.var(per_input)), 1e-12) / trials))
-    return estimate, stderr
+    return _bayes_error(mu), float(np.mean(per_input)), stderr
 
 
 def guarantee_bound(method: str, opt: float, eta: float, eps: float) -> float:

@@ -202,6 +202,8 @@ def _rebuild(
 def empirical_error(tree: StochasticTree, dataset: Dataset) -> float:
     """Fraction of rows the tree misclassifies (stochastic trees contribute
     their per-row disagreement probability)."""
+    if tree.n != dataset.n:
+        raise ValueError(f"tree is over {tree.n} variables, sample over {dataset.n}")
     if dataset.m == 0:
         return 0.0
     mu = mean_on_points(tree, dataset.zs)

@@ -14,10 +14,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Adversary, corrupt, draw_clean
-from .evaluation import DEFAULT_ENUMERATION_CAP, ErrorReport, Hypothesis, exact_error, exact_opt, mc_error, mc_opt
+from .evaluation import DEFAULT_ENUMERATION_CAP, ErrorReport, Hypothesis, exact_error, exact_opt, mc_error
 from .find import check_table_budget, find
+from .polynomials import MAX_PACKED_VARS
 from .regression import check_budget, degree_budget, learn_pipeline
-from .trees import MAX_PACKED_VARS, StochasticTree, random_tree
+from .trees import StochasticTree, random_tree
 
 METHODS = ("find", "l1", "l2")
 
@@ -111,15 +112,15 @@ def report(
 ) -> ErrorReport:
     """Evaluate the hypothesis against the target tree and account for the
     guarantee: exactly when the tree's n is within ``cfg.enumeration_cap``,
-    otherwise by Monte Carlo over ``cfg.mc_trials`` inputs drawn from rng.
+    otherwise by Monte Carlo over one draw of ``cfg.mc_trials`` inputs from
+    rng, shared by opt and the hypothesis's error.
     n comes from the tree and everything else from cfg."""
     if tree.n <= cfg.enumeration_cap:
         opt = exact_opt(tree)
         err = exact_error(tree, hypothesis)
         estimation = "exact"
     else:
-        opt = mc_opt(tree, cfg.mc_trials, rng)
-        err = mc_error(tree, hypothesis, cfg.mc_trials, rng)[0]
+        opt, err, _ = mc_error(tree, hypothesis, cfg.mc_trials, rng)
         estimation = "monte_carlo"
 
     return ErrorReport(
@@ -153,6 +154,8 @@ def sweep_grid(base: ExperimentConfig, etas: Sequence[float], trials: int) -> li
     """One config per (eta, trial); trial i runs with seed base.seed + i."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    if len(set(etas)) != len(etas):
+        raise ValueError(f"eta grid {list(etas)} repeats a value")
     return [
         replace(base, eta=eta, seed=base.seed + i)
         for eta in etas

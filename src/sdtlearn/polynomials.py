@@ -19,6 +19,20 @@ import numpy as np
 Monomial = Tuple[int, ...]
 
 
+#: Most variables an input can have: packed inputs are nonnegative int64.
+MAX_PACKED_VARS = 62
+
+
+def check_var_count(n: int) -> None:
+    """Refuse a variable count that packed inputs cannot hold, before
+    anything is built for it."""
+    if not 0 <= n <= MAX_PACKED_VARS:
+        raise ValueError(
+            f"n must lie in [0, {MAX_PACKED_VARS}], got {n}: packed inputs hold at most "
+            f"{MAX_PACKED_VARS} variables"
+        )
+
+
 def trunc(t: float) -> float:
     """Clamp a real number to the unit interval."""
     if t < 0.0:
@@ -53,8 +67,9 @@ class MultilinearPolynomial:
     coeffs: Mapping[Monomial, float]
 
     def __post_init__(self) -> None:
-        if self.n < 0 or self.d < 0:
-            raise ValueError("n and d must be nonnegative")
+        check_var_count(self.n)
+        if self.d < 0:
+            raise ValueError("d must be nonnegative")
         clean: dict[Monomial, float] = {}
         for mono, c in self.coeffs.items():
             mono = tuple(mono)
@@ -64,6 +79,8 @@ class MultilinearPolynomial:
                 raise ValueError(f"monomial {mono} exceeds degree bound {self.d}")
             if mono and (mono[0] < 0 or mono[-1] >= self.n):
                 raise ValueError(f"monomial {mono} out of range for n={self.n}")
+            if not math.isfinite(float(c)):
+                raise ValueError(f"monomial {mono} has the non-finite coefficient {c}")
             clean[mono] = float(c)
         object.__setattr__(self, "coeffs", clean)
 

@@ -154,8 +154,8 @@ def l2_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     rank falls short of F, G is singular, and the minimum-norm b comes
     from ``lstsq(A, t)``.
     """
-    if d > dataset.n:
-        raise ValueError(f"degree {d} exceeds the variable count {dataset.n}")
+    if not 0 <= d <= dataset.n:
+        raise ValueError(f"degree {d} must lie in [0, {dataset.n}], the variable count")
     zs, c0, c1, _ = dataset.counts()
     check_budget("l2", dataset.n, d, zs.size)
     monos = monomials(dataset.n, d)
@@ -180,8 +180,8 @@ def l2_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
 def l1_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     """Least-absolute-deviations fit over degree-<= d monomials, by the cube
     LP when ``l1_over_cube(n, d)`` and by the dual LP otherwise."""
-    if d > dataset.n:
-        raise ValueError(f"degree {d} exceeds the variable count {dataset.n}")
+    if not 0 <= d <= dataset.n:
+        raise ValueError(f"degree {d} must lie in [0, {dataset.n}], the variable count")
     solve = _l1_cube if l1_over_cube(dataset.n, d) else _l1_dual
     return solve(dataset, d)
 

@@ -28,7 +28,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .polynomials import MultilinearPolynomial, parse_header
+from .polynomials import MultilinearPolynomial, check_var_count, parse_header
 
 
 @dataclass(frozen=True)
@@ -132,20 +132,6 @@ def leaf_paths(node: Node) -> Iterator[tuple[int, float, int, int, int]]:
         else:
             stack.append((cur.child_tails, weight * (1.0 - cur.p), mask, bits, depth))
             stack.append((cur.child_heads, weight * cur.p, mask, bits, depth))
-
-
-#: Most variables an input can have: packed inputs are nonnegative int64.
-MAX_PACKED_VARS = 62
-
-
-def check_var_count(n: int) -> None:
-    """Refuse a variable count that packed inputs cannot hold, before
-    anything is built for it."""
-    if not 0 <= n <= MAX_PACKED_VARS:
-        raise ValueError(
-            f"n must lie in [0, {MAX_PACKED_VARS}], got {n}: packed inputs hold at most "
-            f"{MAX_PACKED_VARS} variables"
-        )
 
 
 @dataclass(frozen=True)

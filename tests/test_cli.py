@@ -236,6 +236,7 @@ BAD_FILES = {
     "wide_tree": "n=8\nQ 7\nL 0\nL 1\n",
     "deep_tree": "n=1\n" + "S 0.5\nL 1\n" * 3000 + "L 1\n",
     "feature_cap_cfg": "n=5\ns=4\nm=100\neps=0.2\nfeature_cap=100\n",
+    "nan_poly": "n=5 d=1\n:nan\n",
 }
 
 EVAL = ["eval", "--tree", "{tree}", "--hypothesis", "{tree}", "--method", "find"]
@@ -250,6 +251,8 @@ EVAL = ["eval", "--tree", "{tree}", "--hypothesis", "{tree}", "--method", "find"
                      id="malformed-dataset"),
         pytest.param(["eval", "--tree", "{tree}", "--hypothesis", "{bad_poly}", "--method", "l2",
                       "--eps", "0.2"], "monomial line", id="malformed-polynomial"),
+        pytest.param(["eval", "--tree", "{tree}", "--hypothesis", "{nan_poly}", "--method", "l2",
+                      "--eps", "0.2"], "non-finite coefficient", id="eval-nan-polynomial"),
         pytest.param(["gen-tree", "--n", "3", "--size", "0"], "size", id="gen-tree-size-0"),
         pytest.param(["find", "--data", "{clean}", "--depth", "-1"], "depth", id="find-depth-neg"),
         pytest.param(["corrupt", "--data", "{clean}", "--tree", "{tree}", "--eta", "2"], "eta",
@@ -262,6 +265,8 @@ EVAL = ["eval", "--tree", "{tree}", "--hypothesis", "{tree}", "--method", "find"
                       "--etas", "0.1,1.5"], "eta must lie in", id="sweep-eta-out-of-range"),
         pytest.param(["sweep", "--n", "4", "--s", "3", "--m", "50", "--eps", "0.2",
                       "--trials", "0"], "trials must be positive", id="sweep-trials-0"),
+        pytest.param(["sweep", "--n", "4", "--s", "3", "--m", "50", "--eps", "0.2",
+                      "--etas", "0.05,0.05", "--trials", "2"], "repeats a value", id="sweep-eta-repeated"),
         pytest.param(["find", "--data", "{wide_data}", "--depth", "6"], "search table",
                      id="find-depth-over-table-cap"),
         pytest.param(["find", "--data", "{missing}", "--depth", "2"], "No such file",

@@ -134,6 +134,29 @@ class TestCorrupt:
         with pytest.raises(ValueError):
             corrupt(dirty, 0.1, Adversary.NONE, tree, rng)
 
+    @pytest.mark.parametrize(
+        "strategy", [Adversary.NONE, Adversary.LABEL_FLIP_RANDOM, Adversary.EXAMPLE_REPLACE]
+    )
+    def test_rows_come_from_one_choice(self, setup, strategy):
+        tree, clean, _ = setup
+        budget = corruption_budget(0.1, clean.m)
+        twin = np.random.default_rng(11)
+        out = corrupt(clean, 0.1, strategy, tree, np.random.default_rng(11))
+        assert np.array_equal(np.flatnonzero(out.corrupted),
+                              np.sort(twin.choice(clean.m, budget, replace=False)))
+
+    def test_margin_adversary_reads_no_randomness(self, setup):
+        tree, clean, _ = setup
+        rng = np.random.default_rng(12)
+        state = rng.bit_generator.state
+        corrupt(clean, 0.1, Adversary.LABEL_FLIP_MARGIN, tree, rng)
+        assert rng.bit_generator.state == state
+
+    def test_unknown_strategy_rejected_at_zero_budget(self, setup):
+        tree, clean, rng = setup
+        with pytest.raises(ValueError, match="unknown adversary 'bogus'"):
+            corrupt(clean, 0.0, "bogus", tree, rng)
+
     @pytest.mark.parametrize("tree_n,data_n", [(4, 8), (8, 4)])
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_rejects_tree_over_other_variable_count(self, tree_n, data_n, strategy):

@@ -11,7 +11,6 @@ from sdtlearn.evaluation import (
     exact_opt,
     guarantee_bound,
     mc_error,
-    mc_opt,
 )
 from sdtlearn.polynomials import MultilinearPolynomial
 from sdtlearn.regression import TruncatedPolyHypothesis, degree_budget
@@ -53,18 +52,17 @@ class TestExactOpt:
     def test_monte_carlo_within_four_standard_errors(self, demo_tree):
         mu = mean_vector(demo_tree)
         spread = np.std(np.minimum(mu, 1.0 - mu)) / np.sqrt(60_000)
-        estimate = mc_opt(demo_tree, 60_000, np.random.default_rng(3))
+        estimate, _, _ = mc_error(demo_tree, demo_tree, 60_000, np.random.default_rng(3))
         assert abs(estimate - exact_opt(demo_tree)) <= 4 * spread
 
     def test_monte_carlo_shares_the_input_draw_with_mc_error(self, demo_tree):
-        # Equal generators give both estimators the same inputs, and the
-        # Bayes classifier's disagreement at each input is min(mu, 1 - mu).
+        # One draw serves both estimates, and the Bayes classifier's
+        # disagreement at each input is min(mu, 1 - mu).
         bayes = _tree_from_table(3, mean_vector(demo_tree) >= 0.5)
-        opt = mc_opt(demo_tree, 500, np.random.default_rng(4))
-        err, _ = mc_error(demo_tree, bayes, 500, np.random.default_rng(4))
+        opt, err, _ = mc_error(demo_tree, bayes, 500, np.random.default_rng(4))
         assert opt == pytest.approx(err, abs=1e-12)
         with pytest.raises(ValueError, match="at least one trial"):
-            mc_opt(demo_tree, 0, np.random.default_rng(4))
+            mc_error(demo_tree, bayes, 0, np.random.default_rng(4))
 
 
 class TestExactError:
@@ -92,7 +90,7 @@ class TestExactError:
         rng = np.random.default_rng(3)
         hyp = _tree_from_table(3, np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=bool))
         exact = exact_error(demo_tree, hyp)
-        estimate, stderr = mc_error(demo_tree, hyp, 60_000, rng)
+        _, estimate, stderr = mc_error(demo_tree, hyp, 60_000, rng)
         assert abs(estimate - exact) <= 4 * stderr
 
     def test_randomized_poly_closed_form(self, demo_tree):
@@ -102,7 +100,7 @@ class TestExactError:
         q = poly.evaluate_packed(np.arange(8))
         by_hand = float(np.mean(q * (1 - mu) + (1 - q) * mu))
         assert exact_error(demo_tree, hyp) == pytest.approx(by_hand, abs=1e-15)
-        est, se = mc_error(demo_tree, hyp, 60_000, np.random.default_rng(4))
+        _, est, se = mc_error(demo_tree, hyp, 60_000, np.random.default_rng(4))
         assert abs(est - by_hand) <= 4 * se
 
     def test_rounded_poly_vector(self):
@@ -116,7 +114,7 @@ class TestExactError:
         target = random_tree(4, 6, 0.6, np.random.default_rng(21))
         hyp = random_tree(4, 6, 0.6, np.random.default_rng(22))
         exact = exact_error(target, hyp)
-        est, se = mc_error(target, hyp, 60_000, rng)
+        _, est, se = mc_error(target, hyp, 60_000, rng)
         assert abs(est - exact) <= 4 * se
 
     def test_monte_carlo_exact_over_coins(self):
@@ -125,7 +123,7 @@ class TestExactError:
         for p, q in ((0.3, 0.8), (0.5, 0.5), (0.9, 0.0)):
             target = StochasticTree(1, Stoch(p, Leaf(1), Leaf(0)))
             hyp = TruncatedPolyHypothesis(MultilinearPolynomial(1, 0, {(): q}), "randomized")
-            est, _ = mc_error(target, hyp, 2_000, np.random.default_rng(6))
+            _, est, _ = mc_error(target, hyp, 2_000, np.random.default_rng(6))
             assert est == pytest.approx(q * (1 - p) + (1 - q) * p, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self, demo_tree):

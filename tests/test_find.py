@@ -185,3 +185,8 @@ class TestEmpiricalError:
         ds = make_dataset(np.zeros((0, 2), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
         assert empirical_error(StochasticTree(2, Leaf(1)), ds) == 0.0
 
+    def test_rejects_tree_over_other_variable_count(self):
+        ds = make_dataset(np.zeros((3, 4), dtype=np.uint8), np.array([0, 1, 1], dtype=np.uint8))
+        with pytest.raises(ValueError, match="tree is over 2 variables, sample over 4"):
+            empirical_error(StochasticTree(2, Query(1, Leaf(0), Leaf(1))), ds)
+

@@ -13,7 +13,8 @@ from sdtlearn.harness import (
     sweep_grid,
     write_csv,
 )
-from sdtlearn.trees import MAX_PACKED_VARS
+from sdtlearn.polynomials import MAX_PACKED_VARS
+from sdtlearn.trees import random_tree
 
 # First-run outputs of three canned configs, pinned as regression anchors.
 GOLDEN = [
@@ -165,6 +166,19 @@ class TestDeterminism:
         assert run_experiment(cfg).to_json() == run_experiment(cfg).to_json()
 
 
+class TestMonteCarloReport:
+    def test_opt_and_error_share_one_draw(self):
+        # Above the enumeration cap the report draws mc_trials inputs once,
+        # not once for opt and again for the hypothesis error.
+        cfg = ExperimentConfig(n=8, s=4, m=10, eps=0.2, enumeration_cap=4, mc_trials=5_000)
+        tree = random_tree(8, 6, 0.5, np.random.default_rng(1))
+        rng, twin = np.random.default_rng(2), np.random.default_rng(2)
+        rep = harness.report(cfg, tree, tree, 3, None, rng)
+        twin.integers(0, 2**8, size=cfg.mc_trials, dtype=np.int64)
+        assert rep.error_estimation == "monte_carlo"
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestSweep:
     def test_eta_sweep_aggregates(self):
         base = ExperimentConfig(n=6, s=4, m=1500, eps=0.2, method="find",
@@ -187,6 +201,10 @@ class TestSweep:
         grid = sweep_grid(base, [0.0, 0.1], 3)
         assert len(grid) == 6
         assert sorted({cfg.seed for cfg in grid}) == [7, 8, 9]
+
+    def test_repeated_eta_rejected(self):
+        with pytest.raises(ValueError, match="repeats a value"):
+            sweep_grid(GOLDEN[0][0], [0.05, 0.1, 0.05], 2)
 
     def test_csv_writing(self, tmp_path):
         reports = [run_experiment(GOLDEN[0][0])]

@@ -54,6 +54,22 @@ def test_validation_rejects_bad_monomials():
         MultilinearPolynomial(3, 2, {(0, 5): 1.0})  # out of range
 
 
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), -float("inf")])
+def test_validation_rejects_non_finite_coefficients(coeff):
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        MultilinearPolynomial(6, 1, {(): 0.5, (2,): coeff})
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        load_polynomial(f"n=6 d=1\n:{coeff}\n")
+
+
+def test_validation_rejects_variable_count_outside_packing():
+    with pytest.raises(ValueError, match="at most 62 variables"):
+        load_polynomial("n=100 d=1\n70:1.0\n")
+    with pytest.raises(ValueError, match="at most 62 variables"):
+        MultilinearPolynomial(63, 0, {})
+    assert MultilinearPolynomial(62, 1, {(61,): 1.0}).evaluate_packed(np.array([1 << 61])) == [1.0]
+
+
 def test_serialization_roundtrip_exact():
     rng = np.random.default_rng(2)
     coeffs = {m: float(rng.normal()) for m in monomials(5, 3) if rng.random() < 0.5}

@@ -86,6 +86,13 @@ class TestL2:
             l2_regress(xor_dataset, 3)
 
 
+@pytest.mark.parametrize("fit", [l1_regress, l2_regress])
+def test_negative_degree_rejected_before_the_solver(fit, xor_dataset, capfd):
+    with pytest.raises(ValueError, match="degree -1 must lie in"):
+        fit(xor_dataset, -1)
+    assert capfd.readouterr().err == ""
+
+
 class TestL1:
     def test_realizable_objective_zero(self):
         ds = make_dataset([[0, 0], [0, 1], [1, 0], [1, 1]], [0, 0, 0, 1])
