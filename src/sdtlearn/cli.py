@@ -72,7 +72,8 @@ def cmd_find(args: argparse.Namespace) -> int:
 
 def cmd_regress(args: argparse.Namespace) -> int:
     ds = data.load_dataset(_read(args.data))
-    hyp = regression.learn_pipeline(ds, args.norm, args.size_hint, args.eps)
+    degree = regression.degree_budget(args.size_hint, args.eps, ds.n)
+    hyp = regression.learn_pipeline(ds, args.norm, degree)
     _write(args.out, polynomials.dump_polynomial(hyp.poly))
     print(json.dumps({"mode": hyp.mode, "degree": hyp.poly.degree}, sort_keys=True))
     return 0

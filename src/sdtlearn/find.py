@@ -75,7 +75,9 @@ def table_cells(n: int, depth: int) -> int:
 
 
 def check_table_budget(n: int, depth: int) -> None:
-    """Reject a search whose restriction table exceeds TABLE_CELLS_CAP."""
+    """Reject a negative depth, or a search table over TABLE_CELLS_CAP cells."""
+    if depth < 0:
+        raise ValueError("depth budget must be nonnegative")
     count = table_cells(n, depth)
     if count > TABLE_CELLS_CAP:
         raise TableBudgetExceeded(
@@ -85,8 +87,6 @@ def check_table_budget(n: int, depth: int) -> None:
 
 def find(dataset: Dataset, depth: int) -> FindResult:
     """Return the canonical minimum-empirical-error tree of depth <= depth."""
-    if depth < 0:
-        raise ValueError("depth budget must be nonnegative")
     n = dataset.n
     check_table_budget(n, depth)
     uz, w0, w1, _ = dataset.counts()

@@ -49,6 +49,8 @@ class ExperimentConfig:
             raise ValueError("eps must lie in (0, 1)")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
+        # One spelling per value in the reports: 0, -0.0 and 0.0 all read 0.0.
+        object.__setattr__(self, "eta", float(self.eta) + 0.0)
         if not 0.0 <= self.stoch_fraction <= 1.0:
             raise ValueError("stoch_fraction must lie in [0, 1]")
         if self.method not in METHODS:
@@ -77,7 +79,7 @@ def budgets_for(cfg: ExperimentConfig) -> tuple[int | None, int | None]:
         depth = find_depth_budget(cfg.s, cfg.eps, cfg.max_depth)
         check_table_budget(cfg.n, depth)
         return depth, None
-    degree = min(degree_budget(cfg.s, cfg.eps), cfg.n)
+    degree = degree_budget(cfg.s, cfg.eps, cfg.n)
     # l2 builds one row per distinct input, the dual l1 LP one per distinct
     # (input, label) pair.
     rows = min(cfg.m, 2**cfg.n) * (1 if cfg.method == "l2" else 2)
@@ -98,7 +100,7 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     if cfg.method == "find":
         hypothesis = find(corrupted, depth).tree
     else:
-        hypothesis = learn_pipeline(corrupted, cfg.method, cfg.s, cfg.eps)
+        hypothesis = learn_pipeline(corrupted, cfg.method, degree)
     return report(cfg, tree, hypothesis, depth, degree, rng_eval)
 
 

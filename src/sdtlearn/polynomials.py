@@ -10,6 +10,7 @@ hypothesis space for both regression learners.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence, Tuple
@@ -21,6 +22,10 @@ Monomial = Tuple[int, ...]
 
 #: Most variables an input can have: packed inputs are nonnegative int64.
 MAX_PACKED_VARS = 62
+
+#: Largest sum of a polynomial's absolute coefficients, half the largest
+#: double: below it no partial sum of an evaluation, in any order, overflows.
+COEFF_ABS_SUM_CAP = sys.float_info.max / 2
 
 
 def check_var_count(n: int) -> None:
@@ -82,6 +87,11 @@ class MultilinearPolynomial:
             if not math.isfinite(float(c)):
                 raise ValueError(f"monomial {mono} has the non-finite coefficient {c}")
             clean[mono] = float(c)
+        # At 2^-64 scale the sum cannot overflow, and scaling by a power of two moves no comparison.
+        if math.fsum(abs(c) * 2.0**-64 for c in clean.values()) > COEFF_ABS_SUM_CAP * 2.0**-64:
+            raise ValueError(
+                f"absolute coefficients sum past {COEFF_ABS_SUM_CAP!r}, half the largest double"
+            )
         object.__setattr__(self, "coeffs", clean)
 
     @property

@@ -32,7 +32,7 @@ L1SolverError is raised with the fit as its incumbent.  The dual LP is
 charged as its design matrix (grouped rows x F), the cube LP as its
 constraint matrix and variables, both against DESIGN_BYTES_CAP.
 
-``learn_pipeline`` fits either method at its degree budget.  Hypotheses
+``learn_pipeline`` fits either method at the degree it is handed.  Hypotheses
 clamp the fitted polynomial to [0,1]; ``MODES`` gives each method's
 output: l2 rounds, thresholding at one half (ties, up to ROUND_TIE_TOL,
 round to 1), and l1 outputs 1 with the clamped probability.
@@ -100,7 +100,9 @@ def check_budget(method: str, n: int, d: int, rows: int) -> None:
     cube side (``l1_over_cube``) builds 3 nnz(V) constraint entries, with
     nnz(V) = sum over |T| > d of 2^|T|, and 3 * 2^n variables (these matter
     when d = n and V is empty); any other fit builds a ``rows`` x F design
-    matrix."""
+    matrix.  A degree outside [0, n] is refused first."""
+    if not 0 <= d <= n:
+        raise ValueError(f"degree {d} must lie in [0, {n}], the variable count")
     count = feature_count(n, d)
     if count > FEATURE_CAP:
         raise FeatureBudgetExceeded(
@@ -154,8 +156,6 @@ def l2_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     rank falls short of F, G is singular, and the minimum-norm b comes
     from ``lstsq(A, t)``.
     """
-    if not 0 <= d <= dataset.n:
-        raise ValueError(f"degree {d} must lie in [0, {dataset.n}], the variable count")
     zs, c0, c1, _ = dataset.counts()
     check_budget("l2", dataset.n, d, zs.size)
     monos = monomials(dataset.n, d)
@@ -164,24 +164,22 @@ def l2_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     a *= sw[:, None]
     t = c1 / sw
     f = len(monos)
+    beta = None
     if zs.size >= f:
         # a.T is Fortran-ordered, so dsyrk reads it without a copy; both
         # routines use the upper triangle only.
         chol, piv, rank, _ = dpstrf(dsyrk(1.0, a.T), overwrite_a=1)
         if rank == f:
-            order = piv - 1
             beta = np.empty(f)
-            beta[order] = cho_solve((chol, False), (a.T @ t)[order], check_finite=False)
-            return _to_poly(dataset.n, d, monos, beta)
-    beta, *_ = np.linalg.lstsq(a, t, rcond=None)
+            beta[piv - 1] = cho_solve((chol, False), (a.T @ t)[piv - 1], check_finite=False)
+    if beta is None:
+        beta = np.linalg.lstsq(a, t, rcond=None)[0]
     return _to_poly(dataset.n, d, monos, beta)
 
 
 def l1_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     """Least-absolute-deviations fit over degree-<= d monomials, by the cube
     LP when ``l1_over_cube(n, d)`` and by the dual LP otherwise."""
-    if not 0 <= d <= dataset.n:
-        raise ValueError(f"degree {d} must lie in [0, {dataset.n}], the variable count")
     solve = _l1_cube if l1_over_cube(dataset.n, d) else _l1_dual
     return solve(dataset, d)
 
@@ -338,20 +336,18 @@ class TruncatedPolyHypothesis:
         return q
 
 
-def degree_budget(s: int, eps: float) -> int:
-    """ceil(log2(size / eps)), guarded against float slop on exact powers."""
-    if s < 1 or not 0.0 < eps:
-        raise ValueError("need size >= 1 and eps > 0")
-    return max(0, math.ceil(math.log2(s / eps) - 1e-12))
+def degree_budget(s: int, eps: float, n: int) -> int:
+    """ceil(log2(size / eps)) capped at n, guarded against float slop on exact powers."""
+    if s < 1 or not 0.0 < eps < math.inf:
+        raise ValueError("need size >= 1 and a finite eps > 0")
+    return min(n, max(0, math.ceil(math.log2(s / eps) - 1e-12)))
 
 
-def learn_pipeline(dataset: "Dataset", method: str, s: int, eps: float) -> TruncatedPolyHypothesis:
-    """Fit ``method`` ("l1" or "l2") at the degree budget for size s and
-    accuracy eps, as a hypothesis in the method's mode."""
+def learn_pipeline(dataset: "Dataset", method: str, d: int) -> TruncatedPolyHypothesis:
+    """Fit ``method`` ("l1" or "l2") at degree d, as a hypothesis in its mode."""
     if method not in MODES:
         raise ValueError(f"unknown regression method {method!r}")
     # Read the fits by name at call time, so a wrapped l1_regress or
     # l2_regress is the one called.
     fit = l2_regress if method == "l2" else l1_regress
-    d = min(degree_budget(s, eps), dataset.n)
     return TruncatedPolyHypothesis(fit(dataset, d), MODES[method])

@@ -402,6 +402,11 @@ def mean_polynomial(tree: StochasticTree, depth_cutoff: int) -> MultilinearPolyn
     return MultilinearPolynomial(tree.n, min(depth_cutoff, tree.n), monos)
 
 
+#: Most leaves ``random_tree`` builds: 2^16 take about a second at n = 30,
+#: where 10^8 would take about half an hour and tens of GB.
+MAX_TREE_LEAVES = 1 << 16
+
+
 def random_tree(
     n: int,
     s: int,
@@ -416,8 +421,8 @@ def random_tree(
     s <= 2^n; leaf budgets are split so paths never run out of variables.
     """
     check_var_count(n)
-    if s < 1:
-        raise ValueError("tree size must be at least 1")
+    if not 1 <= s <= MAX_TREE_LEAVES:
+        raise ValueError(f"tree size must lie in [1, {MAX_TREE_LEAVES}], got {s}")
     if not 0.0 <= stoch_fraction <= 1.0:
         raise ValueError("stoch_fraction must lie in [0,1]")
     if n == 0 and s > 1:

@@ -60,3 +60,30 @@ def test_every_tiny_workload_runs_traced_and_passes_its_checks(load):
         tracer.count_distinct_inputs()
         captured = tracer.captured.pop(0)
         assert checks.check_report(cfg, report, checks.dump_capture(*captured)) == []
+
+
+def test_every_tiny_workload_records_its_layer_counters(load):
+    # The per-layer metrics are read from these spans and counters, so a
+    # learner that stopped being called by its traced name, or a counter
+    # that stopped being filled, would read 0 in the benchmark.
+    tracing, workloads = load("tracing"), load("workloads")
+    fits = ("regression.l1_regress", "regression.l2_regress")
+    for name, workload in workloads.WORKLOADS.items():
+        cfg = workload.tiny
+        tracer = tracing.Tracer()
+        tracer.exp = 0
+        with tracing.installed(tracer):
+            harness.run_experiment(cfg)
+        spans: dict[str, list] = {}
+        for span in tracer.spans:
+            spans.setdefault(span.name, []).append(span)
+        assert [s.name for s in tracer.spans if s.name in fits] == (
+            [] if cfg.method == "find" else [f"regression.{cfg.method}_regress"]
+        ), name
+        if cfg.method == "find":
+            assert [s.counts["nodes_expanded"] > 0 for s in spans["find.find"]] == [True], name
+        if cfg.method == "l1":
+            lps = spans["regression.linprog"]
+            assert lps and all(s.counts["lp_rows"] > 0 for s in lps), name
+        if name == "mc_wide":
+            assert [s.counts["trials"] for s in spans["evaluation.mc_error"]] == [cfg.mc_trials]

@@ -185,6 +185,17 @@ def test_config_values_coerced_by_field_type(tmp_path, capsys):
     assert ",0.0," in outputs[0][1].splitlines()[1]
 
 
+def test_negative_zero_eta_reported_as_zero(tmp_path, capsys):
+    outputs = []
+    for etas in ("0", "-0"):
+        out = tmp_path / f"eta_{etas}.csv"
+        assert main(["sweep", "--n", "4", "--s", "2", "--m", "40", "--eps", "0.5", f"--etas={etas}",
+                     "--trials", "1", "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, out.read_text()))
+    assert outputs[0] == outputs[1]
+    assert '"eta": 0.0' in outputs[0][0] and ",0.0," in outputs[0][1].splitlines()[1]
+
+
 def test_badly_typed_config_value_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n=5\ns=4\nm=100\neps=0.2\nseed=1.5\n")
@@ -237,6 +248,7 @@ BAD_FILES = {
     "deep_tree": "n=1\n" + "S 0.5\nL 1\n" * 3000 + "L 1\n",
     "feature_cap_cfg": "n=5\ns=4\nm=100\neps=0.2\nfeature_cap=100\n",
     "nan_poly": "n=5 d=1\n:nan\n",
+    "overflowing_poly": "n=5 d=2\n:1e308\n0:1e308\n1:-1e308\n0,1:-1e308\n",
 }
 
 EVAL = ["eval", "--tree", "{tree}", "--hypothesis", "{tree}", "--method", "find"]
@@ -253,7 +265,15 @@ EVAL = ["eval", "--tree", "{tree}", "--hypothesis", "{tree}", "--method", "find"
                       "--eps", "0.2"], "monomial line", id="malformed-polynomial"),
         pytest.param(["eval", "--tree", "{tree}", "--hypothesis", "{nan_poly}", "--method", "l2",
                       "--eps", "0.2"], "non-finite coefficient", id="eval-nan-polynomial"),
+        pytest.param(["eval", "--tree", "{tree}", "--hypothesis", "{overflowing_poly}", "--method", "l2",
+                      "--eps", "0.2"], "half the largest double", id="eval-overflowing-polynomial"),
         pytest.param(["gen-tree", "--n", "3", "--size", "0"], "size", id="gen-tree-size-0"),
+        pytest.param(["gen-tree", "--n", "30", "--size", "65537"], "tree size must lie in [1, 65536]",
+                     id="gen-tree-over-leaf-cap"),
+        pytest.param(["sweep", "--n", "30", "--s", "65537", "--m", "50", "--eps", "0.2",
+                      "--max-depth", "2"], "tree size must lie in [1, 65536]", id="sweep-s-over-leaf-cap"),
+        pytest.param(["regress", "--data", "{clean}", "--norm", "l2", "--size-hint", "6",
+                      "--eps", "inf"], "finite eps", id="regress-eps-inf"),
         pytest.param(["find", "--data", "{clean}", "--depth", "-1"], "depth", id="find-depth-neg"),
         pytest.param(["corrupt", "--data", "{clean}", "--tree", "{tree}", "--eta", "2"], "eta",
                      id="corrupt-eta-2"),
@@ -313,6 +333,16 @@ def test_eval_rejects_unknown_adversary(workspace, capsys):
         main(argv + ["--eps", "0.2", "--adversary", "bogus"])
     assert info.value.code == 2
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_eval_reports_negative_zero_eta_as_zero(workspace, capsys):
+    argv = [arg.format(**{key: str(path) for key, path in workspace.items()}) for arg in EVAL]
+    reports = []
+    for eta in ("0", "-0.0"):
+        assert main(argv + ["--eps", "0.2", f"--eta={eta}"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert '"eta": 0.0' in reports[0]
 
 
 def test_sweep_opens_output_before_running(tmp_path, monkeypatch):

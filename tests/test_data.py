@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sdtlearn import data
 from sdtlearn.data import (
     Adversary,
     Dataset,
@@ -110,6 +111,29 @@ class TestCorrupt:
         assert len(set(zs.tolist())) == 1
         labels = out.ys[out.corrupted]
         assert len(set(labels.tolist())) == 1
+
+    def test_example_replace_above_the_enumeration_cap_uses_sample_inputs(self, monkeypatch):
+        # At n = 21 the replacement point is searched among the sample's
+        # distinct inputs, never over all 2^21 of {0,1}^n.
+        rng = np.random.default_rng(21)
+        tree = random_tree(21, 8, 0.4, rng)
+        clean = draw_clean(tree, 300, rng)
+        distinct = np.unique(clean.zs)
+        margins = np.abs(mean_on_points(tree, distinct) - 0.5)
+        point = int(distinct[np.argmax(margins)])
+        seen = []
+
+        def recorded(tree, zs):
+            seen.append(zs.size)
+            return mean_on_points(tree, zs)
+
+        monkeypatch.setattr(data, "mean_on_points", recorded)
+        out = corrupt(clean, 0.1, Adversary.EXAMPLE_REPLACE, tree, rng)
+        assert seen == [distinct.size]
+        assert out.corrupted_count == 30
+        assert out.zs[out.corrupted].tolist() == [point] * 30
+        mu = float(mean_on_points(tree, np.array([point]))[0])
+        assert out.ys[out.corrupted].tolist() == [int(mu < 0.5)] * 30
 
     def test_corruption_shifts_bounded_expectations(self, setup):
         # Any [0,1]-valued err table moves by strictly less than eta when

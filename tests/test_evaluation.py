@@ -145,7 +145,7 @@ class TestDeterministicApproximationPipeline:
                 tree = random_tree(n, s, 0.5, rng)
                 approx = stochastic_leaf_approx(tree, eps, rng)
                 det = stochastic_leaf_to_deterministic(approx.tree)
-                depth = degree_budget(det.size, eps)
+                depth = degree_budget(det.size, eps, det.n)
                 cut = truncate(det, depth)
                 if exact_error(tree, cut) <= exact_opt(tree) + 3 * eps + 1e-12:
                     hits += 1

@@ -9,6 +9,7 @@ from sdtlearn.data import Dataset, draw_clean
 from sdtlearn.find import (
     FindResult,
     TableBudgetExceeded,
+    check_table_budget,
     empirical_error,
     find,
     table_cells,
@@ -162,6 +163,10 @@ class TestTableBudget:
         monkeypatch.setattr(Dataset, "counts", no_counts)
         with pytest.raises(TableBudgetExceeded, match="search table"):
             find(ds, 6)
+
+    def test_negative_depth_rejected_by_the_check(self):
+        with pytest.raises(ValueError, match="depth budget must be nonnegative"):
+            check_table_budget(4, -1)
 
     def test_cap_is_inclusive(self, xor_dataset, monkeypatch):
         monkeypatch.setattr(find_module, "TABLE_CELLS_CAP", table_cells(2, 2))

@@ -138,6 +138,25 @@ class TestBudgets:
         with pytest.raises(ValueError, match=f"^{field} must"):
             run_experiment(ExperimentConfig(**{"n": 4, "s": 4, "m": 10, "eps": 0.2, field: value}))
 
+    @pytest.mark.parametrize("method", ["l1", "l2"])
+    def test_fit_runs_at_the_reported_degree(self, method, monkeypatch):
+        fit_name = f"{method}_regress"
+        fit = getattr(regression, fit_name)
+        degrees = []
+
+        def recorded(dataset, d):
+            degrees.append(d)
+            return fit(dataset, d)
+
+        monkeypatch.setattr(regression, fit_name, recorded)
+        # degree_budget(4, 0.25) = 4, capped at n = 3.
+        rep = run_experiment(ExperimentConfig(n=3, s=4, m=200, eps=0.25, method=method, seed=5))
+        assert degrees == [rep.degree_budget] == [3]
+
+    def test_negative_zero_eta_is_zero(self):
+        cfg = ExperimentConfig(n=4, s=4, m=10, eps=0.2, eta=-0.0)
+        assert str(cfg.eta) == "0.0" and '"eta": 0.0' in run_experiment(cfg).to_json()
+
     def test_config_limits_are_inclusive(self):
         ExperimentConfig(n=MAX_PACKED_VARS, s=4, m=10, eps=0.2, mc_trials=1,
                          enumeration_cap=DEFAULT_ENUMERATION_CAP)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sdtlearn.polynomials import (
+    COEFF_ABS_SUM_CAP,
     MultilinearPolynomial,
     dump_polynomial,
     feature_count,
@@ -68,6 +69,18 @@ def test_validation_rejects_variable_count_outside_packing():
     with pytest.raises(ValueError, match="at most 62 variables"):
         MultilinearPolynomial(63, 0, {})
     assert MultilinearPolynomial(62, 1, {(61,): 1.0}).evaluate_packed(np.array([1 << 61])) == [1.0]
+
+
+def test_validation_rejects_coefficients_that_could_overflow():
+    # Each coefficient is finite and the value at input 3 is 0, but adding
+    # the terms in order overflows to inf on the way.
+    with pytest.raises(ValueError, match="half the largest double"):
+        load_polynomial("n=2 d=2\n:1e308\n0:1e308\n1:-1e308\n0,1:-1e308\n")
+    half = COEFF_ABS_SUM_CAP / 2
+    at_cap = MultilinearPolynomial(2, 2, {(): half, (0, 1): -half})
+    assert at_cap.evaluate_packed(np.arange(4)).tolist() == [half, half, half, 0.0]
+    with pytest.raises(ValueError, match="half the largest double"):
+        MultilinearPolynomial(2, 2, {(): half, (0, 1): -np.nextafter(half, np.inf)})
 
 
 def test_serialization_roundtrip_exact():

@@ -13,6 +13,7 @@ from sdtlearn.regression import (
     FeatureBudgetExceeded,
     L1SolverError,
     TruncatedPolyHypothesis,
+    check_budget,
     degree_budget,
     l1_regress,
     l2_regress,
@@ -91,6 +92,13 @@ def test_negative_degree_rejected_before_the_solver(fit, xor_dataset, capfd):
     with pytest.raises(ValueError, match="degree -1 must lie in"):
         fit(xor_dataset, -1)
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("method", ["l1", "l2"])
+@pytest.mark.parametrize("d", [-1, 5])
+def test_check_budget_refuses_degree_outside_the_variable_count(method, d):
+    with pytest.raises(ValueError, match=rf"degree {d} must lie in \[0, 4\], the variable count"):
+        check_budget(method, 4, d, 10)
 
 
 class TestL1:
@@ -333,10 +341,16 @@ class TestIdentities:
 
 class TestPipelines:
     def test_degree_budget_values(self):
-        assert degree_budget(8, 0.1) == 7     # log2(80) = 6.32...
-        assert degree_budget(8, 1.0) == 3     # exactly log2(8)
-        assert degree_budget(1, 0.25) == 2
-        assert degree_budget(16, 0.5) == 5
+        assert degree_budget(8, 0.1, 10) == 7     # log2(80) = 6.32...
+        assert degree_budget(8, 1.0, 10) == 3     # exactly log2(8)
+        assert degree_budget(1, 0.25, 10) == 2
+        assert degree_budget(16, 0.5, 10) == 5
+        assert degree_budget(16, 0.5, 4) == 4      # capped at the variable count
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, float("inf"), float("nan")])
+    def test_degree_budget_refuses_eps_that_is_not_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="finite eps > 0"):
+            degree_budget(8, eps, 10)
 
     def test_end_to_end_guarantees_on_clean_data(self):
         rng = np.random.default_rng(8)
@@ -345,10 +359,10 @@ class TestPipelines:
             ds = draw_clean(tree, 8000, rng)
             opt = exact_opt(tree)
             eps = 0.2
-            h2 = learn_pipeline(ds, "l2", 6, eps)
+            h2 = learn_pipeline(ds, "l2", degree_budget(6, eps, ds.n))
             assert h2.mode == "rounded"
             assert exact_error(tree, h2) <= guarantee_bound("l2", opt, 0.0, eps) + 1e-12
-            h1 = learn_pipeline(ds, "l1", 6, eps)
+            h1 = learn_pipeline(ds, "l1", degree_budget(6, eps, ds.n))
             assert h1.mode == "randomized"
             assert exact_error(tree, h1) <= guarantee_bound("l1", opt, 0.0, eps) + 1e-12
 
@@ -360,7 +374,7 @@ class TestPipelines:
         for seed in (3, 4):
             tree = random_tree(7, 6, 0.4, np.random.default_rng(seed))
             ds = draw_clean(tree, 8000, rng)
-            hyp = learn_pipeline(ds, "l2", 6, eps)
+            hyp = learn_pipeline(ds, "l2", degree_budget(6, eps, ds.n))
             q = hyp.clamped_packed(np.arange(1 << 7))
             mu = mean_vector(tree)
             assert float(np.mean((q - mu) ** 2)) <= 3 * eps + 0.05

@@ -17,6 +17,7 @@ from conftest import (
 from sdtlearn import trees
 from sdtlearn.trees import (
     MAX_NESTING,
+    MAX_TREE_LEAVES,
     Leaf,
     Query,
     Stoch,
@@ -394,6 +395,13 @@ class TestRandomTree:
             random_tree(0, 2, 0.5, rng)
         with pytest.raises(ValueError):
             random_tree(2, 5, 0.0, rng)
+
+    def test_leaf_count_checked_before_drawing(self):
+        rng = np.random.default_rng(18)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"tree size must lie in \\[1, {MAX_TREE_LEAVES}\\]"):
+            random_tree(30, MAX_TREE_LEAVES + 1, 0.3, rng)
+        assert rng.bit_generator.state == state
 
     def test_variable_count_checked_before_building(self):
         # The variable tuple each node copies would be 10^5 entries long.
