@@ -66,9 +66,18 @@ class ExperimentConfig:
 
 def find_depth_budget(s: int, eps: float, max_depth: int) -> int:
     """Depth for the table search: ceil(log2(stacked_size / eps))
-    with stacked_size = s^ceil(1/eps^2), clamped to the configured cap."""
-    c = math.ceil(1.0 / (eps * eps))
-    raw = c * math.log2(s) - math.log2(eps) if s > 1 else -math.log2(eps)
+    with stacked_size = s^c, c = ceil(1/eps^2) copies as
+    ``trees.stochastic_leaf_approx`` stacks, clamped to the configured cap.
+    It is c log2(s) - log2(eps), so no size is too large.  For s > 1 it
+    exceeds c, so once 1/eps^2 passes max_depth + 1 the cap decides and c
+    is never formed: no positive eps is too small."""
+    log_eps = math.log2(eps)
+    if s == 1:
+        raw = -log_eps
+    elif -2.0 * log_eps > math.log2(max_depth + 1):
+        return max_depth
+    else:
+        raw = math.ceil(1.0 / (eps * eps)) * math.log2(s) - log_eps
     return min(max_depth, max(0, math.ceil(raw - 1e-12)))
 
 

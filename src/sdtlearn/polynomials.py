@@ -108,15 +108,32 @@ class MultilinearPolynomial:
         return total
 
     def evaluate_packed(self, zs: np.ndarray) -> np.ndarray:
-        """Evaluate on packed inputs, where bit i of z is variable i."""
+        """Evaluate on packed inputs, where bit i of z is variable i and
+        bits from n up are ignored.  With at least 2^n inputs the values on
+        the whole cube come from one zeta transform of the coefficients
+        scattered into a dense 2^n vector, never larger than zs, and are
+        read at zs; with fewer, each monomial adds its coefficient where
+        all its bits are set."""
         zs = np.asarray(zs, dtype=np.int64)
+        masks = [sum(1 << i for i in mono) for mono in self.coeffs]
+        if zs.size >= 1 << self.n:
+            dense = np.zeros(1 << self.n)
+            dense[masks] = list(self.coeffs.values())
+            return _subset_transform(dense, self.n, 1.0)[zs & ((1 << self.n) - 1)]
         out = np.zeros(zs.shape, dtype=np.float64)
-        for mono, c in self.coeffs.items():
-            mask = 0
-            for i in mono:
-                mask |= 1 << i
+        for mask, c in zip(masks, self.coeffs.values()):
             out += c * ((zs & mask) == mask)
         return out
+
+
+def _subset_transform(values: np.ndarray, n: int, sign: float) -> np.ndarray:
+    """The zeta (sign 1: sum over subsets) or Moebius (sign -1: signed sum
+    over subsets) transform over the subset lattice of n bits, in n passes."""
+    out = np.array(values, dtype=np.float64)
+    for i in range(n):
+        view = out.reshape(-1, 2, 1 << i)
+        view[:, 1] += sign * view[:, 0]
+    return out
 
 
 def dump_polynomial(poly: MultilinearPolynomial) -> str:

@@ -5,6 +5,15 @@ dataset's count table (distinct inputs with their 0- and 1-label
 counts), which leaves both optima unchanged and keeps the solves small.
 Both check the size of what they build before they build it.
 
+Both learners can work on one of two sides, whichever has fewer rows
+to solve for; ``cube_side(n, d)`` decides.  With F the number of
+monomials of degree <= d, the feature side solves for the F coefficients,
+and the cube side for the fit's values q on all of {0,1}^n.  The
+degree-<= d functions are exactly the q with v_T . q = 0 for every
+|T| > d, where v_T(z) = (-1)^(|T|-|z|) [z subset of T] is a row of the
+Moebius matrix V of the subset lattice, so the cube side has 2^n - F
+constraint rows, and the coefficients are q's fast Moebius transform.
+
 ``l2_regress`` minimizes mean squared error.  With Phi the monomial
 design matrix over the u distinct inputs, W = c0 + c1 their row counts
 and c1 their 1-label counts, it solves the normal equations
@@ -13,24 +22,28 @@ factorization of the Gram matrix.  When the rank falls short of the
 feature count the solution is not unique, and the minimum-norm one comes
 from ``lstsq`` on the weighted distinct-input rows instead.
 
+On the cube side, taken when every input is seen (u = 2^n, so W > 0
+everywhere, Phi has full column rank and the fit is unique), ``l2``
+minimizes sum_z W(z) (q_z - t_z)^2 subject to V q = 0, with t = c1 / W.
+With D = diag(1/W) the solution is q = t - D V^T (V D V^T)^-1 V t, and
+V D V^T is a positive-definite (2^n - F)-square matrix factored by
+Cholesky; no design or Gram matrix is built.  A fit with an unseen input
+stays on the feature side, where the minimum-norm tie-break matters.
+
 ``l1_regress`` minimizes mean absolute error by one of two linear
-programs, whichever has fewer equality rows; the choice depends only on
-(n, d).  With F the number of monomials of degree <= d:
+programs, one per side; the choice depends only on (n, d):
 
 * the dual LP over one weighted row per distinct (input, label) pair has
   one equality row per feature, F rows;
-* the cube LP solves for the fit's values q on all of {0,1}^n.  The
-  degree-<= d functions are exactly the q with v_T . q = 0 for every
-  |T| > d, where v_T(z) = (-1)^(|T|-|z|) [z subset of T] is a row of the
-  Moebius matrix of the subset lattice, so this LP has 2^n - F rows.
-  Inputs never seen cost nothing, and the coefficients are q's fast
-  Moebius transform.
+* the cube LP solves for q subject to V q = 0, 2^n - F rows.  Inputs
+  never seen cost nothing.
 
 Each fit is certified by a lower bound from the dual: its objective may
 exceed that bound by at most L1_CERTIFICATE_TOL per sample row, otherwise
 L1SolverError is raised with the fit as its incumbent.  The dual LP is
 charged as its design matrix (grouped rows x F), the cube LP as its
-constraint matrix and variables, both against DESIGN_BYTES_CAP.
+constraint matrix and variables, both against DESIGN_BYTES_CAP; an l2
+fit is charged the larger of its two sides.
 
 ``learn_pipeline`` fits either method at the degree it is handed.  Hypotheses
 clamp the fitted polynomial to [0,1]; ``MODES`` gives each method's
@@ -46,12 +59,12 @@ from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpstrf
 from scipy.optimize import linprog
 
-from .polynomials import MultilinearPolynomial, feature_count, monomials
+from .polynomials import MultilinearPolynomial, _subset_transform, feature_count, monomials
 
 if TYPE_CHECKING:
     from .data import Dataset
@@ -86,9 +99,9 @@ class L1SolverError(Exception):
         self.incumbent = incumbent
 
 
-def l1_over_cube(n: int, d: int) -> bool:
-    """Whether ``l1_regress`` solves the cube LP (2^n - F equality rows)
-    rather than the dual LP (F rows), F the degree-<= d monomial count."""
+def cube_side(n: int, d: int) -> bool:
+    """Whether the cube side (2^n - F constraint rows) is smaller than the
+    feature side (F rows), F the degree-<= d monomial count."""
     count = feature_count(n, d)
     return (1 << n) - count < count
 
@@ -96,11 +109,14 @@ def l1_over_cube(n: int, d: int) -> bool:
 def check_budget(method: str, n: int, d: int, rows: int) -> None:
     """Reject a degree-d ``method`` fit over n variables, before anything
     is allocated, when its monomial basis exceeds FEATURE_CAP or what it
-    builds exceeds DESIGN_BYTES_CAP at 8 bytes an entry.  An l1 fit on the
-    cube side (``l1_over_cube``) builds 3 nnz(V) constraint entries, with
-    nnz(V) = sum over |T| > d of 2^|T|, and 3 * 2^n variables (these matter
-    when d = n and V is empty); any other fit builds a ``rows`` x F design
-    matrix.  A degree outside [0, n] is refused first."""
+    builds exceeds DESIGN_BYTES_CAP at 8 bytes an entry.  A fit on the
+    feature side builds a ``rows`` x F design matrix.  On the cube side,
+    with nnz(V) = sum over |T| > d of 2^|T|, an l1 fit builds 3 nnz(V)
+    constraint entries and 3 * 2^n variables (these matter when d = n and
+    V is empty), and an l2 fit builds nnz(V) entries and a (2^n - F)-square
+    matrix.  Which side an l2 fit takes depends on the distinct inputs,
+    known only after the draw, so it is charged the larger of the two.  A
+    degree outside [0, n] is refused first."""
     if not 0 <= d <= n:
         raise ValueError(f"degree {d} must lie in [0, {n}], the variable count")
     count = feature_count(n, d)
@@ -108,15 +124,20 @@ def check_budget(method: str, n: int, d: int, rows: int) -> None:
         raise FeatureBudgetExceeded(
             f"degree {d} over {n} variables needs {count} features, cap is {FEATURE_CAP}"
         )
-    if method == "l1" and l1_over_cube(n, d):
-        entries = 3 * sum(math.comb(n, k) << k for k in range(d + 1, n + 1))
-        nbytes = (entries + (3 << n)) * 8
-        need = f"a cube LP of {entries} entries over {3 << n} variables needs {nbytes / 2**30:.1f} GiB"
-    else:
-        nbytes = rows * count * 8
-        need = f"{rows} rows x {count} features need a {nbytes / 2**30:.1f} GiB design matrix"
-    if nbytes > DESIGN_BYTES_CAP:
-        raise FeatureBudgetExceeded(f"{need}, cap is {DESIGN_BYTES_CAP / 2**30:.1f} GiB")
+    # (entries, what they are) for each side the fit may take.
+    charges = [(rows * count, f"a design matrix of {rows} rows x {count} features")]
+    if cube_side(n, d):
+        nnz = sum(math.comb(n, k) << k for k in range(d + 1, n + 1))
+        side = (1 << n) - count
+        if method == "l1":
+            charges = [(3 * nnz + (3 << n), f"a cube LP of {3 * nnz} entries over {3 << n} variables")]
+        else:
+            charges.append((nnz + side * side, f"a cube system of {nnz} entries and a {side}x{side} matrix"))
+    entries, need = max(charges)
+    if entries * 8 > DESIGN_BYTES_CAP:
+        raise FeatureBudgetExceeded(
+            f"{need}: {entries * 8 / 2**30:.1f} GiB, cap is {DESIGN_BYTES_CAP / 2**30:.1f} GiB"
+        )
 
 
 def _grouped_rows(dataset: "Dataset") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,19 +167,24 @@ def _to_poly(n: int, d: int, monos: list[tuple[int, ...]], beta: np.ndarray) -> 
 
 
 def l2_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
-    """Least-squares fit over degree-<= d monomials (minimum-norm on ties).
+    """Least-squares fit over degree-<= d monomials (minimum-norm on ties),
+    on the cube side when every input is seen and ``cube_side(n, d)``, and
+    on the feature side otherwise.
 
-    Over the u distinct inputs, with A = sqrt(W) Phi and t = c1 / sqrt(W),
-    the sample's squared error is |A b - t|^2 up to a constant.  When
-    u >= F (the feature count) the Gram matrix G = A^T A is formed with one
-    ``dsyrk`` and factored by ``dpstrf`` (LAPACK's default tolerance); at
-    full rank b solves G b = A^T t by ``cho_solve``.  When u < F or the
-    rank falls short of F, G is singular, and the minimum-norm b comes
-    from ``lstsq(A, t)``.
+    On the feature side, over the u distinct inputs, with A = sqrt(W) Phi
+    and t = c1 / sqrt(W), the sample's squared error is |A b - t|^2 up to
+    a constant.  When u >= F (the feature count) the Gram matrix G = A^T A
+    is formed with one ``dsyrk`` and factored by ``dpstrf`` (LAPACK's
+    default tolerance); at full rank b solves G b = A^T t by
+    ``cho_solve``.  When u < F or the rank falls short of F, G is
+    singular, and the minimum-norm b comes from ``lstsq(A, t)``.
     """
     zs, c0, c1, _ = dataset.counts()
-    check_budget("l2", dataset.n, d, zs.size)
-    monos = monomials(dataset.n, d)
+    n = dataset.n
+    check_budget("l2", n, d, zs.size)
+    monos = monomials(n, d)
+    if zs.size == 1 << n and cube_side(n, d):
+        return _to_poly(n, d, monos, _l2_cube(c0, c1, n, d)[_masks(monos)])
     sw = np.sqrt((c0 + c1).astype(np.float64))
     a = _design_matrix(zs, monos)
     a *= sw[:, None]
@@ -174,13 +200,24 @@ def l2_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
             beta[piv - 1] = cho_solve((chol, False), (a.T @ t)[piv - 1], check_finite=False)
     if beta is None:
         beta = np.linalg.lstsq(a, t, rcond=None)[0]
-    return _to_poly(dataset.n, d, monos, beta)
+    return _to_poly(n, d, monos, beta)
+
+
+def _l2_cube(c0: np.ndarray, c1: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The Moebius coefficients of q = t - D V^T (V D V^T)^-1 V t, indexed
+    by mask, from the label counts on every input of {0,1}^n in order."""
+    w = (c0 + c1).astype(np.float64)
+    t = c1 / w
+    v = _mobius_rows(n, d)
+    dvt = (v / w).T
+    lam = cho_solve(cho_factor((v @ dvt).toarray()), v @ t)
+    return _subset_transform(t - dvt @ lam, n, -1.0)
 
 
 def l1_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     """Least-absolute-deviations fit over degree-<= d monomials, by the cube
-    LP when ``l1_over_cube(n, d)`` and by the dual LP otherwise."""
-    solve = _l1_cube if l1_over_cube(dataset.n, d) else _l1_dual
+    LP when ``cube_side(n, d)`` and by the dual LP otherwise."""
+    solve = _l1_cube if cube_side(dataset.n, d) else _l1_dual
     return solve(dataset, d)
 
 
@@ -291,16 +328,6 @@ def _mobius_rows(n: int, d: int) -> sp.csr_array:
     return sp.csr_array(entries, shape=(start, 1 << n))
 
 
-def _subset_transform(values: np.ndarray, n: int, sign: float) -> np.ndarray:
-    """The zeta (sign 1: sum over subsets) or Moebius (sign -1: signed sum
-    over subsets) transform over the subset lattice of n bits, in n passes."""
-    out = np.array(values, dtype=np.float64)
-    for i in range(n):
-        view = out.reshape(-1, 2, 1 << i)
-        view[:, 1] += sign * view[:, 0]
-    return out
-
-
 HypothesisMode = Literal["rounded", "randomized"]
 
 #: Each regression method's output mode: l2 rounds its fit, l1 outputs 1
@@ -337,10 +364,12 @@ class TruncatedPolyHypothesis:
 
 
 def degree_budget(s: int, eps: float, n: int) -> int:
-    """ceil(log2(size / eps)) capped at n, guarded against float slop on exact powers."""
+    """ceil(log2(size / eps)) capped at n, guarded against float slop on
+    exact powers.  It is log2(size) - log2(eps), so no size or eps is too
+    large or too small to give a degree."""
     if s < 1 or not 0.0 < eps < math.inf:
         raise ValueError("need size >= 1 and a finite eps > 0")
-    return min(n, max(0, math.ceil(math.log2(s / eps) - 1e-12)))
+    return min(n, max(0, math.ceil(math.log2(s) - math.log2(eps) - 1e-12)))
 
 
 def learn_pipeline(dataset: "Dataset", method: str, d: int) -> TruncatedPolyHypothesis:

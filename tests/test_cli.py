@@ -237,6 +237,33 @@ def test_budget_and_solver_errors_exit_in_one_line(workspace, monkeypatch):
     assert message == "sdtlearn regress: LP solver failed: numerical difficulties"
 
 
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv,cause",
+    [
+        pytest.param(["regress", "--data", "{clean}", "--norm", "l2", "--size-hint", HUGE, "--eps", "0.25"],
+                     None, id="regress-size-hint-past-float"),
+        pytest.param(["regress", "--data", "{clean}", "--norm", "l1", "--size-hint", "8", "--eps", "1e-320"],
+                     None, id="regress-eps-subnormal"),
+        pytest.param(["sweep", "--n", "4", "--s", "8", "--m", "10", "--eps", "1e-200", "--method", "find"],
+                     None, id="sweep-find-eps-tiny"),
+        pytest.param(["sweep", "--n", "4", "--s", HUGE, "--m", "10", "--eps", "0.2", "--method", "l2"],
+                     "tree size must lie in [1, 65536]", id="sweep-s-past-float"),
+    ],
+)
+def test_budgets_of_any_size_and_eps_give_a_result_or_one_line(workspace, capsys, argv, cause):
+    # Each budget is computed in log space, so none of these overflows.
+    argv = [arg.format(clean=workspace["clean"]) for arg in argv]
+    if cause is None:
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+    else:
+        message = _exit_message(argv)
+        assert message.startswith(f"sdtlearn {argv[0]}: ") and cause in message
+
+
 BAD_FILES = {
     "bad_tree": "n=3\nQ 5\nL 0\nL 1\n",
     "bad_data": "n=3 m=1\n01 0 0\n",

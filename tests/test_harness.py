@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,27 @@ class TestBudgets:
         assert find_depth_budget(8, 0.15, 1000) == 138
         assert find_depth_budget(1, 0.25, 10) == 2
         assert find_depth_budget(2, 0.5, 10) == 5
+
+    def test_find_depth_budget_matches_the_float_form(self):
+        # The log-space budget against c log2(s) - log2(eps) with c formed
+        # in floats, exact powers of two included, where the 1e-12 guard
+        # decides; a large cap lets c itself decide.
+        sizes = [*range(1, 33), 3 << 20, 1 << 40]
+        epss = [2.0**-k for k in range(12)] + [k / 100 for k in range(1, 100)] + [1 / 3, 1 / 7]
+        for s in sizes:
+            for eps in epss:
+                c = math.ceil(1.0 / (eps * eps))
+                raw = c * math.log2(s) - math.log2(eps) if s > 1 else -math.log2(eps)
+                for max_depth in (0, 5, 1000, 10**6):
+                    today = min(max_depth, max(0, math.ceil(raw - 1e-12)))
+                    assert find_depth_budget(s, eps, max_depth) == today, (s, eps, max_depth)
+
+    def test_find_depth_budget_of_any_size_and_positive_eps(self):
+        # eps * eps underflows and s does not fit a float.
+        assert find_depth_budget(8, 1e-200, 6) == 6
+        assert find_depth_budget(1, 1e-200, 1000) == 665
+        assert find_depth_budget(10**400, 0.2, 6) == 6
+        assert budgets_for(ExperimentConfig(n=4, s=10**400, m=10, eps=0.2, method="l2")) == (None, 4)
 
     def test_infeasible_feature_budget_reported_before_compute(self, monkeypatch):
         cfg = ExperimentConfig(n=20, s=16, m=100, eps=0.05, method="l2")

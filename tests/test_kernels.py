@@ -7,7 +7,8 @@ inputs at each query for the mean at given points, the expansion of each
 path's (variable, bit) factors one at a time for the mean polynomial,
 the slack-split primal LP for the L1 fit
 (and that fit's dual LP for its cube LP, used when d is near n),
-``lstsq`` over the grouped rows for the L2 fit, the ``find`` search
+``lstsq`` over the grouped rows for the L2 fit (on either side), one
+pass over the inputs per monomial for polynomial evaluation, the ``find`` search
 keyed by sorted (variable, bit) tuples (in conftest), one int64 matrix
 product over all rows for input packing, the label draw that walks the
 tree once per row, the row-by-row dataset text format, and the stacking
@@ -16,7 +17,8 @@ exactly, dtype included, on randomized instances (``find`` down to its
 tree and search counters); the L1 fit, whose optimum need not be
 unique, must reach the same objective, the L2 fit, solved in another
 order, the same predictions to a set tolerance, the mean polynomial,
-summed in another order, the same coefficients to 1e-12, and the label draw,
+summed in another order, the same coefficients to 1e-12, polynomial
+evaluation by the zeta transform the same values to 1e-9, and the label draw,
 which takes one uniform per row instead of one per coin, the same
 inputs and the labels its own uniforms give.
 """
@@ -41,10 +43,9 @@ from sdtlearn.data import (
     dump_dataset,
     load_dataset,
 )
-from sdtlearn.polynomials import parse_header
 from sdtlearn.evaluation import exact_error
 from sdtlearn.find import find
-from sdtlearn.polynomials import monomials
+from sdtlearn.polynomials import COEFF_ABS_SUM_CAP, MultilinearPolynomial, monomials, parse_header
 from sdtlearn.regression import (
     TruncatedPolyHypothesis,
     _design_matrix,
@@ -142,6 +143,18 @@ def reference_l2_regress(dataset: Dataset, d: int):
     sw = np.sqrt(w)
     beta, *_ = np.linalg.lstsq(_design_matrix(zs, monos) * sw[:, None], ys * sw, rcond=None)
     return _to_poly(dataset.n, d, monos, beta)
+
+
+def reference_evaluate_packed(poly: MultilinearPolynomial, zs: np.ndarray) -> np.ndarray:
+    """Each monomial adds its coefficient where all its bits are set."""
+    zs = np.asarray(zs, dtype=np.int64)
+    out = np.zeros(zs.shape, dtype=np.float64)
+    for mono, c in poly.coeffs.items():
+        mask = 0
+        for i in mono:
+            mask |= 1 << i
+        out += c * ((zs & mask) == mask)
+    return out
 
 
 def reference_mean_on_points(tree: StochasticTree, zs: np.ndarray) -> np.ndarray:
@@ -401,10 +414,16 @@ def test_l1_cube_matches_dual_on_acceptance_instance():
 @example(n=3, s=4, stoch=0.3, m=300, noisy=False, seed=4, degree=0.5)
 @example(n=5, s=6, stoch=0.0, m=1, noisy=False, seed=5, degree=1.0)
 @example(n=4, s=6, stoch=0.3, m=200, noisy=True, seed=2, degree=0.5)
+@example(n=5, s=6, stoch=0.3, m=300, noisy=True, seed=0, degree=0.6)
+@example(n=4, s=4, stoch=0.3, m=40, noisy=True, seed=0, degree=1.0)
+@example(n=4, s=6, stoch=0.3, m=200, noisy=True, seed=2, degree=0.25)
 def test_l2_normal_equations_match_grouped_lstsq(n, s, stoch, m, noisy, seed, degree):
-    # The examples cover the full cube with d < n (Cholesky), m = 1 with
-    # d = n (fewer inputs than features, lstsq) and inputs seen with both
-    # labels.  Predictions are compared on all of {0,1}^n.
+    # The examples cover the full cube on the cube side (n=3, d=2 with one
+    # constraint row; n=4, d=2 and n=5, d=3 with noisy labels, 5 and 6
+    # rows) and on the feature side by Cholesky (n=4, d=1), m = 1 with
+    # d = n (fewer inputs than features, lstsq), and 15 of 16 inputs seen
+    # with d = n, where cube_side holds but the fit stays on lstsq.
+    # Predictions are compared on all of {0,1}^n.
     tree = _tree(n, min(s, 1 << n), stoch, seed)
     ds = _sample(tree, m, noisy, seed + 1)
     d = round(degree * n)
@@ -427,6 +446,38 @@ def test_l2_rank_short_gram_falls_back_to_min_norm():
     cube = np.arange(16, dtype=np.int64)
     ref = reference_l2_regress(ds, 1).evaluate_packed(cube)
     assert np.max(np.abs(poly.evaluate_packed(cube) - ref)) <= 1e-9
+
+
+@PROPERTY
+@given(n=st.integers(0, 8), degree=st.floats(0.0, 1.0), density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       extra=st.sampled_from([-1, 0, 1, 7, 64]), wide=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=0, degree=0.0, density=1.0, extra=0, wide=False, seed=0)
+@example(n=0, degree=0.0, density=1.0, extra=-1, wide=False, seed=1)
+@example(n=3, degree=1.0, density=0.0, extra=1, wide=False, seed=2)
+@example(n=8, degree=0.9, density=1.0, extra=-1, wide=False, seed=3)
+@example(n=8, degree=0.9, density=1.0, extra=0, wide=True, seed=4)
+def test_evaluate_packed_matches_monomial_loop(n, degree, density, extra, wide, seed):
+    # 2^n + extra inputs, repeated and unordered, so the zeta transform
+    # serves sizes from 2^n up and the loop the ones just below; wide
+    # inputs carry bits from n up, which both ignore.
+    rng = np.random.default_rng(seed)
+    d = round(degree * n)
+    monos = [m for m in monomials(n, d) if rng.random() < density]
+    poly = MultilinearPolynomial(n, d, dict(zip(monos, rng.normal(size=len(monos)))))
+    zs = rng.integers(0, (4 if wide else 1) << n, size=max((1 << n) + extra, 0))
+    new = poly.evaluate_packed(zs)
+    assert new.dtype == np.float64 and new.shape == zs.shape
+    assert np.max(np.abs(new - reference_evaluate_packed(poly, zs)), initial=0.0) <= 1e-9
+
+
+@pytest.mark.parametrize("size", [7, 8, 9])
+def test_evaluate_packed_near_the_coefficient_cap(size):
+    # Terms of half the cap cancel exactly in any order, and no partial sum
+    # of the zeta transform, a subset sum, can overflow.
+    half = COEFF_ABS_SUM_CAP / 2
+    poly = MultilinearPolynomial(3, 2, {(): half, (0, 2): -half})
+    zs = np.arange(size, dtype=np.int64)[::-1] % 8
+    _assert_identical(poly.evaluate_packed(zs), reference_evaluate_packed(poly, zs))
 
 
 @PROPERTY

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -8,7 +9,7 @@ from conftest import l1_objective, l2_objective, predict
 from sdtlearn import regression
 from sdtlearn.data import Dataset, draw_clean
 from sdtlearn.evaluation import exact_error, exact_opt, guarantee_bound
-from sdtlearn.polynomials import MultilinearPolynomial, trunc
+from sdtlearn.polynomials import MultilinearPolynomial, monomials, trunc
 from sdtlearn.regression import (
     FeatureBudgetExceeded,
     L1SolverError,
@@ -176,7 +177,7 @@ class TestL1Certificate:
     def test_perturbed_multipliers_fail_the_certificate(self, monkeypatch):
         # Halving the multipliers keeps the cube side's |s| <= W, so only
         # the gap can catch it there.
-        assert [regression.l1_over_cube(5, d) for _, d in CERTIFICATE_CASES] == [False, True]
+        assert [regression.cube_side(5, d) for _, d in CERTIFICATE_CASES] == [False, True]
         _patch_multipliers(monkeypatch, lambda lam: lam * 0.5)
         for sample, d in CERTIFICATE_CASES:
             with pytest.raises(L1SolverError, match="duality gap") as info:
@@ -204,7 +205,7 @@ class TestL1Certificate:
     def test_cube_slack_within_the_tolerance_accepted(self, monkeypatch):
         # Unseen inputs have W = 0, where s_z is 0 only up to rounding.
         ds = make_dataset([[0, 0, 0], [1, 1, 0], [1, 1, 0], [0, 1, 1]] * 10, [0, 1, 0, 1] * 10)
-        assert regression.l1_over_cube(3, 2)
+        assert regression.cube_side(3, 2)
         _patch_multipliers(monkeypatch, lambda lam: lam + regression.L1_CERTIFICATE_TOL / 4)
         l1_regress(ds, 2)
 
@@ -218,7 +219,7 @@ def test_design_matrix_budget_uses_grouped_rows(fit, rows, monkeypatch):
     # rows, l2 one row per distinct input; degree 1 over 3 variables has
     # 4 features, and l1 takes the dual side (4 features, 4 cube rows).
     ds = make_dataset([[0, 0, 0], [0, 1, 0], [0, 1, 0], [1, 1, 0]], [0, 0, 1, 1])
-    assert not regression.l1_over_cube(3, 1)
+    assert not regression.cube_side(3, 1)
     monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", rows * 4 * 8)
     fit(ds, 1)
     monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", rows * 4 * 8 - 1)
@@ -232,13 +233,61 @@ def test_cube_lp_budget_counts_its_own_size(monkeypatch):
     # nonzeros, so 24 constraint entries and 24 variables, whatever the
     # number of rows; the grouped rows never enter the charge.
     ds = make_dataset([[0, 0, 0], [0, 1, 0], [0, 1, 0], [1, 1, 1]] * 50, [0, 0, 1, 1] * 50)
-    assert regression.l1_over_cube(3, 2)
+    assert regression.cube_side(3, 2)
     monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", (24 + 24) * 8)
     l1_regress(ds, 2)
     monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", (24 + 24) * 8 - 1)
     monkeypatch.setattr(regression, "_mobius_rows", None)
     with pytest.raises(FeatureBudgetExceeded, match="cube LP of 24 entries over 24 variables"):
         l1_regress(ds, 2)
+
+
+def test_l2_cube_budget_counts_its_own_size(monkeypatch):
+    # Degree 2 over 3 variables: 7 features and one cube row v_{012} with
+    # 8 nonzeros, so the cube side builds 8 + 1 * 1 entries.  Which side
+    # runs is known only after the draw, so the larger of the two sides is
+    # charged: over one input the cube side, over all 8 the design matrix,
+    # although that fit then takes the cube side.
+    assert regression.cube_side(3, 2)
+    one, full = make_dataset([[0, 1, 0]] * 5, [1, 0, 1, 1, 0]), _full_cube_sample(3)
+    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", 8 * 7 * 8)
+    l2_regress(full, 2)
+    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", (8 + 1) * 8)
+    l2_regress(one, 2)
+    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", (8 + 1) * 8 - 1)
+    monkeypatch.setattr(regression, "_design_matrix", None)
+    monkeypatch.setattr(regression, "_mobius_rows", None)
+    with pytest.raises(FeatureBudgetExceeded, match="cube system of 8 entries and a 1x1 matrix"):
+        l2_regress(one, 2)
+    with pytest.raises(FeatureBudgetExceeded, match="8 rows x 7 features"):
+        l2_regress(full, 2)
+
+
+def _full_cube_sample(n: int) -> Dataset:
+    """Every input of {0,1}^n, each seen 1 to 4 times with random labels."""
+    rng = np.random.default_rng(n)
+    zs = np.repeat(np.arange(1 << n), rng.integers(1, 5, size=1 << n))
+    ys = rng.integers(0, 2, size=zs.size, dtype=np.uint8)
+    return Dataset(n, zs, ys, np.zeros(zs.size, dtype=bool))
+
+
+def test_l2_on_the_full_cube_never_forms_the_gram_matrix(monkeypatch):
+    # Degree 3 over 4 variables: 15 features but one cube row, so the fit
+    # solves a 1x1 system.  Its residual is W-orthogonal to every monomial,
+    # the normal equations Phi^T W (Phi b - t) = 0.
+    def no_gram(*args, **kwargs):
+        raise AssertionError("Gram matrix formed on the cube side")
+
+    for name in ("dpstrf", "dsyrk", "_design_matrix"):
+        monkeypatch.setattr(regression, name, no_gram)
+    ds = _full_cube_sample(4)
+    zs, c0, c1, _ = ds.counts()
+    poly = l2_regress(ds, 3)
+    w = (c0 + c1).astype(np.float64)
+    residual = w * poly.evaluate_packed(zs) - c1
+    for mono in monomials(4, 3):
+        mask = sum(1 << i for i in mono)
+        assert abs(residual[(zs & mask) == mask].sum()) <= 1e-9
 
 
 def test_l2_skips_the_gram_matrix_with_fewer_inputs_than_features(monkeypatch):
@@ -346,6 +395,22 @@ class TestPipelines:
         assert degree_budget(1, 0.25, 10) == 2
         assert degree_budget(16, 0.5, 10) == 5
         assert degree_budget(16, 0.5, 4) == 4      # capped at the variable count
+
+    def test_degree_budget_matches_the_quotient_form(self):
+        # log2(s) - log2(eps) against log2(s / eps), exact powers of two
+        # included, where the 1e-12 guard decides.
+        sizes = [*range(1, 65), 3 << 20, 1 << 40, (1 << 40) + 1]
+        epss = [2.0**-k for k in range(12)] + [k / 100 for k in range(1, 100)] + [1 / 3, 1 / 7, 2.0, 3.0]
+        for s in sizes:
+            for eps in epss:
+                today = min(62, max(0, math.ceil(math.log2(s / eps) - 1e-12)))
+                assert degree_budget(s, eps, 62) == today, (s, eps)
+
+    @pytest.mark.parametrize("s,eps", [(8, 1e-320), (10**400, 0.2), (10**400, 5e-324)],
+                             ids=["eps-subnormal", "size-past-float", "both"])
+    def test_degree_budget_of_any_size_and_positive_eps(self, s, eps):
+        # s / eps overflows a float here, or s does not fit one.
+        assert degree_budget(s, eps, 10) == 10
 
     @pytest.mark.parametrize("eps", [0.0, -0.5, float("inf"), float("nan")])
     def test_degree_budget_refuses_eps_that_is_not_finite_and_positive(self, eps):
