@@ -9,7 +9,7 @@ from conftest import l1_objective, l2_objective, predict
 from sdtlearn import regression
 from sdtlearn.data import Dataset, draw_clean
 from sdtlearn.evaluation import exact_error, exact_opt, guarantee_bound
-from sdtlearn.polynomials import MultilinearPolynomial, monomials, trunc
+from sdtlearn.polynomials import MultilinearPolynomial, dump_polynomial, monomials, trunc
 from sdtlearn.regression import (
     FeatureBudgetExceeded,
     L1SolverError,
@@ -300,6 +300,85 @@ def test_l2_skips_the_gram_matrix_with_fewer_inputs_than_features(monkeypatch):
     poly = l2_regress(ds, 2)
     assert poly.evaluate((0, 1)) == pytest.approx(0.5, abs=1e-12)
     assert poly.evaluate((1, 1)) == pytest.approx(1.0, abs=1e-12)
+
+
+def _seeded_sample(n: int, s: int, m: int, seed: int) -> Dataset:
+    tree = random_tree(n, s, 0.5, np.random.default_rng(seed))
+    return draw_clean(tree, m, np.random.default_rng(seed + 1))
+
+
+# One seeded fit on each path that no benchmark workload runs, as text.
+PIN_L2_GRAM = """\
+n=5 d=2
+:1.05027513746594
+0:-0.08855272418667517
+1:0.26513657892363834
+2:-1.0726864131885063
+3:-0.06758887641202732
+4:-0.1335116734517344
+0,1:-0.09719583800125485
+0,2:0.05167660731037478
+0,3:0.1374626873091774
+0,4:0.19129306441569394
+1,2:-0.07665963047292958
+1,3:0.2952763480012623
+1,4:-0.30592741415637487
+2,3:0.08055620107887149
+2,4:0.19677228333501706
+3,4:-0.1036601003707036
+"""
+
+PIN_L2_LSTSQ = """\
+n=4 d=2
+:0.9999999999999996
+0:-0.11111111111111155
+1:-0.11111111111111129
+2:1.4522489199257225e-16
+3:-0.5555555555555554
+0,1:0.2222222222222222
+0,2:0.11111111111111115
+0,3:-0.22222222222222193
+1,2:0.11111111111111142
+1,3:-0.22222222222222177
+2,3:-0.2222222222222223
+"""
+
+PIN_L1_DUAL = """\
+n=6 d=2
+1:0.2222222222222222
+2:-0.11111111111111109
+3:0.2222222222222222
+5:0.1111111111111111
+0,1:0.1111111111111111
+0,2:-0.11111111111111112
+0,3:0.3333333333333333
+0,5:-0.1111111111111111
+1,2:-0.11111111111111112
+1,3:-0.4444444444444444
+1,4:-0.2222222222222222
+1,5:-0.3333333333333333
+2,3:0.11111111111111112
+2,4:0.2222222222222222
+2,5:0.2222222222222222
+3,4:-0.2222222222222222
+3,5:0.3333333333333333
+"""
+
+
+@pytest.mark.parametrize(
+    "fit,sample,blocked,text",
+    [
+        # 22 of 32 inputs seen, 16 features: the Gram matrix at full rank.
+        pytest.param(l2_regress, (5, 6, 40, 31), (np.linalg, "lstsq"), PIN_L2_GRAM, id="l2-gram"),
+        # 8 inputs, 11 features: the minimum-norm lstsq fit.
+        pytest.param(l2_regress, (4, 5, 8, 41), (regression, "dpstrf"), PIN_L2_LSTSQ, id="l2-lstsq"),
+        # 22 features against 42 cube rows: the dual LP.
+        pytest.param(l1_regress, (6, 8, 120, 60), (regression, "_mobius_rows"), PIN_L1_DUAL, id="l1-dual"),
+    ],
+)
+def test_fits_off_the_benchmark_paths_are_pinned(fit, sample, blocked, text, monkeypatch):
+    monkeypatch.setattr(*blocked, None)
+    assert dump_polynomial(fit(_seeded_sample(*sample), 2)) == text
 
 
 class TestTruncation:
