@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -136,13 +137,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _load_config(args.config, args)
     etas = [float(e) for e in args.etas.split(",")] if args.etas else [base.eta]
     configs = harness.sweep_grid(base, etas, args.trials)
-    if args.out:
-        open(args.out, "w").close()  # fail on an unwritable path before the sweep runs
-    reports, aggregates = harness.run_sweep(configs)
+    reports = (harness.run_experiment(cfg) for cfg in configs)
+    # Opened before the first experiment, so an unwritable path fails first;
+    # each row is written as its experiment ends, and no report is kept.
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
+        aggregates = harness.aggregate(harness.csv_rows(reports, out) if out else reports)
     for agg in aggregates:
         print(json.dumps(asdict(agg), sort_keys=True))
-    if args.out:
-        harness.write_csv(reports, args.out)
     return 0
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -70,14 +71,20 @@ def find_depth_budget(s: int, eps: float, max_depth: int) -> int:
     ``trees.stochastic_leaf_approx`` stacks, clamped to the configured cap.
     It is c log2(s) - log2(eps), so no size is too large.  For s > 1 it
     exceeds c, so once 1/eps^2 passes max_depth + 1 the cap decides and c
-    is never formed: no positive eps is too small."""
+    is never formed.  Only a cap of 2^1000 or more lets c near the end of
+    the float range, and there c and the budget are formed exactly: no
+    positive eps is too small under any cap."""
     log_eps = math.log2(eps)
     if s == 1:
         raw = -log_eps
     elif -2.0 * log_eps > math.log2(max_depth + 1):
         return max_depth
-    else:
+    elif log_eps > -500:
         raw = math.ceil(1.0 / (eps * eps)) * math.log2(s) - log_eps
+    else:
+        p, q = eps.as_integer_ratio()
+        c = -(-q * q // (p * p))
+        return min(max_depth, math.ceil(c * Fraction(math.log2(s)) - Fraction(log_eps + 1e-12)))
     return min(max_depth, max(0, math.ceil(raw - 1e-12)))
 
 
@@ -161,40 +168,47 @@ class SweepAggregate:
     mean_error: float
 
 
-def sweep_grid(base: ExperimentConfig, etas: Sequence[float], trials: int) -> list[ExperimentConfig]:
-    """One config per (eta, trial); trial i runs with seed base.seed + i."""
+def sweep_grid(base: ExperimentConfig, etas: Sequence[float], trials: int) -> Iterator[ExperimentConfig]:
+    """One config per (eta, trial), each made when it is asked for; trial i
+    runs with seed base.seed + i.  The grid is checked before it is returned."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if len(set(etas)) != len(etas):
         raise ValueError(f"eta grid {list(etas)} repeats a value")
+    return (replace(base, eta=eta, seed=base.seed + i) for eta in etas for i in range(trials))
+
+
+def aggregate(reports: Iterable[ErrorReport]) -> list[SweepAggregate]:
+    """One aggregate per (method, eta), in sorted order, from running sums
+    kept in report order; each report is dropped once it is counted."""
+    sums: dict[tuple[str, float], list] = {}
+    for rep in reports:
+        acc = sums.setdefault((rep.method, rep.eta), [0, 0, 0, 0])
+        acc[0] += 1
+        acc[1] += rep.margin <= 0
+        acc[2] += rep.opt
+        acc[3] += rep.hypothesis_error
     return [
-        replace(base, eta=eta, seed=base.seed + i)
-        for eta in etas
-        for i in range(trials)
+        SweepAggregate(method=method, eta=eta, trials=count, success_rate=passed / count,
+                       mean_opt=opt / count, mean_error=error / count)
+        for (method, eta), (count, passed, opt, error) in sorted(sums.items())
     ]
 
 
 def run_sweep(configs: Iterable[ExperimentConfig]) -> tuple[list[ErrorReport], list[SweepAggregate]]:
     reports = [run_experiment(cfg) for cfg in configs]
-    groups: dict[tuple[str, float], list[ErrorReport]] = {}
+    return reports, aggregate(reports)
+
+
+def csv_rows(reports: Iterable[ErrorReport], fh: TextIO) -> Iterator[ErrorReport]:
+    """Write the CSV header to fh, then each report's row as it passes."""
+    fh.write(ErrorReport.csv_header() + "\n")
     for rep in reports:
-        groups.setdefault((rep.method, rep.eta), []).append(rep)
-    aggregates = [
-        SweepAggregate(
-            method=method,
-            eta=eta,
-            trials=len(reps),
-            success_rate=sum(r.margin <= 0 for r in reps) / len(reps),
-            mean_opt=sum(r.opt for r in reps) / len(reps),
-            mean_error=sum(r.hypothesis_error for r in reps) / len(reps),
-        )
-        for (method, eta), reps in sorted(groups.items())
-    ]
-    return reports, aggregates
+        fh.write(rep.to_csv_row() + "\n")
+        yield rep
 
 
 def write_csv(reports: Iterable[ErrorReport], path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(ErrorReport.csv_header() + "\n")
-        for rep in reports:
-            fh.write(rep.to_csv_row() + "\n")
+        for _ in csv_rows(reports, fh):
+            pass

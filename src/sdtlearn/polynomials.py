@@ -1,10 +1,11 @@
 """Sparse multilinear polynomials over boolean inputs.
 
-A polynomial is a map from monomials (sorted tuples of variable indices)
-to real coefficients.  On x in {0,1}^n a monomial evaluates to the AND of
-its variables, so every function {0,1}^n -> R has a unique multilinear
-representation.  Degree-bounded instances of this class are the
-hypothesis space for both regression learners.
+A polynomial is a list of monomials, each the bitmask of its variables as
+in packed inputs, with real coefficients.  On x in {0,1}^n a monomial
+evaluates to the AND of its variables, so every function {0,1}^n -> R has
+a unique multilinear representation.  Degree-bounded instances of this
+class are the hypothesis space for both regression learners.  Only the
+text format and the ``coeffs`` view spell monomials as index tuples.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence, Tuple
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
-
-Monomial = Tuple[int, ...]
-
 
 #: Most variables an input can have: packed inputs are nonnegative int64.
 MAX_PACKED_VARS = 62
@@ -47,56 +46,71 @@ def trunc(t: float) -> float:
     return float(t)
 
 
-def monomials(n: int, d: int) -> list[Monomial]:
-    """All monomials over n variables of degree at most d, by (size, lex)."""
-    out: list[Monomial] = []
-    for k in range(min(n, d) + 1):
-        out.extend(combinations(range(n), k))
-    return out
+def monomials(n: int, d: int) -> np.ndarray:
+    """The masks of all monomials over n variables of degree at most d,
+    by size and then by their index tuples in lex order."""
+    bits = [1 << i for i in range(n)]
+    return np.array([sum(c) for k in range(min(n, d) + 1) for c in combinations(bits, k)], dtype=np.int64)
 
 
 def feature_count(n: int, d: int) -> int:
     return sum(math.comb(n, k) for k in range(min(n, d) + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultilinearPolynomial:
     """A degree-bounded multilinear polynomial in n boolean variables.
 
-    ``coeffs`` maps sorted index tuples to coefficients; the empty tuple
-    is the constant term.  Instances are immutable value objects.
+    ``masks`` holds distinct monomial masks and ``values`` their
+    coefficients, both as read-only arrays in the order given.  Instances
+    are immutable value objects, equal when n, d and the terms are.
     """
 
     n: int
     d: int
-    coeffs: Mapping[Monomial, float]
+    masks: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         check_var_count(self.n)
         if self.d < 0:
             raise ValueError("d must be nonnegative")
-        clean: dict[Monomial, float] = {}
-        for mono, c in self.coeffs.items():
-            mono = tuple(mono)
-            if list(mono) != sorted(set(mono)):
-                raise ValueError(f"monomial {mono} is not a sorted set of indices")
-            if len(mono) > self.d:
-                raise ValueError(f"monomial {mono} exceeds degree bound {self.d}")
-            if mono and (mono[0] < 0 or mono[-1] >= self.n):
-                raise ValueError(f"monomial {mono} out of range for n={self.n}")
-            if not math.isfinite(float(c)):
-                raise ValueError(f"monomial {mono} has the non-finite coefficient {c}")
-            clean[mono] = float(c)
+        masks = np.array(self.masks, dtype=np.int64)
+        values = np.array(self.values, dtype=np.float64)
+        if masks.ndim != 1 or masks.shape != values.shape:
+            raise ValueError(f"{masks.shape} masks do not match {values.shape} values")
+        ordered = np.sort(masks)
+        for bad, problem in (
+            (masks[(masks < 0) | (masks >> self.n != 0)], f"out of range for n={self.n}"),
+            (masks[np.bitwise_count(masks) > self.d], f"exceeds degree bound {self.d}"),
+            (ordered[1:][ordered[1:] == ordered[:-1]], "appears twice"),
+            (masks[~np.isfinite(values)], "has a non-finite coefficient"),
+        ):
+            if bad.size:
+                raise ValueError(f"monomial mask {bad[0]} {problem}")
         # At 2^-64 scale the sum cannot overflow, and scaling by a power of two moves no comparison.
-        if math.fsum(abs(c) * 2.0**-64 for c in clean.values()) > COEFF_ABS_SUM_CAP * 2.0**-64:
+        if math.fsum((np.abs(values) * 2.0**-64).tolist()) > COEFF_ABS_SUM_CAP * 2.0**-64:
             raise ValueError(
                 f"absolute coefficients sum past {COEFF_ABS_SUM_CAP!r}, half the largest double"
             )
-        object.__setattr__(self, "coeffs", clean)
+        masks.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def coeffs(self) -> Mapping[tuple[int, ...], float]:
+        """Each monomial's index tuple with its coefficient, read-only, in storage order."""
+        monos = (tuple(i for i in range(self.n) if m >> i & 1) for m in self.masks.tolist())
+        return MappingProxyType(dict(zip(monos, self.values.tolist())))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MultilinearPolynomial):
+            return NotImplemented
+        return (self.n, self.d, self.coeffs) == (other.n, other.d, other.coeffs)
 
     @property
     def degree(self) -> int:
-        return max((len(m) for m in self.coeffs), default=0)
+        return int(np.bitwise_count(self.masks).max(initial=0))
 
     def evaluate(self, x: Sequence[int]) -> float:
         if len(x) != self.n:
@@ -115,13 +129,12 @@ class MultilinearPolynomial:
         read at zs; with fewer, each monomial adds its coefficient where
         all its bits are set."""
         zs = np.asarray(zs, dtype=np.int64)
-        masks = [sum(1 << i for i in mono) for mono in self.coeffs]
         if zs.size >= 1 << self.n:
             dense = np.zeros(1 << self.n)
-            dense[masks] = list(self.coeffs.values())
+            dense[self.masks] = self.values
             return _subset_transform(dense, self.n, 1.0)[zs & ((1 << self.n) - 1)]
         out = np.zeros(zs.shape, dtype=np.float64)
-        for mask, c in zip(masks, self.coeffs.values()):
+        for mask, c in zip(self.masks.tolist(), self.values.tolist()):
             out += c * ((zs & mask) == mask)
         return out
 
@@ -140,8 +153,8 @@ def dump_polynomial(poly: MultilinearPolynomial) -> str:
     """Serialize as one `i,j,k:coeff` line per monomial (constant term has
     an empty index list).  `repr` of the coefficient round-trips exactly."""
     lines = [f"n={poly.n} d={poly.d}"]
-    for mono in sorted(poly.coeffs, key=lambda m: (len(m), m)):
-        lines.append(f"{','.join(str(i) for i in mono)}:{poly.coeffs[mono]!r}")
+    for mono, c in sorted(poly.coeffs.items(), key=lambda t: (len(t[0]), t[0])):
+        lines.append(f"{','.join(str(i) for i in mono)}:{c!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -163,17 +176,17 @@ def load_polynomial(text: str) -> MultilinearPolynomial:
     if not lines:
         raise ValueError("polynomial text is empty")
     n, d = parse_header(lines[0], ("n", "d"))
-    coeffs: dict[Monomial, float] = {}
+    masks, values = [], []
     for ln in lines[1:]:
         idx_part, sep, coeff_part = ln.rpartition(":")
         if not sep:
             raise ValueError(f"monomial line {ln!r} must read `i,j,...:<coeff>`")
         try:
             mono = tuple(int(i) for i in idx_part.split(",")) if idx_part else ()
-            coeff = float(coeff_part)
+            values.append(float(coeff_part))
         except ValueError:
             raise ValueError(f"monomial line {ln!r} must read `i,j,...:<coeff>`") from None
-        if mono in coeffs:
-            raise ValueError(f"monomial {mono} appears twice")
-        coeffs[mono] = coeff
-    return MultilinearPolynomial(n, d, coeffs)
+        if list(mono) != sorted(set(mono)) or not all(0 <= i < n for i in mono):
+            raise ValueError(f"monomial {mono} must be a sorted set of indices in [0, {n})")
+        masks.append(sum(1 << i for i in mono))
+    return MultilinearPolynomial(n, d, masks, values)

@@ -149,21 +149,16 @@ def _grouped_rows(dataset: "Dataset") -> tuple[np.ndarray, np.ndarray, np.ndarra
     return np.repeat(zs, 2)[keep], ys[keep], w[keep].astype(np.float64)
 
 
-def _masks(monos: list[tuple[int, ...]]) -> np.ndarray:
-    """Each monomial's variables as a bitmask."""
-    return np.array([sum(1 << i for i in mono) for mono in monos], dtype=np.int64)
-
-
-def _design_matrix(zs: np.ndarray, monos: list[tuple[int, ...]]) -> np.ndarray:
-    phi = np.empty((zs.size, len(monos)), dtype=np.float64)
-    for j, mask in enumerate(_masks(monos)):
+def _design_matrix(zs: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    phi = np.empty((zs.size, masks.size), dtype=np.float64)
+    for j, mask in enumerate(masks.tolist()):
         phi[:, j] = (zs & mask) == mask
     return phi
 
 
-def _to_poly(n: int, d: int, monos: list[tuple[int, ...]], beta: np.ndarray) -> MultilinearPolynomial:
-    coeffs = {mono: float(b) for mono, b in zip(monos, beta) if b != 0.0}
-    return MultilinearPolynomial(n, d, coeffs)
+def _to_poly(n: int, d: int, masks: np.ndarray, beta: np.ndarray) -> MultilinearPolynomial:
+    keep = beta != 0.0
+    return MultilinearPolynomial(n, d, masks[keep], beta[keep])
 
 
 def l2_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
@@ -182,14 +177,14 @@ def l2_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     zs, c0, c1, _ = dataset.counts()
     n = dataset.n
     check_budget("l2", n, d, zs.size)
-    monos = monomials(n, d)
+    masks = monomials(n, d)
     if zs.size == 1 << n and cube_side(n, d):
-        return _to_poly(n, d, monos, _l2_cube(c0, c1, n, d)[_masks(monos)])
+        return _to_poly(n, d, masks, _l2_cube(c0, c1, n, d)[masks])
     sw = np.sqrt((c0 + c1).astype(np.float64))
-    a = _design_matrix(zs, monos)
+    a = _design_matrix(zs, masks)
     a *= sw[:, None]
     t = c1 / sw
-    f = len(monos)
+    f = masks.size
     beta = None
     if zs.size >= f:
         # a.T is Fortran-ordered, so dsyrk reads it without a copy; both
@@ -200,7 +195,7 @@ def l2_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
             beta[piv - 1] = cho_solve((chol, False), (a.T @ t)[piv - 1], check_finite=False)
     if beta is None:
         beta = np.linalg.lstsq(a, t, rcond=None)[0]
-    return _to_poly(n, d, monos, beta)
+    return _to_poly(n, d, masks, beta)
 
 
 def _l2_cube(c0: np.ndarray, c1: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -233,16 +228,16 @@ def _l1_dual(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     zs, ys, w = _grouped_rows(dataset)
     check_budget("l1", dataset.n, d, zs.size)
     if zs.size == 0:  # every polynomial is optimal; HiGHS rejects an LP without variables
-        return MultilinearPolynomial(dataset.n, d, {})
-    monos = monomials(dataset.n, d)
-    phi = _design_matrix(zs, monos)
+        return MultilinearPolynomial(dataset.n, d, [], [])
+    masks = monomials(dataset.n, d)
+    phi = _design_matrix(zs, masks)
 
     bounds = np.stack([-w, w], axis=1)
-    res = linprog(-ys, A_eq=phi.T, b_eq=np.zeros(len(monos)), bounds=bounds, method="highs-ipm")
+    res = linprog(-ys, A_eq=phi.T, b_eq=np.zeros(masks.size), bounds=bounds, method="highs-ipm")
     if not res.success:
         raise L1SolverError(f"LP solver failed: {res.message}", incumbent=None)
     beta = -res.eqlin.marginals
-    poly = _to_poly(dataset.n, d, monos, beta)
+    poly = _to_poly(dataset.n, d, masks, beta)
     _certify(poly, float(w @ np.abs(phi @ beta - ys)), -res.fun, dataset.m)
     return poly
 
@@ -283,8 +278,8 @@ def _l1_cube(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     a, b, e = res.x.reshape(3, size)
     beta = _subset_transform(b + e - a, n, -1.0)
     beta[np.bitwise_count(np.arange(size)) > d] = 0.0
-    monos = monomials(n, d)
-    poly = _to_poly(n, d, monos, beta[_masks(monos)])
+    masks = monomials(n, d)
+    poly = _to_poly(n, d, masks, beta[masks])
 
     s = v.T @ res.eqlin.marginals
     excess = float(np.max(np.abs(s) - w))

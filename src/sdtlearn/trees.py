@@ -396,10 +396,8 @@ def mean_polynomial(tree: StochasticTree, depth_cutoff: int) -> MultilinearPolyn
             if sub == 0:
                 break
             sub = (sub - 1) & free
-    monos = {
-        tuple(i for i in range(tree.n) if key >> i & 1): c for key, c in coeffs.items() if c != 0.0
-    }
-    return MultilinearPolynomial(tree.n, min(depth_cutoff, tree.n), monos)
+    terms = {key: c for key, c in coeffs.items() if c != 0.0}
+    return MultilinearPolynomial(tree.n, min(depth_cutoff, tree.n), list(terms), list(terms.values()))
 
 
 #: Most leaves ``random_tree`` builds: 2^16 take about a second at n = 30,

@@ -9,6 +9,7 @@ from test_harness import GOLDEN
 from sdtlearn import harness, regression
 from sdtlearn.cli import main
 from sdtlearn.data import Dataset, dump_dataset, load_dataset
+from sdtlearn.evaluation import ErrorReport
 from sdtlearn.polynomials import dump_polynomial, load_polynomial
 from sdtlearn.trees import StochasticTree, dump_tree, load_tree
 
@@ -249,6 +250,8 @@ HUGE = "1" + "0" * 400
                      None, id="regress-eps-subnormal"),
         pytest.param(["sweep", "--n", "4", "--s", "8", "--m", "10", "--eps", "1e-200", "--method", "find"],
                      None, id="sweep-find-eps-tiny"),
+        pytest.param(["sweep", "--n", "4", "--s", "8", "--m", "10", "--eps", "1e-200", "--method", "find",
+                      "--max-depth", HUGE], None, id="sweep-find-eps-tiny-cap-past-float"),
         pytest.param(["sweep", "--n", "4", "--s", HUGE, "--m", "10", "--eps", "0.2", "--method", "l2"],
                      "tree size must lie in [1, 65536]", id="sweep-s-past-float"),
     ],
@@ -380,6 +383,27 @@ def test_sweep_opens_output_before_running(tmp_path, monkeypatch):
     message = _exit_message(["sweep", "--n", "4", "--s", "3", "--m", "50", "--eps", "0.2",
                              "--out", str(tmp_path / "no-such-dir" / "report.csv")])
     assert message.startswith("sdtlearn sweep: ") and "No such file" in message
+
+
+def test_sweep_streams_configs_and_rows(tmp_path, monkeypatch):
+    # Configs are made and rows written one experiment at a time, so a sweep
+    # far too long to hold in memory starts at once and keeps the rows it ran.
+    run, seeds = harness.run_experiment, []
+
+    def three_then_fail(cfg):
+        if len(seeds) == 3:
+            raise ValueError("stopped after 3 experiments")
+        seeds.append(cfg.seed)
+        return run(cfg)
+
+    monkeypatch.setattr(harness, "run_experiment", three_then_fail)
+    out = tmp_path / "sweep.csv"
+    message = _exit_message(["sweep", "--n", "4", "--s", "3", "--m", "50", "--eps", "0.2", "--max-depth", "2",
+                             "--trials", str(10**30), "--out", str(out)])
+    assert message == "sdtlearn sweep: stopped after 3 experiments"
+    assert seeds == [0, 1, 2]
+    rows = out.read_text().splitlines()
+    assert rows[0] == ErrorReport.csv_header() and len(rows) == 4
 
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -94,7 +94,7 @@ class TestExactError:
         assert abs(estimate - exact) <= 4 * stderr
 
     def test_randomized_poly_closed_form(self, demo_tree):
-        poly = MultilinearPolynomial(3, 1, {(): 0.4, (0,): 0.3})
+        poly = MultilinearPolynomial(3, 1, [0, 1], [0.4, 0.3])
         hyp = TruncatedPolyHypothesis(poly, "randomized")
         mu = mean_vector(demo_tree)
         q = poly.evaluate_packed(np.arange(8))
@@ -104,7 +104,7 @@ class TestExactError:
         assert abs(est - by_hand) <= 4 * se
 
     def test_rounded_poly_vector(self):
-        poly = MultilinearPolynomial(2, 1, {(): 0.5, (0,): -0.2})
+        poly = MultilinearPolynomial(2, 1, [0, 1], [0.5, -0.2])
         hyp = TruncatedPolyHypothesis(poly, "rounded")
         assert np.array_equal(hypothesis_mean_vector(hyp, 2), [1.0, 0.0, 1.0, 0.0])
 
@@ -122,12 +122,12 @@ class TestExactError:
         # that integrates out the coins has nothing left to sample.
         for p, q in ((0.3, 0.8), (0.5, 0.5), (0.9, 0.0)):
             target = StochasticTree(1, Stoch(p, Leaf(1), Leaf(0)))
-            hyp = TruncatedPolyHypothesis(MultilinearPolynomial(1, 0, {(): q}), "randomized")
+            hyp = TruncatedPolyHypothesis(MultilinearPolynomial(1, 0, [0], [q]), "randomized")
             _, est, _ = mc_error(target, hyp, 2_000, np.random.default_rng(6))
             assert est == pytest.approx(q * (1 - p) + (1 - q) * p, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self, demo_tree):
-        poly = MultilinearPolynomial(2, 1, {(): 0.5})
+        poly = MultilinearPolynomial(2, 1, [0], [0.5])
         with pytest.raises(ValueError):
             exact_error(demo_tree, TruncatedPolyHypothesis(poly, "rounded"))
 

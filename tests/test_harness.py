@@ -76,6 +76,9 @@ class TestBudgets:
         assert find_depth_budget(8, 1e-200, 6) == 6
         assert find_depth_budget(1, 1e-200, 1000) == 665
         assert find_depth_budget(10**400, 0.2, 6) == 6
+        # A cap past 2^1000 lets c pass it too; both are formed exactly.
+        assert find_depth_budget(8, 1e-200, 10**400) == 10**400
+        assert find_depth_budget(2, 2.0**-600, 10**400) == 2**1200 + 600
         assert budgets_for(ExperimentConfig(n=4, s=10**400, m=10, eps=0.2, method="l2")) == (None, 4)
 
     def test_infeasible_feature_budget_reported_before_compute(self, monkeypatch):
@@ -240,7 +243,7 @@ class TestSweep:
 
     def test_grid_seeds_are_distinct(self):
         base = GOLDEN[0][0]
-        grid = sweep_grid(base, [0.0, 0.1], 3)
+        grid = list(sweep_grid(base, [0.0, 0.1], 3))
         assert len(grid) == 6
         assert sorted({cfg.seed for cfg in grid}) == [7, 8, 9]
 

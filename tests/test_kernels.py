@@ -463,7 +463,7 @@ def test_evaluate_packed_matches_monomial_loop(n, degree, density, extra, wide, 
     rng = np.random.default_rng(seed)
     d = round(degree * n)
     monos = [m for m in monomials(n, d) if rng.random() < density]
-    poly = MultilinearPolynomial(n, d, dict(zip(monos, rng.normal(size=len(monos)))))
+    poly = MultilinearPolynomial(n, d, monos, rng.normal(size=len(monos)))
     zs = rng.integers(0, (4 if wide else 1) << n, size=max((1 << n) + extra, 0))
     new = poly.evaluate_packed(zs)
     assert new.dtype == np.float64 and new.shape == zs.shape
@@ -475,7 +475,7 @@ def test_evaluate_packed_near_the_coefficient_cap(size):
     # Terms of half the cap cancel exactly in any order, and no partial sum
     # of the zeta transform, a subset sum, can overflow.
     half = COEFF_ABS_SUM_CAP / 2
-    poly = MultilinearPolynomial(3, 2, {(): half, (0, 2): -half})
+    poly = MultilinearPolynomial(3, 2, [0, 0b101], [half, -half])
     zs = np.arange(size, dtype=np.int64)[::-1] % 8
     _assert_identical(poly.evaluate_packed(zs), reference_evaluate_packed(poly, zs))
 

@@ -285,8 +285,7 @@ def test_l2_on_the_full_cube_never_forms_the_gram_matrix(monkeypatch):
     poly = l2_regress(ds, 3)
     w = (c0 + c1).astype(np.float64)
     residual = w * poly.evaluate_packed(zs) - c1
-    for mono in monomials(4, 3):
-        mask = sum(1 << i for i in mono)
+    for mask in monomials(4, 3):
         assert abs(residual[(zs & mask) == mask].sum()) <= 1e-9
 
 
@@ -390,10 +389,8 @@ class TestTruncation:
             ys = rng.integers(0, 2, size=60)
             xs = rng.integers(0, 2, size=(60, n), dtype=np.uint8)
             ds = make_dataset(xs, ys)
-            coeffs = {(): float(rng.normal(0, 2))}
-            for i in range(n):
-                coeffs[(i,)] = float(rng.normal(0, 2))
-            poly = MultilinearPolynomial(n, 1, coeffs)
+            masks = [0] + [1 << i for i in range(n)]
+            poly = MultilinearPolynomial(n, 1, masks, [float(rng.normal(0, 2)) for _ in masks])
             raw = poly.evaluate_packed(ds.zs)
             cut = np.clip(raw, 0.0, 1.0)
             assert np.mean(np.abs(cut - ds.ys)) <= np.mean(np.abs(raw - ds.ys)) + 1e-15
@@ -403,43 +400,43 @@ class TestTruncation:
 class TestHypotheses:
     def test_clamped_packed_matches_scalar(self):
         # Values below 0, inside [0, 1] and above 1 on {0,1}^3.
-        poly = MultilinearPolynomial(3, 2, {(): -0.5, (0,): 0.75, (1,): 1.5, (0, 2): 0.25})
+        poly = MultilinearPolynomial(3, 2, [0, 1, 2, 0b101], [-0.5, 0.75, 1.5, 0.25])
         hyp = TruncatedPolyHypothesis(poly, "randomized")
         xs = list(product((0, 1), repeat=3))
         expected = [trunc(poly.evaluate(x)) for x in xs]
         assert np.array_equal(hyp.clamped_packed(pack_inputs(np.array(xs))), expected)
 
     def test_predict_saturated(self):
-        poly = MultilinearPolynomial(1, 0, {(): 1.8})
+        poly = MultilinearPolynomial(1, 0, [0], [1.8])
         rng = np.random.default_rng(4)
         assert predict(TruncatedPolyHypothesis(poly, "rounded"), (0,)) == 1
         assert predict(TruncatedPolyHypothesis(poly, "randomized"), (0,), rng) == 1
 
     def test_predict_rounds_half_up(self):
-        poly = MultilinearPolynomial(1, 0, {(): 0.5})
+        poly = MultilinearPolynomial(1, 0, [0], [0.5])
         assert predict(TruncatedPolyHypothesis(poly, "rounded"), (0,)) == 1
 
     def test_float_noise_below_half_still_rounds_up(self):
         # A fit that is 1/2 in exact arithmetic may come out a few ulps low.
-        hyp = TruncatedPolyHypothesis(MultilinearPolynomial(1, 0, {(): 0.5 - 1e-13}), "rounded")
+        hyp = TruncatedPolyHypothesis(MultilinearPolynomial(1, 0, [0], [0.5 - 1e-13]), "rounded")
         assert predict(hyp, (0,)) == 1
         zero = StochasticTree(1, Leaf(0))
         assert exact_error(zero, hyp) == 1.0
 
     def test_randomized_frequency(self):
-        poly = MultilinearPolynomial(1, 0, {(): 0.3})
+        poly = MultilinearPolynomial(1, 0, [0], [0.3])
         hyp = TruncatedPolyHypothesis(poly, "randomized")
         rng = np.random.default_rng(5)
         freq = np.mean([predict(hyp, (0,), rng) for _ in range(40_000)])
         assert freq == pytest.approx(0.3, abs=0.01)
 
     def test_randomized_needs_rng(self):
-        poly = MultilinearPolynomial(1, 0, {(): 0.3})
+        poly = MultilinearPolynomial(1, 0, [0], [0.3])
         with pytest.raises(ValueError):
             predict(TruncatedPolyHypothesis(poly, "randomized"), (0,))
 
     def test_mode_validated(self):
-        poly = MultilinearPolynomial(1, 0, {(): 0.3})
+        poly = MultilinearPolynomial(1, 0, [0], [0.3])
         with pytest.raises(ValueError):
             TruncatedPolyHypothesis(poly, "maybe")
 
