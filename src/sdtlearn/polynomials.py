@@ -115,9 +115,10 @@ class MultilinearPolynomial:
     def evaluate(self, x: Sequence[int]) -> float:
         if len(x) != self.n:
             raise ValueError(f"input has length {len(x)}, expected {self.n}")
+        z = sum(1 << i for i, xi in enumerate(x) if xi)
         total = 0.0
-        for mono, c in self.coeffs.items():
-            if all(x[i] for i in mono):
+        for mask, c in zip(self.masks.tolist(), self.values.tolist()):
+            if z & mask == mask:
                 total += c
         return total
 
