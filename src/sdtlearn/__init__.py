@@ -3,7 +3,7 @@
 from .data import Adversary, Dataset, corrupt, draw_clean
 from .evaluation import ErrorReport, exact_error, exact_opt, mc_error
 from .find import FindResult, SearchStats, empirical_error, find
-from .harness import ExperimentConfig, run_experiment, run_sweep, sweep_grid
+from .harness import ExperimentConfig, run_experiment, sweep_grid
 from .polynomials import MultilinearPolynomial, trunc
 from .regression import TruncatedPolyHypothesis, l1_regress, l2_regress, learn_pipeline
 from .trees import (

@@ -99,7 +99,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = harness.report(cfg, tree, hypothesis, depth_budget, degree_budget, _rng(args.seed))
     print(report.to_json())
     if args.out:
-        harness.write_csv([report], args.out)
+        with open(args.out, "w") as fh:
+            list(harness.csv_rows([report], fh))
     return 0
 
 

@@ -2,7 +2,8 @@
 
 The adversary model: after a clean i.i.d. sample is drawn, an omniscient
 adversary may rewrite any floor(eta * m) rows, both inputs and labels,
-with full knowledge of the target tree and the clean sample.  The
+with full knowledge of the target tree and the clean sample, which lets
+the example adversary find its point over the tree's query cube.  The
 ``corrupted`` flags record which rows were touched; they are provenance
 metadata only and learners never read them.
 
@@ -21,9 +22,12 @@ import numpy as np
 
 from .polynomials import check_var_count, parse_header
 from .trees import (
+    DEFAULT_ENUMERATION_CAP,
     StochasticTree,
+    cube_inputs,
     mean_on_points,
     pack_inputs,
+    query_mask,
     round_prob,
     unpack_inputs,
 )
@@ -190,19 +194,12 @@ def _flip_margin_rows(clean: Dataset, budget: int, tree: StochasticTree) -> np.n
     return np.sort(chosen).astype(np.int64, copy=False)
 
 
-#: Largest n for which ``_replacement_point`` searches all of {0,1}^n
-#: rather than the sample's inputs.
-_REPLACEMENT_ENUMERATION_CAP = 20
-
-
 def _replacement_point(clean: Dataset, tree: StochasticTree) -> tuple[int, int]:
-    """The most confidently classified input, mislabeled: the argmax of
-    |mu - 1/2| over {0,1}^n up to the cap, over the sample's distinct
-    inputs above it."""
-    if tree.n <= _REPLACEMENT_ENUMERATION_CAP:
-        zs = np.arange(1 << tree.n, dtype=np.int64)
-    else:
-        zs = np.unique(clean.zs)
+    """The most confidently classified input, mislabeled: the first argmax of
+    |mu - 1/2| over the tree's query cube (the smallest over {0,1}^n) when
+    it is within the enumeration cap, else over the sample's distinct inputs."""
+    mask = query_mask(tree.root)
+    zs = cube_inputs(mask) if mask.bit_count() <= DEFAULT_ENUMERATION_CAP else np.unique(clean.zs)
     mu = mean_on_points(tree, zs)
     best = int(np.argmax(np.abs(mu - 0.5)))
     return int(zs[best]), 1 - round_prob(float(mu[best]))

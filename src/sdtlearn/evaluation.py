@@ -1,14 +1,14 @@
 """Exact and Monte Carlo error measurement, plus guarantee accounting.
 
 For n up to the enumeration cap every quantity here is computed exactly
-by enumerating {0,1}^n: the Bayes error, the classification error of a
-hypothesis against the target tree, and the mean-square/mean-absolute
-distances used by the regression guarantees.  Above the cap, inputs are
-sampled, as packed integers drawn uniformly below 2^n, but tree coins
-never are: every error is an average of exact per-input means, and
-randomized hypotheses are integrated out in closed form rather than
-sampled.  One draw serves both the Bayes error and the hypothesis's
-error, so the two estimates share their sampling noise.
+by enumerating {0,1}^n with ``trees.cube_inputs``: the Bayes error, the
+classification error of a hypothesis against the target tree, and the
+mean-square/mean-absolute distances used by the regression guarantees.
+Above the cap, inputs are sampled, as packed integers drawn uniformly
+below 2^n, but tree coins never are: every error is an average of exact
+per-input means, and randomized hypotheses are integrated out in closed
+form rather than sampled.  One draw serves both the Bayes error and the
+hypothesis's error, so the two estimates share their sampling noise.
 """
 
 from __future__ import annotations
@@ -20,20 +20,9 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .regression import TruncatedPolyHypothesis
-from .trees import StochasticTree, mean_on_points, mean_vector
+from .trees import DEFAULT_ENUMERATION_CAP, StochasticTree, cube_inputs, mean_on_points, mean_vector
 
 Hypothesis = Union[StochasticTree, TruncatedPolyHypothesis]
-
-DEFAULT_ENUMERATION_CAP = 24
-
-
-def _check_cap(n: int) -> None:
-    """Refuse to enumerate 2^n inputs past the cap, before allocating any."""
-    if n > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(
-            f"exact enumeration over n={n} exceeds the cap {DEFAULT_ENUMERATION_CAP}; "
-            "use mc_error instead"
-        )
 
 
 def _bayes_error(mu: np.ndarray) -> float:
@@ -43,7 +32,6 @@ def _bayes_error(mu: np.ndarray) -> float:
 
 def exact_opt(tree: StochasticTree) -> float:
     """Bayes error: the exact average of min(mu, 1 - mu) over all inputs."""
-    _check_cap(tree.n)
     return _bayes_error(mean_vector(tree))
 
 
@@ -67,8 +55,7 @@ def _disagreement(mu: np.ndarray, hypothesis: Hypothesis, n: int, zs: np.ndarray
 
 def exact_error(tree: StochasticTree, hypothesis: Hypothesis) -> float:
     """Exact disagreement probability E_x Pr[tree(x) != hypothesis(x)]."""
-    _check_cap(tree.n)
-    zs = np.arange(1 << tree.n, dtype=np.int64)
+    zs = cube_inputs((1 << tree.n) - 1)
     return float(np.mean(_disagreement(mean_on_points(tree, zs), hypothesis, tree.n, zs)))
 
 

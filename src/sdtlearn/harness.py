@@ -15,11 +15,11 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .data import Adversary, corrupt, draw_clean
-from .evaluation import DEFAULT_ENUMERATION_CAP, ErrorReport, Hypothesis, exact_error, exact_opt, mc_error
+from .evaluation import ErrorReport, Hypothesis, exact_error, exact_opt, mc_error
 from .find import check_table_budget, find
 from .polynomials import MAX_PACKED_VARS
 from .regression import check_budget, degree_budget, learn_pipeline
-from .trees import StochasticTree, random_tree
+from .trees import DEFAULT_ENUMERATION_CAP, StochasticTree, random_tree
 
 METHODS = ("find", "l1", "l2")
 
@@ -195,20 +195,9 @@ def aggregate(reports: Iterable[ErrorReport]) -> list[SweepAggregate]:
     ]
 
 
-def run_sweep(configs: Iterable[ExperimentConfig]) -> tuple[list[ErrorReport], list[SweepAggregate]]:
-    reports = [run_experiment(cfg) for cfg in configs]
-    return reports, aggregate(reports)
-
-
 def csv_rows(reports: Iterable[ErrorReport], fh: TextIO) -> Iterator[ErrorReport]:
     """Write the CSV header to fh, then each report's row as it passes."""
     fh.write(ErrorReport.csv_header() + "\n")
     for rep in reports:
         fh.write(rep.to_csv_row() + "\n")
         yield rep
-
-
-def write_csv(reports: Iterable[ErrorReport], path: str) -> None:
-    with open(path, "w") as fh:
-        for _ in csv_rows(reports, fh):
-            pass

@@ -75,6 +75,10 @@ class MultilinearPolynomial:
         check_var_count(self.n)
         if self.d < 0:
             raise ValueError("d must be nonnegative")
+        if np.asarray(self.masks).dtype.kind != "i":  # floats, unsigned, ints past int64: each as given
+            for mask in np.asarray(self.masks, dtype=object).ravel():
+                if not isinstance(mask, (int, np.integer)) or not -(1 << 63) <= mask < 1 << 63:
+                    raise ValueError(f"monomial mask {mask} is not an integer that int64 holds")
         masks = np.array(self.masks, dtype=np.int64)
         values = np.array(self.values, dtype=np.float64)
         if masks.ndim != 1 or masks.shape != values.shape:

@@ -277,7 +277,6 @@ def _l1_cube(dataset: "Dataset", d: int) -> MultilinearPolynomial:
         raise L1SolverError(f"LP solver failed: {res.message}", incumbent=None)
     a, b, e = res.x.reshape(3, size)
     beta = _subset_transform(b + e - a, n, -1.0)
-    beta[np.bitwise_count(np.arange(size)) > d] = 0.0
     masks = monomials(n, d)
     poly = _to_poly(n, d, masks, beta[masks])
 
@@ -288,7 +287,7 @@ def _l1_cube(dataset: "Dataset", d: int) -> MultilinearPolynomial:
             f"LP result not certified: dual multipliers infeasible by {excess:.3g}",
             incumbent=poly,
         )
-    fit = _subset_transform(beta, n, 1.0)
+    fit = poly.evaluate_packed(np.arange(size))
     primal = float(w0 @ np.abs(fit) + w1 @ np.abs(fit - 1.0))
     _certify(poly, primal, float(np.minimum(w1, w0 - s).sum()), dataset.m)
     return poly

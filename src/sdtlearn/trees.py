@@ -18,6 +18,8 @@ Conventions used throughout the package:
   stochastic node takes its heads branch.
 * Depth counts Query nodes only.  Stochastic nodes are free, which keeps
   the 2^-depth reach-probability accounting exact.
+* Exact sums enumerate at most ``DEFAULT_ENUMERATION_CAP`` variables with
+  ``cube_inputs``; mu reads only ``query_mask``, so its query cube suffices.
 """
 
 from __future__ import annotations
@@ -210,9 +212,33 @@ def mean(tree: StochasticTree, x: Sequence[int]) -> float:
     return rec(tree.root)
 
 
+#: Most variables any exact sum enumerates: 2^24 int64 inputs take 128 MiB.
+DEFAULT_ENUMERATION_CAP = 24
+
+
+def query_mask(node: Node) -> int:
+    """The variables the Query nodes read, as a mask: mu(z) depends only on
+    z & query_mask, so the query cube holds every value of mu equally often."""
+    return sum({1 << cur.var for cur in preorder(node) if isinstance(cur, Query)})
+
+
+def cube_inputs(mask: int) -> np.ndarray:
+    """The 2^k packed inputs whose bits outside mask are 0, ascending, built
+    by doubling over mask's bits from the lowest; for mask 2^n - 1 this is
+    arange(2^n).  Past the cap's k it refuses before allocating anything."""
+    k = mask.bit_count()
+    if k > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"exact enumeration over {k} variables exceeds the cap {DEFAULT_ENUMERATION_CAP}")
+    out = np.empty(1 << k, dtype=np.int64)
+    out[0] = 0
+    for j, var in enumerate(v for v in range(mask.bit_length()) if mask >> v & 1):
+        out[1 << j : 2 << j] = out[: 1 << j] | (1 << var)
+    return out
+
+
 def mean_vector(tree: StochasticTree) -> np.ndarray:
     """mu over all 2^n packed inputs; index z has variable i = bit i of z."""
-    return mean_on_points(tree, np.arange(1 << tree.n, dtype=np.int64))
+    return mean_on_points(tree, cube_inputs((1 << tree.n) - 1))
 
 
 def mean_on_points(tree: StochasticTree, zs: np.ndarray) -> np.ndarray:
@@ -262,19 +288,15 @@ def fix_randomness(tree: StochasticTree, r: RandomnessString) -> StochasticTree:
     return StochasticTree(tree.n, rec(tree.root))
 
 
-#: Largest n for which ``stochastic_leaf_approx`` measures its exact l1 distance.
-_APPROX_ENUMERATION_CAP = 20
-
-
 @dataclass(frozen=True)
 class StochasticLeafApproximation:
     """Result of the stacking construction.
 
     ``l1_distance`` is the exact average |mu_original - mu_approx| over all
-    inputs (None when n exceeds the enumeration cap).  The construction
-    only guarantees small distance in expectation over its random draws,
-    so callers inspect the achieved distance and retry with a fresh rng
-    if needed.
+    inputs, taken over the original's query cube (None past the enumeration
+    cap).  The construction only guarantees small distance in expectation
+    over its random draws, so callers inspect the achieved distance and
+    retry with a fresh rng if needed.
     """
 
     tree: StochasticTree
@@ -323,9 +345,10 @@ def stochastic_leaf_approx(
                 )
 
     approx = StochasticTree(tree.n, build(0, roots[0], {}, 0))
-    l1 = None
-    if tree.n <= _APPROX_ENUMERATION_CAP:
-        l1 = float(np.mean(np.abs(mean_vector(tree) - mean_vector(approx))))
+    mask, l1 = query_mask(tree.root), None
+    if mask.bit_count() <= DEFAULT_ENUMERATION_CAP:
+        zs = cube_inputs(mask)
+        l1 = float(np.mean(np.abs(mean_on_points(tree, zs) - mean_on_points(approx, zs))))
     return StochasticLeafApproximation(approx, c, l1)
 
 

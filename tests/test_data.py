@@ -13,7 +13,15 @@ from sdtlearn.data import (
     dump_dataset,
     load_dataset,
 )
-from sdtlearn.trees import Leaf, StochasticTree, mean_on_points, mean_vector, random_tree
+from sdtlearn.trees import (
+    DEFAULT_ENUMERATION_CAP,
+    Leaf,
+    StochasticTree,
+    mean_on_points,
+    mean_vector,
+    query_mask,
+    random_tree,
+)
 
 ALL_STRATEGIES = list(Adversary)
 
@@ -113,10 +121,12 @@ class TestCorrupt:
         assert len(set(labels.tolist())) == 1
 
     def test_example_replace_above_the_enumeration_cap_uses_sample_inputs(self, monkeypatch):
-        # At n = 21 the replacement point is searched among the sample's
-        # distinct inputs, never over all 2^21 of {0,1}^n.
+        # A target that queries more variables than the cap has its
+        # replacement point searched among the sample's distinct inputs,
+        # never over its 2^28 query cube.
         rng = np.random.default_rng(21)
-        tree = random_tree(21, 8, 0.4, rng)
+        tree = random_tree(30, 100, 0.4, rng)
+        assert query_mask(tree.root).bit_count() == 28 > DEFAULT_ENUMERATION_CAP
         clean = draw_clean(tree, 300, rng)
         distinct = np.unique(clean.zs)
         margins = np.abs(mean_on_points(tree, distinct) - 0.5)

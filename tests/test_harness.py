@@ -8,12 +8,12 @@ from sdtlearn.evaluation import DEFAULT_ENUMERATION_CAP
 from sdtlearn.find import TableBudgetExceeded
 from sdtlearn.harness import (
     ExperimentConfig,
+    aggregate,
     budgets_for,
+    csv_rows,
     find_depth_budget,
     run_experiment,
-    run_sweep,
     sweep_grid,
-    write_csv,
 )
 from sdtlearn.polynomials import MAX_PACKED_VARS
 from sdtlearn.trees import random_tree
@@ -229,7 +229,8 @@ class TestSweep:
         base = ExperimentConfig(n=6, s=4, m=1500, eps=0.2, method="find",
                                 stoch_fraction=0.4, eta=0.0,
                                 adversary="label_flip_margin", seed=100, max_depth=3)
-        reports, aggregates = run_sweep(sweep_grid(base, [0.0, 0.05, 0.1], 20))
+        reports = [run_experiment(cfg) for cfg in sweep_grid(base, [0.0, 0.05, 0.1], 20)]
+        aggregates = aggregate(reports)
         assert len(reports) == 60
         assert [a.eta for a in aggregates] == [0.0, 0.05, 0.1]
         assert all(a.trials == 20 for a in aggregates)
@@ -254,7 +255,8 @@ class TestSweep:
     def test_csv_writing(self, tmp_path):
         reports = [run_experiment(GOLDEN[0][0])]
         path = tmp_path / "out.csv"
-        write_csv(reports, str(path))
+        with open(path, "w") as fh:
+            list(csv_rows(reports, fh))
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("method,n,s,m,eta")

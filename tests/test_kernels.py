@@ -11,10 +11,13 @@ the slack-split primal LP for the L1 fit
 pass over the inputs per monomial for polynomial evaluation, the ``find`` search
 keyed by sorted (variable, bit) tuples (in conftest), one int64 matrix
 product over all rows for input packing, the label draw that walks the
-tree once per row, the row-by-row dataset text format, and the stacking
-construction that recursed once per stacked copy.  The new code must agree
-exactly, dtype included, on randomized instances (``find`` down to its
-tree and search counters); the L1 fit, whose optimum need not be
+tree once per row, the row-by-row dataset text format, the stacking
+construction that recursed once per stacked copy, and the example
+adversary's point and the stacked tree's distance, each taken over all
+of {0,1}^n where the new code takes the target's query cube.  The new
+code must agree exactly, dtype included, on randomized instances
+(``find`` down to its tree and search counters); the stacked tree's
+distance, summed over a smaller cube, to 1e-12; the L1 fit, whose optimum need not be
 unique, must reach the same objective, the L2 fit, solved in another
 order, the same predictions to a set tolerance, the mean polynomial,
 summed in another order, the same coefficients to 1e-12, polynomial
@@ -23,6 +26,7 @@ which takes one uniform per row instead of one per coin, the same
 inputs and the labels its own uniforms give.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +41,7 @@ from sdtlearn.data import (
     Adversary,
     Dataset,
     _flip_margin_rows,
+    _replacement_point,
     corrupt,
     corruption_budget,
     draw_clean,
@@ -68,7 +73,9 @@ from sdtlearn.trees import (
     mean_polynomial,
     mean_vector,
     pack_inputs,
+    preorder,
     random_tree,
+    round_prob,
     sample_randomness,
     stochastic_leaf_approx,
     unpack_inputs,
@@ -242,6 +249,24 @@ def reference_stochastic_leaf_approx(
         )
 
     return StochasticTree(tree.n, build(0, roots[0], {}, 0))
+
+
+def reference_replacement_point(clean: Dataset, tree: StochasticTree) -> tuple[int, int]:
+    """The argmax of |mu - 1/2| over all of {0,1}^n up to n = 20, over the
+    sample's distinct inputs above it."""
+    if tree.n <= 20:
+        zs = np.arange(1 << tree.n, dtype=np.int64)
+    else:
+        zs = np.unique(clean.zs)
+    mu = mean_on_points(tree, zs)
+    best = int(np.argmax(np.abs(mu - 0.5)))
+    return int(zs[best]), 1 - round_prob(float(mu[best]))
+
+
+def reference_approx_distance(tree: StochasticTree, approx: StochasticTree) -> float:
+    """The stacked tree's l1 distance, averaged over all of {0,1}^n."""
+    zs = np.arange(1 << tree.n, dtype=np.int64)
+    return float(np.mean(np.abs(mean_on_points(tree, zs) - mean_on_points(approx, zs))))
 
 
 def reference_pack_inputs(xs) -> np.ndarray:
@@ -540,6 +565,51 @@ def test_stochastic_leaf_approx_matches_recursive_stacking(n, s, stoch, eps, see
     assert new.tree == reference_stochastic_leaf_approx(tree, eps, ref_rng)
     # Both consumed the generator alike.
     assert new_rng.random() == ref_rng.random()
+
+
+@PROPERTY
+@given(n=st.integers(0, 10), s=st.integers(1, 10), stoch=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       eps=st.floats(0.2, 0.49), seed=st.integers(0, 2**32 - 1))
+@example(n=20, s=4, stoch=0.7, eps=0.3, seed=0)
+def test_stochastic_leaf_approx_distance_matches_full_cube(n, s, stoch, eps, seed):
+    tree = _tree(n, min(s, 1 << n), stoch, seed)
+    result = stochastic_leaf_approx(tree, eps, np.random.default_rng(seed + 1))
+    assert abs(result.l1_distance - reference_approx_distance(tree, result.tree)) <= 1e-12
+
+
+def test_stochastic_leaf_approx_distance_past_twenty_variables():
+    # Above n = 20 the distance was not measured; the target's query cube
+    # gives the full-cube distance at any n.
+    tree = _tree(22, 6, 0.5, 10)
+    result = stochastic_leaf_approx(tree, 0.3, np.random.default_rng(11))
+    assert result.l1_distance > 0.0
+    assert abs(result.l1_distance - reference_approx_distance(tree, result.tree)) <= 1e-12
+
+
+@PROPERTY
+@given(n=st.integers(0, 14), s=st.integers(1, 12), stoch=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       m=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+@example(n=20, s=12, stoch=0.3, m=50, seed=0)
+def test_replacement_point_matches_full_cube_search(n, s, stoch, m, seed):
+    tree = _tree(n, min(s, 1 << n), stoch, seed)
+    clean = draw_clean(tree, m, np.random.default_rng(seed))
+    assert _replacement_point(clean, tree) == reference_replacement_point(clean, tree)
+
+
+@PROPERTY
+@given(s=st.integers(1, 12), stoch=st.sampled_from([0.0, 0.3, 0.7, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_replacement_point_at_n_30_is_the_argmax_over_the_query_cube(s, stoch, seed):
+    tree = _tree(30, s, stoch, seed)
+    clean = draw_clean(tree, 20, np.random.default_rng(seed))
+    queried = sorted({node.var for node in preorder(tree.root) if isinstance(node, Query)})
+    cube = sorted(
+        sum(1 << v for v, bit in zip(queried, bits) if bit)
+        for bits in itertools.product((0, 1), repeat=len(queried))
+    )
+    mu = mean_on_points(tree, np.array(cube, dtype=np.int64))
+    margins = np.abs(mu - 0.5).tolist()
+    best = max(range(len(cube)), key=margins.__getitem__)
+    assert _replacement_point(clean, tree) == (cube[best], 1 - round_prob(float(mu[best])))
 
 
 @PROPERTY

@@ -67,10 +67,21 @@ def test_validation_rejects_bad_monomials():
     ([0b111], [1.0], "exceeds degree bound 2"),
     ([1, 2, 1], [1.0, 2.0, 3.0], "monomial mask 1 appears twice"),
     ([1, 2], [1.0], "do not match"),
+    ([1.5], [1.0], "monomial mask 1.5 is not an integer that int64 holds"),
+    ([1, 2.0], [1.0, 2.0], "monomial mask 2.0 is not an integer"),
+    ([1 << 70], [1.0], f"monomial mask {1 << 70} is not an integer that int64 holds"),
+    ([-1, 1 << 63], [1.0, 2.0], f"monomial mask {1 << 63} is not an integer"),
 ])
 def test_validation_rejects_bad_masks(masks, values, problem):
     with pytest.raises(ValueError, match=problem):
         MultilinearPolynomial(3, 2, masks, values)
+
+
+def test_empty_masks_build_the_zero_polynomial():
+    for masks in ([], np.zeros(0), np.zeros(0, dtype=np.uint64)):
+        poly = MultilinearPolynomial(3, 2, masks, [])
+        assert poly.masks.dtype == np.int64 and poly.masks.size == 0
+        assert poly.evaluate_packed(np.arange(8)).tolist() == [0.0] * 8
 
 
 def test_terms_are_read_only_and_equal_in_any_order():

@@ -2,9 +2,12 @@ import gc
 import inspect
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_points,
@@ -16,12 +19,14 @@ from conftest import (
 )
 from sdtlearn import trees
 from sdtlearn.trees import (
+    DEFAULT_ENUMERATION_CAP,
     MAX_NESTING,
     MAX_TREE_LEAVES,
     Leaf,
     Query,
     Stoch,
     StochasticTree,
+    cube_inputs,
     deep_leaf_count,
     dump_tree,
     fix_randomness,
@@ -32,6 +37,7 @@ from sdtlearn.trees import (
     mean_vector,
     pack_inputs,
     preorder,
+    query_mask,
     random_tree,
     round_prob,
     sample_randomness,
@@ -223,6 +229,41 @@ class TestBayes:
             lhs = float(np.mean(rounded * (1.0 - mu) + (1.0 - rounded) * mu))
             rhs = opt + 2.0 * float(np.mean(np.abs(mu - h)))
             assert lhs <= rhs + 1e-12
+
+
+class TestCubeInputs:
+    @settings(derandomize=True, deadline=None)
+    @given(n=st.integers(0, 12))
+    def test_full_mask_is_arange(self, n):
+        zs = cube_inputs((1 << n) - 1)
+        assert zs.dtype == np.int64
+        assert np.array_equal(zs, np.arange(2**n))
+
+    @settings(derandomize=True, deadline=None)
+    @given(variables=st.sets(st.integers(0, 61), max_size=12))
+    def test_any_mask_gives_its_subcube_in_ascending_order(self, variables):
+        mask = sum(1 << v for v in variables)
+        zs = cube_inputs(mask)
+        assert zs.dtype == np.int64
+        assert zs.size == 2 ** len(variables)
+        assert np.all(np.diff(zs) > 0)
+        assert np.all(zs & ~mask == 0)
+
+    def test_mask_past_the_cap_is_refused_before_allocating(self):
+        mask = (1 << (DEFAULT_ENUMERATION_CAP + 1)) - 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="25 variables exceeds the cap"):
+                cube_inputs(mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_query_mask_reads_only_query_nodes(self):
+        root = Stoch(0.5, Query(3, Leaf(0), Query(0, Leaf(1), Leaf(0))), Query(3, Leaf(1), Leaf(0)))
+        assert query_mask(root) == 0b1001
+        assert query_mask(Stoch(0.5, Leaf(1), Leaf(0))) == 0
 
 
 class TestStochasticLeafApprox:
