@@ -111,8 +111,10 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> harness.Exp
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, raw = line.partition("=")
-            values[key.strip()] = raw.strip()
+            key, _, raw = map(str.strip, line.partition("="))
+            if key in values:
+                raise ValueError(f"config key {key!r} appears twice")
+            values[key] = raw
     # Coerce by field type, so `eta=0` and `eta=0.0` give the same config.
     known = get_type_hints(harness.ExperimentConfig)
     parsed: dict = {}

@@ -8,8 +8,9 @@ the example adversary find its point over the tree's query cube.  The
 metadata only and learners never read them.
 
 A dataset holds its inputs packed, as int64 values with bit i holding
-variable i, which is the form every kernel reads.  Rows of bits exist only
-in the text format: ``dump_dataset`` unpacks and ``load_dataset`` packs.
+variable i, which is the form every kernel reads.  Rows of bits appear only
+where ``draw_clean`` draws and packs inputs, where ``find`` unpacks them into
+subcube keys, and in the text format: ``dump_dataset`` unpacks, ``load_dataset`` packs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .polynomials import check_var_count, parse_header
+from .polynomials import check_var_count, read_text
 from .trees import (
     DEFAULT_ENUMERATION_CAP,
     StochasticTree,
@@ -220,40 +221,26 @@ def dump_dataset(ds: Dataset) -> str:
 def load_dataset(text: str) -> Dataset:
     """Parse `dump_dataset` text; fields may be separated by any whitespace.
 
-    Every row goes through the same checks at once, in this order: three
-    fields, n bits, and only 0/1 characters.  The first row that fails
-    any check is named, with the first check it fails.  With n = 0 the
-    bits field is empty, so a row `<label> <flag>` has all three.
+    Each row is checked in turn: three fields, n bits, and only 0/1
+    characters.  The first row that fails is named, with the first check
+    it fails.  With n = 0 the bits field is empty, so a row `<label> <flag>`
+    has all three.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("dataset text is empty")
-    n, m = parse_header(lines[0], ("n", "m"))
-    check_var_count(n)  # before any row is read at n + 2 bytes
-    if len(lines) - 1 != m:
-        raise ValueError(f"header says m={m} but found {len(lines) - 1} rows")
-    rows = [ln.split() for ln in lines[1:]]
-    if n == 0:
-        rows = [[""] + r if len(r) == 2 else r for r in rows]
-    fields = np.fromiter(map(len, rows), dtype=np.int64, count=m)
-    widths = np.fromiter((len(r[0]) if len(r) == 3 else 0 for r in rows), dtype=np.int64, count=m)
-    # Each row's n + 2 characters, or n + 2 placeholders that fail the 0/1
-    # check when the row has another shape; non-ASCII characters become
-    # one "?" each, so the buffer always holds m * (n + 2) bytes.
-    cells = "".join(
-        "".join(r) if len(r) == 3 and len(r[0]) == n and len(r[1]) == len(r[2]) == 1 else "?" * (n + 2)
-        for r in rows
-    )
-    codes = np.frombuffer(cells.encode("ascii", "replace"), dtype=np.uint8).reshape(m, n + 2) - ord("0")
-    failed = np.stack([fields != 3, widths != n, (codes > 1).any(axis=1)])
-    bad_rows = np.flatnonzero(failed.any(axis=0))
-    if bad_rows.size:
-        i = int(bad_rows[0])
-        messages = (
-            f"row {i} has {fields[i]} fields, expected `<bits> <label> <flag>`",
-            f"row {i} has {widths[i]} bits, expected {n}",
-            f"row {i} must hold only 0/1 bits, label and flag",
-        )
-        raise ValueError(messages[int(np.argmax(failed[:, i]))])
+    (n, m), rows = read_text(text, "dataset", ("n", "m"))
+    if len(rows) != m:
+        raise ValueError(f"header says m={m} but found {len(rows)} rows")
+    cells = []
+    for i, row in enumerate(rows):
+        fields = row.split()
+        if n == 0 and len(fields) == 2:
+            fields.insert(0, "")
+        if len(fields) != 3:
+            raise ValueError(f"row {i} has {len(fields)} fields, expected `<bits> <label> <flag>`")
+        if len(fields[0]) != n:
+            raise ValueError(f"row {i} has {len(fields[0])} bits, expected {n}")
+        cell = "".join(fields)
+        if len(cell) != n + 2 or cell.strip("01"):
+            raise ValueError(f"row {i} must hold only 0/1 bits, label and flag")
+        cells.append(cell)
+    codes = np.frombuffer("".join(cells).encode("ascii"), dtype=np.uint8).reshape(m, n + 2) - ord("0")
     return Dataset(n, pack_inputs(codes[:, :n]), codes[:, n], codes[:, n + 1] == 1)
-

@@ -20,7 +20,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .regression import TruncatedPolyHypothesis
-from .trees import DEFAULT_ENUMERATION_CAP, StochasticTree, cube_inputs, mean_on_points, mean_vector
+from .trees import StochasticTree, cube_inputs, mean_on_points, mean_vector
 
 Hypothesis = Union[StochasticTree, TruncatedPolyHypothesis]
 

@@ -163,26 +163,29 @@ def dump_polynomial(poly: MultilinearPolynomial) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_header(line: str, keys: Sequence[str]) -> list[int]:
-    """Read a `k1=<int> k2=<int> ...` header line with exactly these keys,
-    as the text formats of trees, datasets and polynomials begin."""
-    tokens = line.split()
+def read_text(text: str, kind: str, keys: Sequence[str]) -> tuple[list[int], list[str]]:
+    """Split the text of a tree, dataset or polynomial into its header's
+    values and its body lines, stripped, with blank lines dropped.  The
+    header is one `k1=<int> k2=<int> ...` line with exactly these keys;
+    the first is n, which is checked before any body line is read."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    if not lines:
+        raise ValueError(f"{kind} text is empty")
+    tokens = lines[0].split()
     expected = " ".join(f"{k}=<count>" for k in keys)
     if len(tokens) != len(keys) or any(not t.startswith(f"{k}=") for t, k in zip(tokens, keys)):
-        raise ValueError(f"header {line!r} must read `{expected}`")
+        raise ValueError(f"header {lines[0]!r} must read `{expected}`")
     values = [t.partition("=")[2] for t in tokens]
-    if not all(v.isdigit() for v in values):
-        raise ValueError(f"header {line!r} must read `{expected}` with nonnegative integers")
-    return [int(v) for v in values]
+    if not all(v.isascii() and v.isdigit() for v in values):
+        raise ValueError(f"header {lines[0]!r} must read `{expected}` with nonnegative integers")
+    check_var_count(int(values[0]))
+    return [int(v) for v in values], lines[1:]
 
 
 def load_polynomial(text: str) -> MultilinearPolynomial:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("polynomial text is empty")
-    n, d = parse_header(lines[0], ("n", "d"))
+    (n, d), body = read_text(text, "polynomial", ("n", "d"))
     masks, values = [], []
-    for ln in lines[1:]:
+    for ln in body:
         idx_part, sep, coeff_part = ln.rpartition(":")
         if not sep:
             raise ValueError(f"monomial line {ln!r} must read `i,j,...:<coeff>`")

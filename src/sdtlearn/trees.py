@@ -11,7 +11,8 @@ Conventions used throughout the package:
 
 * Trees are immutable values; every construction returns a new tree.
 * Inputs are packed into int64 values, with bit i of z holding variable i.
-  Datasets hold packed inputs; rows of bits exist only in text files.
+  Datasets hold packed inputs; rows of bits appear only in ``draw_clean``,
+  in ``find``'s subcube keys and in text files.
 * Stochastic nodes are enumerated in preorder (node before children,
   the 0/heads child before the 1/tails child).  A randomness string has
   one bit per stochastic node in that order; bit j = 1 means the j-th
@@ -30,7 +31,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .polynomials import MultilinearPolynomial, check_var_count, parse_header
+from .polynomials import MultilinearPolynomial, check_var_count, read_text
 
 
 @dataclass(frozen=True)
@@ -484,13 +485,12 @@ def dump_tree(tree: StochasticTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+_NODE_FORMS = {"L": (int, "L <0|1>"), "Q": (int, "Q <var>"), "S": (float, "S <p>")}
+
+
 def load_tree(text: str) -> StochasticTree:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("tree text is empty")
-    (n,) = parse_header(lines[0], ("n",))
-    check_var_count(n)
-    it = iter(lines[1:])
+    (n,), body = read_text(text, "tree", ("n",))
+    it = iter(body)
 
     def parse(depth: int) -> Node:
         if depth > MAX_NESTING:
@@ -500,13 +500,16 @@ def load_tree(text: str) -> StochasticTree:
         except StopIteration:
             raise ValueError("tree text ended before the tree was complete") from None
         kind, _, value = line.partition(" ")
+        if kind not in _NODE_FORMS:
+            raise ValueError(f"unknown node line: {line!r}")
+        convert, form = _NODE_FORMS[kind]
+        try:
+            number = convert(value)
+        except ValueError:
+            raise ValueError(f"node line {line!r} must read {form}") from None
         if kind == "L":
-            return Leaf(int(value))
-        if kind == "Q":
-            return Query(int(value), parse(depth + 1), parse(depth + 1))
-        if kind == "S":
-            return Stoch(float(value), parse(depth + 1), parse(depth + 1))
-        raise ValueError(f"unknown node line: {line!r}")
+            return Leaf(number)
+        return (Query if kind == "Q" else Stoch)(number, parse(depth + 1), parse(depth + 1))
 
     root = parse(1)
     if next(it, None) is not None:

@@ -411,3 +411,11 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg.write_text("n=5\nwhatever=1\n")
     with pytest.raises(SystemExit):
         main(["sweep", "--config", str(cfg), "--trials", "1"])
+
+
+def test_repeated_config_key_rejected(tmp_path):
+    # The second `n` used to overwrite the first without a word.
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("n=4\ns=4\nm=50\neps=0.3\nmethod=find\n n = 5 \n")
+    with pytest.raises(SystemExit, match="^sdtlearn sweep: config key 'n' appears twice$"):
+        main(["sweep", "--config", str(cfg), "--trials", "1"])

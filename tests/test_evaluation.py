@@ -5,7 +5,6 @@ import pytest
 
 from conftest import hypothesis_mean_vector
 from sdtlearn.evaluation import (
-    DEFAULT_ENUMERATION_CAP,
     ErrorReport,
     exact_error,
     exact_opt,
@@ -15,6 +14,7 @@ from sdtlearn.evaluation import (
 from sdtlearn.polynomials import MultilinearPolynomial
 from sdtlearn.regression import TruncatedPolyHypothesis, degree_budget
 from sdtlearn.trees import (
+    DEFAULT_ENUMERATION_CAP,
     Leaf,
     Query,
     Stoch,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sdtlearn import harness, regression
-from sdtlearn.evaluation import DEFAULT_ENUMERATION_CAP
 from sdtlearn.find import TableBudgetExceeded
 from sdtlearn.harness import (
     ExperimentConfig,
@@ -16,7 +15,7 @@ from sdtlearn.harness import (
     sweep_grid,
 )
 from sdtlearn.polynomials import MAX_PACKED_VARS
-from sdtlearn.trees import random_tree
+from sdtlearn.trees import DEFAULT_ENUMERATION_CAP, random_tree
 
 # First-run outputs of three canned configs, pinned as regression anchors.
 GOLDEN = [

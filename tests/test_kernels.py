@@ -50,7 +50,7 @@ from sdtlearn.data import (
 )
 from sdtlearn.evaluation import exact_error
 from sdtlearn.find import find
-from sdtlearn.polynomials import COEFF_ABS_SUM_CAP, MultilinearPolynomial, monomials, parse_header
+from sdtlearn.polynomials import COEFF_ABS_SUM_CAP, MultilinearPolynomial, monomials, read_text
 from sdtlearn.regression import (
     TruncatedPolyHypothesis,
     _design_matrix,
@@ -292,16 +292,13 @@ def reference_dump_dataset(ds: Dataset) -> str:
 
 
 def reference_load_dataset(text: str) -> Dataset:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("dataset text is empty")
-    n, m = parse_header(lines[0], ("n", "m"))
-    if len(lines) - 1 != m:
-        raise ValueError(f"header says m={m} but found {len(lines) - 1} rows")
+    (n, m), body = read_text(text, "dataset", ("n", "m"))
+    if len(body) != m:
+        raise ValueError(f"header says m={m} but found {len(body)} rows")
     xs = np.zeros((m, n), dtype=np.uint8)
     ys = np.zeros(m, dtype=np.uint8)
     flags = np.zeros(m, dtype=bool)
-    for i, ln in enumerate(lines[1:]):
+    for i, ln in enumerate(body):
         fields = ln.split()
         if n == 0 and len(fields) == 2:
             fields = ["", *fields]

@@ -1,9 +1,10 @@
+import re
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from sdtlearn.data import draw_clean
+from sdtlearn.data import draw_clean, dump_dataset, load_dataset
 from sdtlearn.polynomials import (
     COEFF_ABS_SUM_CAP,
     MultilinearPolynomial,
@@ -14,7 +15,7 @@ from sdtlearn.polynomials import (
     trunc,
 )
 from sdtlearn.regression import l1_regress, l2_regress
-from sdtlearn.trees import mean_polynomial, random_tree
+from sdtlearn.trees import dump_tree, load_tree, mean_polynomial, random_tree
 
 
 def test_trunc_frozen_values():
@@ -158,7 +159,46 @@ def test_serialization_roundtrip_of_fits():
     ("n=3 d=1\n:1.0\n:0.5\n", "appears twice"),
     ("n=3 d=2\n0,0:1.0\n", "sorted set of indices"),
     ("n=3 d=1\n5:1.0\n", r"sorted set of indices in \[0, 3\)"),
+    ("n=63 d=1\n0:oops\n", "at most 62 variables"),  # n is checked before the body is read
 ])
 def test_load_rejects_malformed_text(text, problem):
     with pytest.raises(ValueError, match=problem):
         load_polynomial(text)
+
+
+# Each loader with its dump, its kind, its header keys and a one-line body
+# that reads back as written under the header with every value 1.
+LOADERS = [
+    pytest.param(load_tree, dump_tree, "tree", ("n",), "L 1", id="tree"),
+    pytest.param(load_dataset, dump_dataset, "dataset", ("n", "m"), "1 1 0", id="dataset"),
+    pytest.param(load_polynomial, dump_polynomial, "polynomial", ("n", "d"), "0:1.5", id="polynomial"),
+]
+
+
+@pytest.mark.parametrize("load,dump,kind,keys,body", LOADERS)
+def test_loaders_share_one_text_reader(load, dump, kind, keys, body):
+    header = " ".join(f"{k}=1" for k in keys)
+    assert dump(load(f"{header}\n{body}\n")) == f"{header}\n{body}\n"
+    # Blank lines, `\r\n` and surrounding spaces are dropped.
+    assert dump(load(f"\r\n  {header} \r\n\r\n \t\r\n{body}\r\n\r\n")) == f"{header}\n{body}\n"
+    for text in ("", " \n\t\r\n"):
+        with pytest.raises(ValueError, match=f"^{kind} text is empty$"):
+            load(text)
+    expected = " ".join(f"{k}=<count>" for k in keys)
+    wrong = [
+        " ".join(f"{k}=1" for k in keys[1:]),  # n missing: a tree's body line is read as its header
+        f"{header} x=1",
+        f"{header} n=1",
+        " ".join(f"{k}=1" for k in keys[::-1]) if len(keys) > 1 else "N=1",
+    ]
+    for line in wrong:
+        with pytest.raises(ValueError, match=re.escape(f"header {line or body!r} must read `{expected}`") + "$"):
+            load(f"{line}\n{body}\n")
+    # A negative n, a negative last key, and a digit int() cannot read.
+    for values in (["-1"] * len(keys), ["1"] * (len(keys) - 1) + ["-1"], ["\u00b2"] * len(keys)):
+        line = " ".join(f"{k}={v}" for k, v in zip(keys, values))
+        message = f"header {line!r} must read `{expected}` with nonnegative integers"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            load(f"{line}\n{body}\n")
+    with pytest.raises(ValueError, match=r"^n must lie in \[0, 62\], got 63: packed inputs hold at most 62 variables$"):
+        load(f"{header.replace('n=1', 'n=63')}\n{body}\n")

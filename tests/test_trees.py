@@ -479,6 +479,10 @@ class TestSerialization:
             load_tree("n=2\nQ 0\nL 1\n")  # incomplete
         with pytest.raises(ValueError):
             load_tree("n=2\nL 1\nL 0\n")  # trailing node
+        with pytest.raises(ValueError, match=r"^node line 'L' must read L <0\|1>$"):
+            load_tree("n=2\nL\n")
+        with pytest.raises(ValueError, match=r"^node line 'S 0\.5 x' must read S <p>$"):
+            load_tree("n=2\nS 0.5 x\nL 1\nL 0")
 
     def test_nesting_limit(self):
         # A coin chain 3,000 deep, past Python's recursion limit.
