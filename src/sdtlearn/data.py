@@ -11,6 +11,10 @@ A dataset holds its inputs packed, as int64 values with bit i holding
 variable i, which is the form every kernel reads.  Rows of bits appear only
 where ``draw_clean`` draws and packs inputs, where ``find`` unpacks them into
 subcube keys, and in the text format: ``dump_dataset`` unpacks, ``load_dataset`` packs.
+
+``Dataset.counts``, the count table that ``find``, the regressions and the
+margin adversary read, counts over the cube when there are at least as many
+rows as {0,1}^n has points and sorts the rows otherwise, with identical output.
 """
 
 from __future__ import annotations
@@ -86,8 +90,14 @@ class Dataset:
     def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The count table: distinct packed inputs in ascending order, the
         number of rows labeled 0 and labeled 1 at each (int64), and each
-        row's index into the table."""
-        zs, inverse = np.unique(self.zs, return_inverse=True)
+        row's index into the table (intp).  With at least as many rows as
+        {0,1}^n has points the inputs seen come from a ``bincount`` over the
+        cube, never longer than the rows; with fewer, from ``np.unique``."""
+        if self.m >= 1 << self.n:
+            seen = np.bincount(self.zs, minlength=1 << self.n) > 0
+            zs, inverse = np.flatnonzero(seen), (np.cumsum(seen) - 1)[self.zs]
+        else:
+            zs, inverse = np.unique(self.zs, return_inverse=True)
         total = np.bincount(inverse, minlength=zs.size).astype(np.int64)
         c1 = np.bincount(inverse[self.ys == 1], minlength=zs.size).astype(np.int64)
         return zs, total - c1, c1, inverse
@@ -181,10 +191,12 @@ def _flip_margin_rows(clean: Dataset, budget: int, tree: StochasticTree) -> np.n
     take[order] = np.clip(budget - spent_before, 0, need_in_order)
 
     rows = np.flatnonzero(clean.ys == bayes[inverse])
-    groups = inverse[rows]
+    # 8- or 16-bit group ids (u <= 65,536) sort by radix; group g holds
+    # agree[g] rows, so a row's rank counts from where its group starts.
+    groups = inverse[rows].astype(np.min_scalar_type(zs.size - 1))
     by_group = np.argsort(groups, kind="stable")
     rows, groups = rows[by_group], groups[by_group]
-    rank = np.arange(rows.size) - np.searchsorted(groups, groups)
+    rank = np.arange(rows.size) - (np.cumsum(agree) - agree)[groups]
     chosen = rows[rank < take[groups]]
 
     leftover = budget - chosen.size

@@ -26,6 +26,9 @@ MAX_PACKED_VARS = 62
 #: double: below it no partial sum of an evaluation, in any order, overflows.
 COEFF_ABS_SUM_CAP = sys.float_info.max / 2
 
+#: Most digits a header value may have: int64 counts have at most 19.
+MAX_HEADER_DIGITS = 19
+
 
 def check_var_count(n: int) -> None:
     """Refuse a variable count that packed inputs cannot hold, before
@@ -178,6 +181,10 @@ def read_text(text: str, kind: str, keys: Sequence[str]) -> tuple[list[int], lis
     values = [t.partition("=")[2] for t in tokens]
     if not all(v.isascii() and v.isdigit() for v in values):
         raise ValueError(f"header {lines[0]!r} must read `{expected}` with nonnegative integers")
+    for k, v in zip(keys, values):
+        # Refused before int(), whose limit and message vary across Pythons.
+        if len(v) > MAX_HEADER_DIGITS:
+            raise ValueError(f"header value {k}= has {len(v)} digits, more than {MAX_HEADER_DIGITS}")
     check_var_count(int(values[0]))
     return [int(v) for v in values], lines[1:]
 

@@ -244,8 +244,11 @@ def mean_vector(tree: StochasticTree) -> np.ndarray:
 
 def mean_on_points(tree: StochasticTree, zs: np.ndarray) -> np.ndarray:
     """mu evaluated at the given packed inputs: each reachable 1-leaf adds
-    its weight on its subcube, in preorder."""
+    its weight on its subcube, in preorder.  Given more inputs than the
+    cube has points, the sums are taken once per point and gathered."""
     zs = np.asarray(zs, dtype=np.int64)
+    if zs.size > 1 << tree.n and tree.n <= DEFAULT_ENUMERATION_CAP:
+        return mean_vector(tree)[zs]
     out = np.zeros(zs.shape, dtype=np.float64)
     for label, weight, mask, bits, _ in leaf_paths(tree.root):
         if label and weight != 0.0:

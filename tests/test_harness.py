@@ -46,6 +46,31 @@ GOLDEN = [
     ),
 ]
 
+# The benchmark's find_acceptance experiments 0 and 1 at workload seed 1
+# (n=10, m=50k): about 49 rows share each of the 1,024 inputs, so the data
+# layer counts over the cube, which no n=6 config above reaches with as
+# many distinct inputs.  Experiment 1 runs the margin adversary.
+ACCEPTANCE_GOLDEN = [
+    (
+        ExperimentConfig(n=10, s=8, m=50_000, eps=0.15, method="find", stoch_fraction=0.3,
+                         eta=0.0, adversary="label_flip_margin", seed=1000, max_depth=5),
+        '{"adversary": "label_flip_margin", "bound": 0.1868891265057352, '
+        '"degree_budget": null, "depth_budget": 5, "eps": 0.15, '
+        '"error_estimation": "exact", "eta": 0.0, "hypothesis_error": 0.0368891265057352, '
+        '"m": 50000, "margin": -0.15, "method": "find", "n": 10, '
+        '"opt": 0.036889126505735184, "s": 8, "seed": 1000}',
+    ),
+    (
+        ExperimentConfig(n=10, s=8, m=50_000, eps=0.15, method="find", stoch_fraction=0.3,
+                         eta=0.05, adversary="label_flip_margin", seed=1001, max_depth=5),
+        '{"adversary": "label_flip_margin", "bound": 0.2731649140132726, '
+        '"degree_budget": null, "depth_budget": 5, "eps": 0.15, '
+        '"error_estimation": "exact", "eta": 0.05, "hypothesis_error": 0.11691491401327264, '
+        '"m": 50000, "margin": -0.15624999999999994, "method": "find", "n": 10, '
+        '"opt": 0.023164914013272607, "s": 8, "seed": 1001}',
+    ),
+]
+
 
 class TestBudgets:
     def test_find_depth_budget(self):
@@ -201,6 +226,10 @@ class TestBudgets:
 class TestGoldenConfigs:
     @pytest.mark.parametrize("cfg,expected", GOLDEN, ids=["find", "l2", "l1"])
     def test_pinned_reports(self, cfg, expected):
+        assert run_experiment(cfg).to_json() == expected
+
+    @pytest.mark.parametrize("cfg,expected", ACCEPTANCE_GOLDEN, ids=["eta0", "margin"])
+    def test_pinned_acceptance_reports(self, cfg, expected):
         assert run_experiment(cfg).to_json() == expected
 
 

@@ -1,6 +1,8 @@
 """The vectorized kernels against the plain loops they replaced.
 
-Each reference is the earlier implementation kept verbatim in spirit: a
+Each reference is the earlier implementation kept verbatim in spirit:
+``np.unique`` for the count table, which the new code builds by counting
+over the cube when the rows outnumber its points, a
 per-row dict loop for the margin adversary, ``np.unique`` over (input,
 label) keys for the regression rows, a recursive walk that splits the
 inputs at each query for the mean at given points, the expansion of each
@@ -82,6 +84,13 @@ from sdtlearn.trees import (
 )
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def reference_counts(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    zs, inverse = np.unique(ds.zs, return_inverse=True)
+    total = np.bincount(inverse, minlength=zs.size).astype(np.int64)
+    c1 = np.bincount(inverse[ds.ys == 1], minlength=zs.size).astype(np.int64)
+    return zs, total - c1, c1, inverse
 
 
 def reference_flip_margin_rows(clean: Dataset, budget: int, tree: StochasticTree) -> np.ndarray:
@@ -345,8 +354,43 @@ instances = dict(
 )
 
 
+#: Sample shapes at the edges of the count table's two branches: no rows,
+#: no variables, one row short of the cube's 2^n points, exactly 2^n rows,
+#: and more than 255 distinct inputs, where the margin adversary sorts
+#: 16-bit group ids.
+EDGE_SHAPES = [
+    dict(n=3, m=0, noisy=False),
+    dict(n=0, m=5, noisy=True),
+    dict(n=4, m=15, noisy=True),
+    dict(n=4, m=16, noisy=False),
+    dict(n=9, m=2000, noisy=False),
+]
+
+
+def edge_shapes(**extra):
+    """Add every ``EDGE_SHAPES`` instance to a test over ``instances`` as an example."""
+
+    def apply(test):
+        for seed, shape in enumerate(EDGE_SHAPES):
+            test = example(s=10, stoch=0.3, seed=seed, **shape, **extra)(test)
+        return test
+
+    return apply
+
+
+@PROPERTY
+@given(**instances)
+@edge_shapes()
+def test_count_table_matches_unique(n, s, stoch, m, noisy, seed):
+    tree = _tree(n, min(s, 1 << n), stoch, seed)
+    ds = _sample(tree, m, noisy, seed + 1)
+    for new, ref in zip(ds.counts(), reference_counts(ds)):
+        _assert_identical(new, ref)
+
+
 @PROPERTY
 @given(eta=st.sampled_from([0.01, 0.05, 0.2, 0.5, 1.0]), **instances)
+@edge_shapes(eta=0.2)
 @example(n=3, s=4, stoch=0.3, m=50, noisy=False, seed=0, eta=1.0)
 @example(n=2, s=3, stoch=0.0, m=200, noisy=True, seed=1, eta=0.5)
 def test_flip_margin_rows_matches_dict_loop(n, s, stoch, m, noisy, seed, eta):
@@ -532,6 +576,10 @@ any_trees = dict(n=st.integers(1, 30), s=st.integers(1, 24), seed=st.integers(0,
 
 @PROPERTY
 @given(m=st.integers(0, 300), **any_trees)
+@example(m=16, n=4, s=12, seed=0)
+@example(m=17, n=4, s=12, seed=1)
+@example(m=256, n=8, s=24, seed=2)
+@example(m=257, n=8, s=24, seed=3)
 def test_mean_on_points_matches_recursive_walk(m, n, s, seed):
     tree = _any_tree(n, s, seed)
     zs = np.random.default_rng(seed).integers(0, 1 << n, size=m, dtype=np.int64)

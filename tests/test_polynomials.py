@@ -202,3 +202,11 @@ def test_loaders_share_one_text_reader(load, dump, kind, keys, body):
             load(f"{line}\n{body}\n")
     with pytest.raises(ValueError, match=r"^n must lie in \[0, 62\], got 63: packed inputs hold at most 62 variables$"):
         load(f"{header.replace('n=1', 'n=63')}\n{body}\n")
+    # 19 digits are read; past that a value is refused by key before int()
+    # sees it, on every Python (3.11 and later refuse 4,300 digits themselves).
+    assert dump(load(f"{header.replace('n=1', 'n=' + '1'.zfill(19))}\n{body}\n")) == f"{header}\n{body}\n"
+    for key in {keys[0], keys[-1]}:
+        for digits in (20, 5000):
+            line = " ".join(f"{k}={'1' * digits if k == key else 1}" for k in keys)
+            with pytest.raises(ValueError, match=f"^header value {key}= has {digits} digits, more than 19$"):
+                load(f"{line}\n{body}\n")
