@@ -38,12 +38,13 @@ programs, one per side; the choice depends only on (n, d):
 * the cube LP solves for q subject to V q = 0, 2^n - F rows.  Inputs
   never seen cost nothing.
 
-Each fit is certified by a lower bound from the dual: its objective may
-exceed that bound by at most L1_CERTIFICATE_TOL per sample row, otherwise
-L1SolverError is raised with the fit as its incumbent.  The dual LP is
-charged as its design matrix (grouped rows x F), the cube LP as its
-constraint matrix and variables, both against DESIGN_BYTES_CAP; an l2
-fit is charged the larger of its two sides.
+Both LPs are solved by one call to HiGHS's default method, and each fit
+is certified by a lower bound from the dual: its objective over the count
+table may exceed that bound by at most L1_CERTIFICATE_TOL per sample row,
+otherwise L1SolverError is raised with the fit as its incumbent.  The
+dual LP is charged as its design matrix (grouped rows x F), the cube LP
+as its constraint matrix and variables, both against DESIGN_BYTES_CAP;
+an l2 fit is charged the larger of its two sides.
 
 ``learn_pipeline`` fits either method at the degree it is handed.  Hypotheses
 clamp the fitted polynomial to [0,1]; ``MODES`` gives each method's
@@ -62,7 +63,7 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpstrf
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
 from .polynomials import MultilinearPolynomial, _subset_transform, feature_count, monomials
 
@@ -140,9 +141,11 @@ def check_budget(method: str, n: int, d: int, rows: int) -> None:
         )
 
 
-def _grouped_rows(dataset: "Dataset") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct (input, label) pairs with multiplicities, by input then label."""
-    zs, c0, c1, _ = dataset.counts()
+def _grouped_rows(
+    zs: np.ndarray, c0: np.ndarray, c1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (input, label) pairs with multiplicities, by input then label,
+    from the count table (zs, c0, c1)."""
     w = np.stack([c0, c1], axis=1).ravel()
     keep = w > 0
     ys = np.tile(np.array([0.0, 1.0]), zs.size)
@@ -177,9 +180,9 @@ def l2_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     zs, c0, c1, _ = dataset.counts()
     n = dataset.n
     check_budget("l2", n, d, zs.size)
-    masks = monomials(n, d)
     if zs.size == 1 << n and cube_side(n, d):
-        return _to_poly(n, d, masks, _l2_cube(c0, c1, n, d)[masks])
+        return _cube_fit(_l2_cube(c0, c1, n, d), n, d)
+    masks = monomials(n, d)
     sw = np.sqrt((c0 + c1).astype(np.float64))
     a = _design_matrix(zs, masks)
     a *= sw[:, None]
@@ -199,14 +202,21 @@ def l2_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
 
 
 def _l2_cube(c0: np.ndarray, c1: np.ndarray, n: int, d: int) -> np.ndarray:
-    """The Moebius coefficients of q = t - D V^T (V D V^T)^-1 V t, indexed
-    by mask, from the label counts on every input of {0,1}^n in order."""
+    """q = t - D V^T (V D V^T)^-1 V t, from the label counts on every input
+    of {0,1}^n in order."""
     w = (c0 + c1).astype(np.float64)
     t = c1 / w
     v = _mobius_rows(n, d)
     dvt = (v / w).T
     lam = cho_solve(cho_factor((v @ dvt).toarray()), v @ t)
-    return _subset_transform(t - dvt @ lam, n, -1.0)
+    return t - dvt @ lam
+
+
+def _cube_fit(q: np.ndarray, n: int, d: int) -> MultilinearPolynomial:
+    """The degree-<= d polynomial with values q on {0,1}^n in order: q's
+    Moebius transform read at the monomials."""
+    masks = monomials(n, d)
+    return _to_poly(n, d, masks, _subset_transform(q, n, -1.0)[masks])
 
 
 def l1_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
@@ -225,20 +235,15 @@ def _l1_dual(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     grouped row; b is read from the equality rows' multipliers and
     certified by strong duality.
     """
-    zs, ys, w = _grouped_rows(dataset)
-    check_budget("l1", dataset.n, d, zs.size)
-    if zs.size == 0:  # every polynomial is optimal; HiGHS rejects an LP without variables
+    zs, c0, c1, _ = dataset.counts()
+    rows, ys, w = _grouped_rows(zs, c0, c1)
+    check_budget("l1", dataset.n, d, rows.size)
+    if rows.size == 0:  # every polynomial is optimal; HiGHS rejects an LP without variables
         return MultilinearPolynomial(dataset.n, d, [], [])
     masks = monomials(dataset.n, d)
-    phi = _design_matrix(zs, masks)
-
-    bounds = np.stack([-w, w], axis=1)
-    res = linprog(-ys, A_eq=phi.T, b_eq=np.zeros(masks.size), bounds=bounds, method="highs-ipm")
-    if not res.success:
-        raise L1SolverError(f"LP solver failed: {res.message}", incumbent=None)
-    beta = -res.eqlin.marginals
-    poly = _to_poly(dataset.n, d, masks, beta)
-    _certify(poly, float(w @ np.abs(phi @ beta - ys)), -res.fun, dataset.m)
+    res = _solve_lp(-ys, _design_matrix(rows, masks).T, np.stack([-w, w], axis=1))
+    poly = _to_poly(dataset.n, d, masks, -res.eqlin.marginals)
+    _certify(poly, zs, c0, c1, -res.fun)
     return poly
 
 
@@ -256,8 +261,7 @@ def _l1_cube(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     n, size = dataset.n, 1 << dataset.n
     zs, c0, c1, _ = dataset.counts()
     check_budget("l1", n, d, zs.size)
-    w0 = np.zeros(size)
-    w1 = np.zeros(size)
+    w0, w1 = np.zeros((2, size))
     w0[zs] = c0
     w1[zs] = c1
     w = w0 + w1
@@ -266,19 +270,11 @@ def _l1_cube(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     bounds = np.zeros((3, size, 2))
     bounds[:, :, 1] = np.inf
     bounds[1, :, 1] = 1.0
-    res = linprog(
-        np.concatenate([w, w0 - w1, w]),
-        A_eq=sp.hstack([-v, v, v], format="csr"),
-        b_eq=np.zeros(v.shape[0]),
-        bounds=bounds.reshape(-1, 2),
-        method="highs",
+    res = _solve_lp(
+        np.concatenate([w, w0 - w1, w]), sp.hstack([-v, v, v], format="csr"), bounds.reshape(-1, 2)
     )
-    if not res.success:
-        raise L1SolverError(f"LP solver failed: {res.message}", incumbent=None)
     a, b, e = res.x.reshape(3, size)
-    beta = _subset_transform(b + e - a, n, -1.0)
-    masks = monomials(n, d)
-    poly = _to_poly(n, d, masks, beta[masks])
+    poly = _cube_fit(b + e - a, n, d)
 
     s = v.T @ res.eqlin.marginals
     excess = float(np.max(np.abs(s) - w))
@@ -287,14 +283,28 @@ def _l1_cube(dataset: "Dataset", d: int) -> MultilinearPolynomial:
             f"LP result not certified: dual multipliers infeasible by {excess:.3g}",
             incumbent=poly,
         )
-    fit = poly.evaluate_packed(np.arange(size))
-    primal = float(w0 @ np.abs(fit) + w1 @ np.abs(fit - 1.0))
-    _certify(poly, primal, float(np.minimum(w1, w0 - s).sum()), dataset.m)
+    _certify(poly, np.arange(size), w0, w1, float(np.minimum(w1, w0 - s).sum()))
     return poly
 
 
-def _certify(poly: MultilinearPolynomial, primal: float, bound: float, m: int) -> None:
-    gap = primal - bound
+def _solve_lp(c: np.ndarray, a_eq: np.ndarray | sp.csr_array, bounds: np.ndarray) -> OptimizeResult:
+    """min c.x subject to a_eq x = 0 and the bounds, by HiGHS's default
+    method; a failed solve raises L1SolverError without an incumbent."""
+    res = linprog(c, A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]), bounds=bounds, method="highs")
+    if not res.success:
+        raise L1SolverError(f"LP solver failed: {res.message}", incumbent=None)
+    return res
+
+
+def _certify(
+    poly: MultilinearPolynomial, zs: np.ndarray, c0: np.ndarray, c1: np.ndarray, bound: float
+) -> None:
+    """Raise L1SolverError when the fit's objective over the count table
+    (zs, c0, c1) exceeds the dual bound by more than L1_CERTIFICATE_TOL per
+    row."""
+    fit = poly.evaluate_packed(zs)
+    gap = float(c0 @ np.abs(fit) + c1 @ np.abs(fit - 1.0)) - bound
+    m = int(c0.sum() + c1.sum())
     if gap > L1_CERTIFICATE_TOL * m:
         raise L1SolverError(
             f"LP result not certified: duality gap {gap:.3g} over {m} rows",

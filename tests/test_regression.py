@@ -9,6 +9,7 @@ from conftest import l1_objective, l2_objective, predict
 from sdtlearn import regression
 from sdtlearn.data import Dataset, draw_clean
 from sdtlearn.evaluation import exact_error, exact_opt, guarantee_bound
+from sdtlearn.harness import ExperimentConfig, budgets_for, run_experiment
 from sdtlearn.polynomials import MultilinearPolynomial, dump_polynomial, monomials, trunc
 from sdtlearn.regression import (
     FeatureBudgetExceeded,
@@ -202,6 +203,28 @@ class TestL1Certificate:
             l1_regress(_noisy_parity_sample(), 3)
         assert isinstance(info.value.incumbent, MultilinearPolynomial)
 
+    def test_both_sides_solve_with_one_method(self, monkeypatch):
+        solve, methods = regression.linprog, []
+
+        def recording(*args, **kwargs):
+            methods.append(kwargs["method"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "linprog", recording)
+        for sample, d in CERTIFICATE_CASES:
+            l1_regress(sample(), d)
+        assert len(methods) == 2 and methods[0] == methods[1]
+
+    @pytest.mark.parametrize("eta,seed", [(0.0, 3), (0.05, 25)])
+    def test_dual_side_margin_configs_certify(self, eta, seed):
+        # Dual-side configs on which an interior-point solve leaves a
+        # duality gap above L1_CERTIFICATE_TOL per row.
+        cfg = ExperimentConfig(
+            n=10, s=4, m=5000, eps=0.5, method="l1", adversary="label_flip_margin", eta=eta, seed=seed
+        )
+        assert not regression.cube_side(cfg.n, budgets_for(cfg)[1])
+        assert run_experiment(cfg).method == "l1"
+
     def test_cube_slack_within_the_tolerance_accepted(self, monkeypatch):
         # Unseen inputs have W = 0, where s_z is 0 only up to rounding.
         ds = make_dataset([[0, 0, 0], [1, 1, 0], [1, 1, 0], [0, 1, 1]] * 10, [0, 1, 0, 1] * 10)
@@ -344,23 +367,23 @@ n=4 d=2
 
 PIN_L1_DUAL = """\
 n=6 d=2
-1:0.2222222222222222
-2:-0.11111111111111109
+1:0.22222222222222215
+2:-0.11111111111111105
 3:0.2222222222222222
-5:0.1111111111111111
-0,1:0.1111111111111111
-0,2:-0.11111111111111112
+5:0.11111111111111105
+0,1:0.11111111111111122
+0,2:-0.11111111111111116
 0,3:0.3333333333333333
-0,5:-0.1111111111111111
-1,2:-0.11111111111111112
+0,5:-0.11111111111111122
+1,2:-0.11111111111111127
 1,3:-0.4444444444444444
-1,4:-0.2222222222222222
+1,4:-0.22222222222222227
 1,5:-0.3333333333333333
-2,3:0.11111111111111112
-2,4:0.2222222222222222
-2,5:0.2222222222222222
+2,3:0.1111111111111111
+2,4:0.22222222222222238
+2,5:0.22222222222222232
 3,4:-0.2222222222222222
-3,5:0.3333333333333333
+3,5:0.33333333333333337
 """
 
 
