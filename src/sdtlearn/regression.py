@@ -35,16 +35,22 @@ programs, one per side; the choice depends only on (n, d):
 
 * the dual LP over one weighted row per distinct (input, label) pair has
   one equality row per feature, F rows;
-* the cube LP solves for q subject to V q = 0, 2^n - F rows.  Inputs
-  never seen cost nothing.
+* the cube LP solves for q subject to V q = 0, 2^n - F rows, with one
+  column per linear piece of each input's cost c0|q| + c1|q - 1|: three
+  for an input seen with both labels, two for one seen with one label,
+  and one free column at cost 0 for an unseen input.
 
-Both LPs are solved by one call to HiGHS's default method, and each fit
-is certified by a lower bound from the dual: its objective over the count
-table may exceed that bound by at most L1_CERTIFICATE_TOL per sample row,
-otherwise L1SolverError is raised with the fit as its incumbent.  The
-dual LP is charged as its design matrix (grouped rows x F), the cube LP
-as its constraint matrix and variables, both against DESIGN_BYTES_CAP;
-an l2 fit is charged the larger of its two sides.
+Both LPs are solved by one call to HiGHS's default method.  The cube LP
+is already in the form HiGHS's presolve would reduce it to, so it is
+solved without presolve, and its primal values and multipliers are then
+recomputed once from the final basis, the step HiGHS's re-solve after
+presolve performs.  Each fit is certified by a lower bound from the
+dual: its objective over the count table may exceed that bound by at
+most L1_CERTIFICATE_TOL per sample row, otherwise L1SolverError is
+raised with the fit as its incumbent.  The dual LP is charged as its
+design matrix (grouped rows x F), the cube LP as its constraint matrix,
+variables and basis Gram matrix, both against DESIGN_BYTES_CAP; an l2
+fit is charged the larger of its two sides.
 
 ``learn_pipeline`` fits either method at the degree it is handed.  Hypotheses
 clamp the fitted polynomial to [0,1]; ``MODES`` gives each method's
@@ -112,12 +118,13 @@ def check_budget(method: str, n: int, d: int, rows: int) -> None:
     is allocated, when its monomial basis exceeds FEATURE_CAP or what it
     builds exceeds DESIGN_BYTES_CAP at 8 bytes an entry.  A fit on the
     feature side builds a ``rows`` x F design matrix.  On the cube side,
-    with nnz(V) = sum over |T| > d of 2^|T|, an l1 fit builds 3 nnz(V)
-    constraint entries and 3 * 2^n variables (these matter when d = n and
-    V is empty), and an l2 fit builds nnz(V) entries and a (2^n - F)-square
-    matrix.  Which side an l2 fit takes depends on the distinct inputs,
-    known only after the draw, so it is charged the larger of the two.  A
-    degree outside [0, n] is refused first."""
+    with nnz(V) = sum over |T| > d of 2^|T|, an l1 fit builds at most
+    3 nnz(V) constraint entries and 3 * 2^n variables (these matter when
+    d = n and V is empty) and a (2^n - F)-square basis Gram matrix, and an
+    l2 fit builds nnz(V) entries and a (2^n - F)-square matrix.  Which
+    side an l2 fit takes depends on the distinct inputs, known only after
+    the draw, so it is charged the larger of the two.  A degree outside
+    [0, n] is refused first."""
     if not 0 <= d <= n:
         raise ValueError(f"degree {d} must lie in [0, {n}], the variable count")
     count = feature_count(n, d)
@@ -131,7 +138,8 @@ def check_budget(method: str, n: int, d: int, rows: int) -> None:
         nnz = sum(math.comb(n, k) << k for k in range(d + 1, n + 1))
         side = (1 << n) - count
         if method == "l1":
-            charges = [(3 * nnz + (3 << n), f"a cube LP of {3 * nnz} entries over {3 << n} variables")]
+            lp = f"a cube LP of {3 * nnz} entries over {3 << n} variables"
+            charges = [(3 * nnz + (3 << n) + side * side, f"{lp} and a {side}x{side} basis Gram matrix")]
         else:
             charges.append((nnz + side * side, f"a cube system of {nnz} entries and a {side}x{side} matrix"))
     entries, need = max(charges)
@@ -252,11 +260,16 @@ def _l1_cube(dataset: "Dataset", d: int) -> MultilinearPolynomial:
 
         min sum_z c0(z) |q_z| + c1(z) |q_z - 1|  s.t.  V q = 0,
 
-    V holding one Moebius row v_T per |T| > d.  With q = -a + b + e,
-    a, e >= 0 and 0 <= b <= 1, the cost is W.a + (c0 - c1).b + W.e plus
-    the constant sum c1.  For multipliers lam of V's rows, s = V^T lam,
-    the dual bound is sum_z min(c1(z), c0(z) - s_z), valid when
-    |s_z| <= W(z) for every z.
+    V holding one Moebius row v_T per |T| > d.  Each input gets one column
+    per linear piece of its cost: y <= 0 at slope -W, 0 <= b <= 1 at slope
+    c0 - c1 and e >= 0 at slope W, so q is the sum of its input's columns
+    and the cost is the LP's plus the constant sum c1.  A piece with its
+    neighbour's slope is merged into it: b into y (so y <= 1) when c0 = 0,
+    b into e when c1 = 0, and an unseen input has one free y at cost 0.
+    That is the LP HiGHS's presolve would reduce the three-column one to,
+    so it is solved without presolve, and its values and multipliers lam
+    are recomputed from the final basis.  With s = V^T lam, the dual bound
+    is sum_z min(c1(z), c0(z) - s_z), valid when |s_z| <= W(z) for every z.
     """
     n, size = dataset.n, 1 << dataset.n
     zs, c0, c1, _ = dataset.counts()
@@ -267,16 +280,19 @@ def _l1_cube(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     w = w0 + w1
     v = _mobius_rows(n, d)
 
-    bounds = np.zeros((3, size, 2))
-    bounds[:, :, 1] = np.inf
-    bounds[1, :, 1] = 1.0
-    res = _solve_lp(
-        np.concatenate([w, w0 - w1, w]), sp.hstack([-v, v, v], format="csr"), bounds.reshape(-1, 2)
-    )
-    a, b, e = res.x.reshape(3, size)
-    poly = _cube_fit(b + e - a, n, d)
+    # Columns y for every input (free on an unseen one), then b for the
+    # inputs seen with both labels, then e for the seen inputs.
+    both, seen = np.flatnonzero((w0 > 0) & (w1 > 0)), np.flatnonzero(w > 0)
+    cols = np.concatenate([np.arange(size), both, seen])
+    c = np.concatenate([-w, (w0 - w1)[both], w[seen]])
+    lower = np.concatenate([np.full(size, -np.inf), np.zeros(both.size + seen.size)])
+    upper = np.concatenate([np.where(w > 0, w0 == 0, np.inf), np.ones(both.size), np.full(seen.size, np.inf)])
+    bounds = np.stack([lower, upper], axis=1)
+    a_eq = v[:, cols]
+    x, lam = _basis_solution(_solve_lp(c, a_eq, bounds, presolve=False), a_eq, c)
+    poly = _cube_fit(np.bincount(cols, weights=x, minlength=size), n, d)
 
-    s = v.T @ res.eqlin.marginals
+    s = v.T @ lam
     excess = float(np.max(np.abs(s) - w))
     if excess > L1_CERTIFICATE_TOL:
         raise L1SolverError(
@@ -287,10 +303,35 @@ def _l1_cube(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     return poly
 
 
-def _solve_lp(c: np.ndarray, a_eq: np.ndarray | sp.csr_array, bounds: np.ndarray) -> OptimizeResult:
+def _basis_solution(
+    res: OptimizeResult, a_eq: sp.csr_array, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """HiGHS's primal values x and row multipliers lam, recomputed once
+    from the final basis B, the columns with neither bound multiplier, as
+    HiGHS's re-solve after presolve does.  B's columns must keep a_eq x = 0
+    and price out exactly, a_B . lam = c_B, so x on B and lam take the
+    least-squares corrections, both through the Gram matrix a_B a_B^T
+    (one row and column per equality row; B may hold more columns than
+    there are rows, free ones of unseen inputs among them)."""
+    basis = (res.lower.marginals == 0) & (res.upper.marginals == 0)
+    a_b = a_eq[:, basis]
+    x, lam = res.x.copy(), res.eqlin.marginals
+    rhs = np.stack([-(a_eq @ x), a_b @ (c[basis] - a_b.T @ lam)], axis=1)
+    dx, dlam = np.linalg.lstsq((a_b @ a_b.T).toarray(), rhs, rcond=None)[0].T
+    x[basis] += a_b.T @ dx
+    return x, lam + dlam
+
+
+def _solve_lp(
+    c: np.ndarray, a_eq: np.ndarray | sp.csr_array, bounds: np.ndarray, presolve: bool = True
+) -> OptimizeResult:
     """min c.x subject to a_eq x = 0 and the bounds, by HiGHS's default
-    method; a failed solve raises L1SolverError without an incumbent."""
-    res = linprog(c, A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]), bounds=bounds, method="highs")
+    method, with its presolve unless ``presolve`` is False; a failed solve
+    raises L1SolverError without an incumbent."""
+    options = None if presolve else {"presolve": False}
+    res = linprog(
+        c, A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]), bounds=bounds, method="highs", options=options
+    )
     if not res.success:
         raise L1SolverError(f"LP solver failed: {res.message}", incumbent=None)
     return res

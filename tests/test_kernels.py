@@ -8,7 +8,9 @@ label) keys for the regression rows, a recursive walk that splits the
 inputs at each query for the mean at given points, the expansion of each
 path's (variable, bit) factors one at a time for the mean polynomial,
 the slack-split primal LP for the L1 fit
-(and that fit's dual LP for its cube LP, used when d is near n),
+(and that fit's dual LP for its cube LP, used when d is near n, as well
+as the cube LP's earlier form with three columns on every input, solved
+with HiGHS's presolve),
 ``lstsq`` over the grouped rows for the L2 fit (on either side), one
 pass over the inputs per monomial for polynomial evaluation, the ``find`` search
 keyed by sorted (variable, bit) tuples (in conftest), one int64 matrix
@@ -54,11 +56,16 @@ from sdtlearn.evaluation import exact_error
 from sdtlearn.find import find
 from sdtlearn.polynomials import COEFF_ABS_SUM_CAP, MultilinearPolynomial, monomials, read_text
 from sdtlearn.regression import (
+    L1_CERTIFICATE_TOL,
     TruncatedPolyHypothesis,
+    _certify,
+    _cube_fit,
     _design_matrix,
     _grouped_rows,
     _l1_cube,
     _l1_dual,
+    _mobius_rows,
+    _solve_lp,
     _to_poly,
     l1_regress,
     l2_regress,
@@ -150,6 +157,31 @@ def reference_l1_regress(dataset: Dataset, d: int):
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     assert res.success, res.message
     return _to_poly(dataset.n, d, monos, res.x[:f])
+
+
+def reference_l1_cube(dataset: Dataset, d: int) -> MultilinearPolynomial:
+    """The three-column cube LP: q = -a + b + e with a, e >= 0 and
+    0 <= b <= 1 on every input, solved with HiGHS's presolve and certified
+    with HiGHS's own multipliers."""
+    n, size = dataset.n, 1 << dataset.n
+    zs, c0, c1, _ = dataset.counts()
+    w0, w1 = np.zeros((2, size))
+    w0[zs] = c0
+    w1[zs] = c1
+    w = w0 + w1
+    v = _mobius_rows(n, d)
+    bounds = np.zeros((3, size, 2))
+    bounds[:, :, 1] = np.inf
+    bounds[1, :, 1] = 1.0
+    res = _solve_lp(
+        np.concatenate([w, w0 - w1, w]), sp.hstack([-v, v, v], format="csr"), bounds.reshape(-1, 2)
+    )
+    a, b, e = res.x.reshape(3, size)
+    poly = _cube_fit(b + e - a, n, d)
+    s = v.T @ res.eqlin.marginals
+    assert float(np.max(np.abs(s) - w)) <= L1_CERTIFICATE_TOL
+    _certify(poly, np.arange(size), w0, w1, float(np.minimum(w1, w0 - s).sum()))
+    return poly
 
 
 def reference_l2_regress(dataset: Dataset, d: int):
@@ -473,6 +505,29 @@ def test_l1_cube_matches_dual_on_acceptance_instance():
     assert abs(l1_objective(cube, ds) - l1_objective(dual, ds)) <= 1e-9
     errors = [exact_error(tree, TruncatedPolyHypothesis(p, "randomized")) for p in (cube, dual)]
     assert abs(errors[0] - errors[1]) <= 1e-9
+
+
+def _count_table_objective(poly: MultilinearPolynomial, ds: Dataset) -> float:
+    zs, c0, c1, _ = ds.counts()
+    fit = poly.evaluate_packed(zs)
+    return float(c0 @ np.abs(fit) + c1 @ np.abs(fit - 1.0))
+
+
+@PROPERTY
+@given(degree=st.floats(0.0, 1.0), **instances)
+@example(n=3, s=4, stoch=0.3, m=0, noisy=True, seed=7, degree=0.5)
+@example(n=4, s=6, stoch=0.3, m=200, noisy=True, seed=2, degree=1.0)
+@example(n=6, s=8, stoch=0.3, m=5, noisy=True, seed=6, degree=0.7)
+def test_l1_cube_matches_three_column_lp(n, s, stoch, m, noisy, seed, degree):
+    # The examples cover m = 0, d = n (no equality rows) and 59 unseen
+    # inputs out of 64.  Tied LPs have several optimal vertices, so only
+    # the objectives must agree.
+    tree = _tree(n, min(s, 1 << n), stoch, seed)
+    ds = _sample(tree, m, noisy, seed + 1)
+    d = round(degree * n)
+    new = _count_table_objective(_l1_cube(ds, d), ds)
+    ref = _count_table_objective(reference_l1_cube(ds, d), ds)
+    assert abs(new - ref) <= L1_CERTIFICATE_TOL * m
 
 
 @PROPERTY

@@ -163,7 +163,19 @@ def _noisy_parity_sample():
 CERTIFICATE_CASES = [(_stochastic_sample, 2), (_noisy_parity_sample, 3)]
 
 
-def _patch_multipliers(monkeypatch, change):
+def _patch_multipliers(monkeypatch, change, cube):
+    """Apply ``change`` to the multipliers the certificate reads: on the
+    cube side those recomputed from the final basis, which would undo a
+    change made to HiGHS's own, and on the dual side HiGHS's own."""
+    if cube:
+        recompute = regression._basis_solution
+
+        def recomputed(*args):
+            x, lam = recompute(*args)
+            return x, change(lam)
+
+        monkeypatch.setattr(regression, "_basis_solution", recomputed)
+        return
     solve = regression.linprog
 
     def patched(*args, **kwargs):
@@ -179,10 +191,11 @@ class TestL1Certificate:
         # Halving the multipliers keeps the cube side's |s| <= W, so only
         # the gap can catch it there.
         assert [regression.cube_side(5, d) for _, d in CERTIFICATE_CASES] == [False, True]
-        _patch_multipliers(monkeypatch, lambda lam: lam * 0.5)
         for sample, d in CERTIFICATE_CASES:
-            with pytest.raises(L1SolverError, match="duality gap") as info:
-                l1_regress(sample(), d)
+            with monkeypatch.context() as patch:
+                _patch_multipliers(patch, lambda lam: lam * 0.5, regression.cube_side(5, d))
+                with pytest.raises(L1SolverError, match="duality gap") as info:
+                    l1_regress(sample(), d)
             assert isinstance(info.value.incumbent, MultilinearPolynomial)
 
     def test_solver_failure_has_no_incumbent(self, monkeypatch):
@@ -198,7 +211,7 @@ class TestL1Certificate:
     def test_cube_multipliers_beyond_the_row_weights_rejected(self, monkeypatch):
         # At an optimal vertex some |s_z| equals W(z); doubling the
         # multipliers pushes it past W(z), so no dual bound holds.
-        _patch_multipliers(monkeypatch, lambda lam: lam * 2.0)
+        _patch_multipliers(monkeypatch, lambda lam: lam * 2.0, cube=True)
         with pytest.raises(L1SolverError, match="dual multipliers infeasible") as info:
             l1_regress(_noisy_parity_sample(), 3)
         assert isinstance(info.value.incumbent, MultilinearPolynomial)
@@ -225,11 +238,34 @@ class TestL1Certificate:
         assert not regression.cube_side(cfg.n, budgets_for(cfg)[1])
         assert run_experiment(cfg).method == "l1"
 
+    @pytest.mark.parametrize("seed,margin", [(8, -0.3264), (9, -0.3707)], ids=["seed8", "seed9"])
+    def test_cube_side_margin_configs_certify(self, seed, margin):
+        # Cube-side configs (d = 5) whose multipliers, as HiGHS leaves them
+        # without presolve, put |s| above W by 9.18e-09 and 1.77e-09; seed
+        # 9's final basis has 377 columns for 386 rows.
+        cfg = ExperimentConfig(
+            n=10, s=8, m=3000, eps=0.3, method="l1", adversary="label_flip_margin", eta=0.05,
+            seed=seed, stoch_fraction=0.0,
+        )
+        assert regression.cube_side(cfg.n, budgets_for(cfg)[1])
+        assert round(run_experiment(cfg).margin, 4) == margin
+
+    def test_cube_side_primal_values_recomputed(self):
+        # Uniform labels on 300 rows over 257 of 1024 inputs: HiGHS's
+        # values leave V q about 5e-8 off zero, and the Moebius read-back,
+        # which drops those coefficients, would miss the optimum by a
+        # duality gap of 1.14e-06 over 300 rows.
+        rng = np.random.default_rng(12)
+        clean = draw_clean(random_tree(10, 6, 0.3, rng), 300, rng)
+        ds = Dataset(10, clean.zs, rng.integers(0, 2, 300, dtype=np.uint8), clean.corrupted)
+        assert regression.cube_side(10, 5)
+        l1_regress(ds, 5)
+
     def test_cube_slack_within_the_tolerance_accepted(self, monkeypatch):
         # Unseen inputs have W = 0, where s_z is 0 only up to rounding.
         ds = make_dataset([[0, 0, 0], [1, 1, 0], [1, 1, 0], [0, 1, 1]] * 10, [0, 1, 0, 1] * 10)
         assert regression.cube_side(3, 2)
-        _patch_multipliers(monkeypatch, lambda lam: lam + regression.L1_CERTIFICATE_TOL / 4)
+        _patch_multipliers(monkeypatch, lambda lam: lam + regression.L1_CERTIFICATE_TOL / 4, cube=True)
         l1_regress(ds, 2)
 
 
@@ -253,15 +289,18 @@ def test_design_matrix_budget_uses_grouped_rows(fit, rows, monkeypatch):
 
 def test_cube_lp_budget_counts_its_own_size(monkeypatch):
     # Degree 2 over 3 variables: 7 features, one cube row v_{012} with 8
-    # nonzeros, so 24 constraint entries and 24 variables, whatever the
-    # number of rows; the grouped rows never enter the charge.
+    # nonzeros, so 24 constraint entries, 24 variables and a 1x1 basis Gram
+    # matrix, whatever the number of rows; the grouped rows never enter
+    # the charge.
     ds = make_dataset([[0, 0, 0], [0, 1, 0], [0, 1, 0], [1, 1, 1]] * 50, [0, 0, 1, 1] * 50)
     assert regression.cube_side(3, 2)
-    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", (24 + 24) * 8)
+    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", (24 + 24 + 1) * 8)
     l1_regress(ds, 2)
-    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", (24 + 24) * 8 - 1)
+    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", (24 + 24 + 1) * 8 - 1)
     monkeypatch.setattr(regression, "_mobius_rows", None)
-    with pytest.raises(FeatureBudgetExceeded, match="cube LP of 24 entries over 24 variables"):
+    with pytest.raises(
+        FeatureBudgetExceeded, match="cube LP of 24 entries over 24 variables and a 1x1 basis Gram matrix"
+    ):
         l1_regress(ds, 2)
 
 

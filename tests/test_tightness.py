@@ -10,6 +10,13 @@ tells the worlds apart.  Both targets are deterministic (opt = 0), and
 any hypothesis that is correct off R has errors summing to exactly the
 mass of R, 2*eta, over the two worlds; a learner whose tie rule decides
 R one way reaches 2*eta in one of them.
+
+The same construction gives a family: n in {3, 4, 6, 8} variables,
+R = {x0 = ... = x_(j-1) = 1} for j in {1, 2, 3}, eta = 2^-j / 2 and k in
+{2, 4, 8} rows per input; find fits at depth j and the regressions at
+degree j.  The l1 fits reach both of its LPs: the dual one at j = 1,
+(6, 2) and n = 8, the cube one at (3, 2), (3, 3), (4, 2), (4, 3) and
+(6, 3).
 """
 
 import numpy as np
@@ -18,7 +25,7 @@ import pytest
 from sdtlearn.data import Dataset, corruption_budget
 from sdtlearn.evaluation import exact_error, exact_opt
 from sdtlearn.find import find
-from sdtlearn.regression import learn_pipeline
+from sdtlearn.regression import cube_side, learn_pipeline
 from sdtlearn.trees import Leaf, Query, StochasticTree, mean_on_points
 
 N, K, ETA = 4, 8, 1 / 8
@@ -61,3 +68,40 @@ def test_tie_rule_reaches_two_eta_in_one_world(learner, world):
     h = _fit(learner)
     assert exact_error(WORLDS[world], h) == 2 * ETA
     assert exact_error(WORLDS[1 - world], h) == 0.0
+
+
+#: (n, j, k) for each member of the family.
+FAMILY = [(n, j, k) for n in (3, 4, 6, 8) for j in (1, 2, 3) for k in (2, 4, 8)]
+
+
+def _family_member(n: int, j: int, k: int) -> tuple[tuple[StochasticTree, StochasticTree], Dataset]:
+    """The two worlds of member (n, j, k), and its dataset D."""
+    region = Leaf(1)
+    for var in reversed(range(j)):
+        region = Query(var, Leaf(0), region)
+    zs = np.repeat(np.arange(1 << n), k)
+    in_r = (zs & ((1 << j) - 1)) == (1 << j) - 1
+    labels = in_r & (np.arange(zs.size) % k < k // 2)
+    worlds = (StochasticTree(n, region), StochasticTree(n, Leaf(0)))
+    return worlds, Dataset(n, zs, labels, np.zeros(zs.size, dtype=bool))
+
+
+@pytest.mark.parametrize("n,j,k", FAMILY)
+def test_family_dataset_is_within_budget_of_each_world(n, j, k):
+    worlds, data = _family_member(n, j, k)
+    for world in worlds:
+        clean = mean_on_points(world, data.zs)
+        assert set(clean.tolist()) <= {0.0, 1.0}
+        assert int(np.sum(clean != data.ys)) == corruption_budget(2.0**-j / 2, data.m)
+
+
+def test_family_reaches_both_l1_sides():
+    assert {cube_side(n, j) for n, j, _ in FAMILY} == {False, True}
+
+
+@pytest.mark.parametrize("learner", ["find", "l2", "l1"])
+@pytest.mark.parametrize("n,j,k", FAMILY)
+def test_family_errors_over_the_two_worlds_sum_to_two_eta(n, j, k, learner):
+    worlds, data = _family_member(n, j, k)
+    h = find(data, j).tree if learner == "find" else learn_pipeline(data, learner, j)
+    assert exact_error(worlds[0], h) + exact_error(worlds[1], h) == 2.0**-j
