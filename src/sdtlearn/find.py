@@ -11,13 +11,16 @@ at most L = min(d, n) variables and b their values, i.e. a subcube of
   counts the rows of all 2^|S| subcubes of S;
 * below L, the error of (S, b) is the smallest, over free variables v,
   of the errors of its two halves (S + v, b with v = 0) and
-  (S + v, b with v = 1); each variable is a vectorized pass over all
-  (S, b) that leave it free, keeping a running minimum.
+  (S + v, b with v = 1); each level is linked once to the next, and the
+  fold makes one vectorized pass over all (S, b) per free-variable slot
+  j, through the links to S plus its j-th free variable, keeping a
+  running minimum.
 
-The tree is read back from the root: an empty subcube is ``Leaf(0)``,
-and an internal node queries the smallest variable whose halves reach
-the minimum, so ties resolve to the smallest variable index and, at
-leaves, to 0.  The returned tree is a canonical function of the input.
+The tree is read back from the root along the same links: an empty
+subcube is ``Leaf(0)``, and an internal node queries the smallest
+variable whose halves reach the minimum, so ties resolve to the smallest
+variable index and, at leaves, to 0.  The returned tree is a canonical
+function of the input.
 
 This computes exactly what the recursive search (try every free variable
 at the root, recurse on both halves with one less depth, keep the first
@@ -29,7 +32,7 @@ subcube with k fixed variables is reached once from each of its k
 parents).
 
 The table has sum_{k <= L} C(n, k) * 2^k cells, and the search peaks at
-about 45 bytes a cell (measured at n=24, depth 5).  ``find`` rejects a
+about 37 bytes a cell (tracemalloc, at n=24, depth 5).  ``find`` rejects a
 table over ``TABLE_CELLS_CAP`` with ``TableBudgetExceeded`` before it
 counts or allocates anything.
 """
@@ -102,26 +105,47 @@ def find(dataset: Dataset, depth: int) -> FindResult:
 def _table_search(
     uz: np.ndarray, w0: np.ndarray, w1: np.ndarray, n: int, top: int
 ) -> tuple[Node, int, SearchStats]:
-    # masks[k]: the k-variable sets S as ascending bitmasks.  tables[k][r]
-    # holds (error, row count) for every b, where b's bit j is the value of
-    # the j-th smallest variable of S = masks[k][r].
-    masks = [np.zeros(1, dtype=np.int64)]
-    for _ in range(top):
-        grown = masks[-1][:, None] | (np.int64(1) << np.arange(n, dtype=np.int64))
-        masks.append(np.unique(grown[grown != masks[-1][:, None]]))
-    c0, c1 = _leaf_counts(uz, w0, w1, n, masks[top], top)
-    tables = [np.stack([np.minimum(c0, c1), c0 + c1], axis=1)]
+    masks, links = _links(n, top)
+    c0, c1 = _leaf_counts(uz, w0, w1, n, masks, top)
+    errs, counts = [np.minimum(c0, c1).ravel()], [(c0 + c1).ravel()]
     for k in range(top - 1, -1, -1):
-        tables.insert(0, _fold_level(masks[k], masks[k + 1], tables[0], n, k))
+        # errs[0] and counts[0] are level k + 1's tables.
+        child, pos = links[k]
+        b = np.arange(1 << k)
+        err = None
+        for j in range(n - k):
+            lo, hi = _halves(child[:, j, None], pos[:, j, None], b, k)
+            both = errs[0][lo] + errs[0][hi]
+            err = both if err is None else np.minimum(err, both, out=err)
+        counts.insert(0, (counts[0][lo] + counts[0][hi]).ravel())
+        errs.insert(0, err.ravel())
 
-    nonempty = [int(np.count_nonzero(t[:, 1])) for t in tables]
+    nonempty = [int(np.count_nonzero(c)) for c in counts]
     stats = SearchStats()
     if nonempty[0]:
         stats.nodes_expanded = sum(nonempty)
         calls = 1 + sum(k * count for k, count in enumerate(nonempty))
         stats.cache_hits = calls - stats.nodes_expanded
-    node = _rebuild(masks, tables, c1, n, 0, 0, 0)
-    return node, int(tables[0][0, 0, 0]), stats
+    node = _rebuild((links, errs, counts, c1.ravel()), 0, 0)
+    return node, int(errs[0][0]), stats
+
+
+def _links(n: int, top: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Level top's variable sets, and links[k] = (child, pos) for each level
+    k below it: with v the j-th smallest free variable of the r-th set S,
+    S + v is row child[r, j] one level up and v is its pos[r, j]-th (v - j)
+    smallest variable.  Sets are ascending bitmasks; cell (r << k) + b of
+    level k's tables is subcube (S, b), b's bit i the value of S's i-th."""
+    masks = np.zeros(1, dtype=np.int64)
+    links = []
+    for k in range(top):
+        grown = masks[:, None] | (np.int64(1) << np.arange(n, dtype=np.int64))
+        free = grown != masks[:, None]
+        masks, child = np.unique(grown[free], return_inverse=True)
+        var = np.nonzero(free)[1].reshape(-1, n - k)
+        # pos stays int64, as var is: 1 << pos must not wrap at pos = 8.
+        links.append((child.reshape(-1, n - k), var - np.arange(n - k)))
+    return masks, links
 
 
 def _leaf_counts(
@@ -148,55 +172,30 @@ def _leaf_counts(
     return counts[0], counts[1]
 
 
-def _fold_level(masks: np.ndarray, up_masks: np.ndarray, up: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Level k's (error, count) table from level k + 1's."""
-    table = np.empty((masks.size, 2, 1 << k), dtype=np.int64)
-    table[:, 0] = np.iinfo(np.int64).max
-    for v in range(n):
-        bit = np.int64(1) << v
-        parents = np.flatnonzero((masks & bit) == 0)
-        children = np.searchsorted(up_masks, masks[parents] | bit)
-        # v's position among the variables of S + v
-        positions = np.bitwise_count(masks[parents] & (bit - 1))
-        for p in range(k + 1):
-            chosen = positions == p
-            if not chosen.any():
-                continue
-            rows = parents[chosen]
-            halves = up[children[chosen]].reshape(-1, 2, 1 << (k - p), 2, 1 << p)
-            joined = (halves[:, :, :, 0] + halves[:, :, :, 1]).reshape(-1, 2, 1 << k)
-            table[rows, 0] = np.minimum(table[rows, 0], joined[:, 0])
-            table[rows, 1] = joined[:, 1]
-    return table
+def _halves(child, pos, b, k):
+    """Level k + 1 cells of subcube b's halves on the variable linked by
+    (child, pos): b with a 0, then a 1, inserted at bit pos (adding b's
+    bits from pos up to b moves them up one place)."""
+    lo = b + (b & -(1 << pos)) + (child << (k + 1))
+    return lo, lo + (1 << pos)
 
 
-def _rebuild(
-    masks: list[np.ndarray], tables: list[np.ndarray], c1: np.ndarray,
-    n: int, k: int, mask: int, b: int,
-) -> Node:
-    """The tree at subcube (mask, b) with k fixed variables, read from the table."""
-    row = int(np.searchsorted(masks[k], mask))
-    err, count = tables[k][row, :, b]
-    if count == 0:
+def _rebuild(table: tuple, k: int, cell: int) -> Node:
+    """The tree at cell ``cell`` of level k of ``table`` = (links, errs,
+    counts, c1), with c1 the leaf level's flat 1-label counts."""
+    links, errs, counts, c1 = table
+    if counts[k][cell] == 0:
         return Leaf(0)
-    if k == len(tables) - 1:
-        return Leaf(1) if 2 * c1[row, b] > count else Leaf(0)
-    up = tables[k + 1]
-    for v in range(n):
-        bit = 1 << v
-        if mask & bit:
-            continue
-        p = (mask & (bit - 1)).bit_count()
-        b0 = (b & ((1 << p) - 1)) | ((b >> p) << (p + 1))
-        b1 = b0 | (1 << p)
-        child = int(np.searchsorted(masks[k + 1], mask | bit))
-        if up[child, 0, b0] + up[child, 0, b1] == err:
-            return Query(
-                v,
-                _rebuild(masks, tables, c1, n, k + 1, mask | bit, b0),
-                _rebuild(masks, tables, c1, n, k + 1, mask | bit, b1),
-            )
-    raise AssertionError("no variable reaches the table's minimum")
+    if k == len(links):
+        return Leaf(1) if 2 * c1[cell] > counts[k][cell] else Leaf(0)
+    child, pos = links[k]
+    row, b = cell >> k, cell & ((1 << k) - 1)
+    lo, hi = _halves(child[row], pos[row], b, k)
+    reached = np.flatnonzero(errs[k + 1][lo] + errs[k + 1][hi] == errs[k][cell])
+    if not reached.size:
+        raise AssertionError("no variable reaches the table's minimum")
+    j = reached[0]
+    return Query(int(pos[row, j] + j), _rebuild(table, k + 1, int(lo[j])), _rebuild(table, k + 1, int(hi[j])))
 
 
 def empirical_error(tree: StochasticTree, dataset: Dataset) -> float:

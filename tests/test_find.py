@@ -1,5 +1,6 @@
 import gc
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestSearchProperties:
         tie = make_dataset([[0], [1]], [0, 1])
         assert find(tie, 0).tree.root == Leaf(0)
 
-    def test_deterministic_across_runs_and_threads(self):
+    def test_deterministic_across_runs(self):
         rng = np.random.default_rng(3)
         tree = random_tree(6, 8, 0.4, rng)
         ds = draw_clean(tree, 400, rng)
@@ -167,6 +168,21 @@ class TestTableBudget:
     def test_negative_depth_rejected_by_the_check(self):
         with pytest.raises(ValueError, match="depth budget must be nonnegative"):
             check_table_budget(4, -1)
+
+    def test_peak_memory_per_table_cell(self):
+        # The fold gathers one free-variable slot at a time: this search
+        # peaks at about 43 bytes a cell, and a fold that gathers every
+        # slot of a level at once at about 93.
+        rng = np.random.default_rng(6)
+        ds = draw_clean(random_tree(16, 8, 0.3, rng), 2_000, rng)
+        ds.counts()
+        tracemalloc.start()
+        try:
+            find(ds, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 60 * table_cells(16, 5)
 
     def test_cap_is_inclusive(self, xor_dataset, monkeypatch):
         monkeypatch.setattr(find_module, "TABLE_CELLS_CAP", table_cells(2, 2))

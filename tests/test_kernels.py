@@ -53,7 +53,7 @@ from sdtlearn.data import (
     load_dataset,
 )
 from sdtlearn.evaluation import exact_error
-from sdtlearn.find import find
+from sdtlearn.find import SearchStats, _leaf_counts, find
 from sdtlearn.polynomials import COEFF_ABS_SUM_CAP, MultilinearPolynomial, monomials, read_text
 from sdtlearn.regression import (
     L1_CERTIFICATE_TOL,
@@ -354,6 +354,82 @@ def reference_load_dataset(text: str) -> Dataset:
         ys[i] = int(label)
         flags[i] = flag == "1"
     return Dataset(n, pack_inputs(xs), ys, flags)
+
+
+def reference_table_search(ds: Dataset, depth: int) -> tuple[StochasticTree, int, SearchStats]:
+    """(tree, error count, search counters) of the table search that looked
+    up each level's child sets by ``searchsorted``, in the fold and again
+    in the rebuild, and folded one (variable, position) pair at a time."""
+    n, top = ds.n, min(depth, ds.n)
+    uz, w0, w1, _ = ds.counts()
+    masks = [np.zeros(1, dtype=np.int64)]
+    for _ in range(top):
+        grown = masks[-1][:, None] | (np.int64(1) << np.arange(n, dtype=np.int64))
+        masks.append(np.unique(grown[grown != masks[-1][:, None]]))
+    c0, c1 = _leaf_counts(uz, w0, w1, n, masks[top], top)
+    tables = [np.stack([np.minimum(c0, c1), c0 + c1], axis=1)]
+    for k in range(top - 1, -1, -1):
+        tables.insert(0, _reference_fold_level(masks[k], masks[k + 1], tables[0], n, k))
+
+    nonempty = [int(np.count_nonzero(t[:, 1])) for t in tables]
+    stats = SearchStats()
+    if nonempty[0]:
+        stats.nodes_expanded = sum(nonempty)
+        calls = 1 + sum(k * count for k, count in enumerate(nonempty))
+        stats.cache_hits = calls - stats.nodes_expanded
+    node = _reference_rebuild(masks, tables, c1, n, 0, 0, 0)
+    return StochasticTree(n, node), int(tables[0][0, 0, 0]), stats
+
+
+def _reference_fold_level(masks: np.ndarray, up_masks: np.ndarray, up: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Level k's (error, count) table from level k + 1's."""
+    table = np.empty((masks.size, 2, 1 << k), dtype=np.int64)
+    table[:, 0] = np.iinfo(np.int64).max
+    for v in range(n):
+        bit = np.int64(1) << v
+        parents = np.flatnonzero((masks & bit) == 0)
+        children = np.searchsorted(up_masks, masks[parents] | bit)
+        # v's position among the variables of S + v
+        positions = np.bitwise_count(masks[parents] & (bit - 1))
+        for p in range(k + 1):
+            chosen = positions == p
+            if not chosen.any():
+                continue
+            rows = parents[chosen]
+            halves = up[children[chosen]].reshape(-1, 2, 1 << (k - p), 2, 1 << p)
+            joined = (halves[:, :, :, 0] + halves[:, :, :, 1]).reshape(-1, 2, 1 << k)
+            table[rows, 0] = np.minimum(table[rows, 0], joined[:, 0])
+            table[rows, 1] = joined[:, 1]
+    return table
+
+
+def _reference_rebuild(
+    masks: list[np.ndarray], tables: list[np.ndarray], c1: np.ndarray,
+    n: int, k: int, mask: int, b: int,
+) -> Node:
+    """The tree at subcube (mask, b) with k fixed variables, read from the table."""
+    row = int(np.searchsorted(masks[k], mask))
+    err, count = tables[k][row, :, b]
+    if count == 0:
+        return Leaf(0)
+    if k == len(tables) - 1:
+        return Leaf(1) if 2 * c1[row, b] > count else Leaf(0)
+    up = tables[k + 1]
+    for v in range(n):
+        bit = 1 << v
+        if mask & bit:
+            continue
+        p = (mask & (bit - 1)).bit_count()
+        b0 = (b & ((1 << p) - 1)) | ((b >> p) << (p + 1))
+        b1 = b0 | (1 << p)
+        child = int(np.searchsorted(masks[k + 1], mask | bit))
+        if up[child, 0, b0] + up[child, 0, b1] == err:
+            return Query(
+                v,
+                _reference_rebuild(masks, tables, c1, n, k + 1, mask | bit, b0),
+                _reference_rebuild(masks, tables, c1, n, k + 1, mask | bit, b1),
+            )
+    raise AssertionError("no variable reaches the table's minimum")
 
 
 def _tree(n: int, s: int, stoch: float, seed: int) -> StochasticTree:
@@ -772,6 +848,29 @@ def test_find_matches_tuple_keyed_search_on_acceptance_instance():
     result = find(ds, 5)
     _assert_same_search(result, reference_find(ds, 5, memo=True))
     assert result.stats.nodes_expanded == 12_585
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 10),
+    depth=st.integers(0, 11),
+    s=st.integers(1, 10),
+    m=st.integers(0, 400),
+    noisy=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=5, depth=3, s=4, m=0, noisy=False, seed=0)
+@example(n=4, depth=5, s=10, m=40, noisy=True, seed=1)
+@example(n=3, depth=2, s=3, m=400, noisy=False, seed=2)
+@example(n=9, depth=9, s=10, m=300, noisy=True, seed=3)
+@example(n=9, depth=9, s=10, m=300, noisy=False, seed=4)
+def test_find_matches_searchsorted_table_search(n, depth, s, m, noisy, seed):
+    # depth runs from 0 to n + 1.  m = 0 leaves the table empty, m >= 2^n
+    # takes the count table's bincount branch, and at n = 9, depth 9 a
+    # variable's position among its set's variables reaches 8.
+    depth = min(depth, n + 1)
+    ds = _sample(_tree(n, min(s, 1 << n), 0.3, seed), m, noisy, seed + 1)
+    _assert_same_search(find(ds, depth), reference_table_search(ds, depth))
 
 
 def _assert_same_search(result, reference) -> None:

@@ -17,6 +17,11 @@ R = {x0 = ... = x_(j-1) = 1} for j in {1, 2, 3}, eta = 2^-j / 2 and k in
 degree j.  The l1 fits reach both of its LPs: the dual one at j = 1,
 (6, 2) and n = 8, the cube one at (3, 2), (3, 3), (4, 2), (4, 3) and
 (6, 3).
+
+Through ``harness.report`` with eps = 1/16, which is exact in binary, a
+learner that errs by 2*eta in world 1 has margin exactly -eps there:
+opt = 0, so both the find bound opt + 2*eta + eps and the l1 bound
+2*opt + 2*eta + eps are 2*eta + eps.
 """
 
 import numpy as np
@@ -25,6 +30,7 @@ import pytest
 from sdtlearn.data import Dataset, corruption_budget
 from sdtlearn.evaluation import exact_error, exact_opt
 from sdtlearn.find import find
+from sdtlearn.harness import ExperimentConfig, report
 from sdtlearn.regression import cube_side, learn_pipeline
 from sdtlearn.trees import Leaf, Query, StochasticTree, mean_on_points
 
@@ -105,3 +111,35 @@ def test_family_errors_over_the_two_worlds_sum_to_two_eta(n, j, k, learner):
     worlds, data = _family_member(n, j, k)
     h = find(data, j).tree if learner == "find" else learn_pipeline(data, learner, j)
     assert exact_error(worlds[0], h) + exact_error(worlds[1], h) == 2.0**-j
+
+
+@pytest.mark.parametrize("n,j,k", FAMILY)
+def test_family_tie_rules_reach_two_eta_in_one_world(n, j, k):
+    # find's 2*c1 > count labels R with 0, so it errs by 2*eta in world 1;
+    # l2 fits 1/2 on R and rounds the tie up, so it errs by 2*eta in world 2.
+    worlds, data = _family_member(n, j, k)
+    for h, world in ((find(data, j).tree, 0), (learn_pipeline(data, "l2", j), 1)):
+        assert exact_error(worlds[world], h) == 2.0**-j
+        assert exact_error(worlds[1 - world], h) == 0.0
+
+
+EPS = 1 / 16
+
+
+def _world1_margin(world, hypothesis, method, eta, m, depth=None, degree=None):
+    # The config only supplies the report's fields: D is built, not drawn.
+    cfg = ExperimentConfig(n=world.n, s=1, m=m, eps=EPS, method=method, eta=eta)
+    return report(cfg, world, hypothesis, depth, degree, np.random.default_rng(0)).margin
+
+
+@pytest.mark.parametrize("n,j,k", FAMILY)
+def test_family_find_margin_in_world_one_is_minus_eps(n, j, k):
+    worlds, data = _family_member(n, j, k)
+    margin = _world1_margin(worlds[0], find(data, j).tree, "find", 2.0**-j / 2, data.m, depth=j)
+    assert margin == -EPS
+
+
+def test_l1_margin_in_world_one_is_minus_eps():
+    # Not pinned across the family: l1's value on R is one vertex of a tied LP.
+    margin = _world1_margin(WORLDS[0], _fit("l1"), "l1", ETA, D.m, degree=2)
+    assert margin == -EPS
