@@ -9,8 +9,9 @@ metadata only and learners never read them.
 
 A dataset holds its inputs packed, as int64 values with bit i holding
 variable i, which is the form every kernel reads.  Rows of bits appear only
-where ``draw_clean`` draws and packs inputs, where ``find`` unpacks them into
-subcube keys, and in the text format: ``dump_dataset`` unpacks, ``load_dataset`` packs.
+where ``draw_clean`` draws and packs inputs, where ``find`` unpacks a block
+of them into the bit rows of its moment products, and in the text format:
+``dump_dataset`` unpacks, ``load_dataset`` packs.
 
 ``Dataset.counts``, the count table that ``find``, the regressions and the
 margin adversary read, counts over the cube when there are at least as many
@@ -36,6 +37,10 @@ from .trees import (
     round_prob,
     unpack_inputs,
 )
+
+
+#: The example adversary scans its query cube in blocks of 2^this inputs.
+_CUBE_BLOCK_BITS = 16
 
 
 class Adversary(Enum):
@@ -212,10 +217,24 @@ def _replacement_point(clean: Dataset, tree: StochasticTree) -> tuple[int, int]:
     |mu - 1/2| over the tree's query cube (the smallest over {0,1}^n) when
     it is within the enumeration cap, else over the sample's distinct inputs."""
     mask = query_mask(tree.root)
-    zs = cube_inputs(mask) if mask.bit_count() <= DEFAULT_ENUMERATION_CAP else np.unique(clean.zs)
-    mu = mean_on_points(tree, zs)
-    best = int(np.argmax(np.abs(mu - 0.5)))
-    return int(zs[best]), 1 - round_prob(float(mu[best]))
+    blocks = _cube_blocks(mask) if mask.bit_count() <= DEFAULT_ENUMERATION_CAP else [np.unique(clean.zs)]
+    best = (-1.0, 0, 0.0)
+    for zs in blocks:
+        mu = mean_on_points(tree, zs)
+        i = int(np.argmax(np.abs(mu - 0.5)))
+        if abs(mu[i] - 0.5) > best[0]:
+            best = (abs(mu[i] - 0.5), int(zs[i]), float(mu[i]))
+    return best[1], 1 - round_prob(best[2])
+
+
+def _cube_blocks(mask: int):
+    """``cube_inputs(mask)`` in order, in blocks of 2^_CUBE_BLOCK_BITS inputs:
+    the block's index bits above the low ones land on mask's higher variables."""
+    variables = [v for v in range(mask.bit_length()) if mask >> v & 1]
+    width = min(len(variables), _CUBE_BLOCK_BITS)
+    low = cube_inputs(sum(1 << v for v in variables[:width]))
+    for h in range(1 << (len(variables) - width)):
+        yield low | sum(1 << v for j, v in enumerate(variables[width:]) if h >> j & 1)
 
 
 def dump_dataset(ds: Dataset) -> str:

@@ -7,8 +7,24 @@ at most L = min(d, n) variables and b their values, i.e. a subcube of
 {0,1}^n.  The table is filled bottom-up, one level |S| at a time:
 
 * at level L a subcube is a leaf, labeled 1 iff it holds more 1-labels
-  than 0-labels; per label, one ``bincount`` of the inputs' bits on S
-  counts the rows of all 2^|S| subcubes of S;
+  than 0-labels.  Its counts come from the label moments
+  M_l(T) = sum_z w_l(z) [T subset of z] of the sets T of at most L
+  variables, w_l(z) the number of rows at z labeled l.  With a = L // 2
+  and b = L - a, M_l(A + B) is entry (A, B) of one float64 matrix
+  product per block of inputs, between the inputs' products over the
+  sets A of at most a variables (both labels' weights stacked) and over
+  the sets B of at most b; a set's product row is its parent's (the set
+  less its largest variable) times one bit row.  Each S splits into its
+  a lowest and b highest variables, so A only runs below n - b, B only
+  from a up, and a few chunks of rows are each multiplied by only the
+  columns that can pair with them (max A < min B).  S's 2^L
+  moments are gathered through the two halves' subsets, and L
+  superset-Moebius passes give count(S, b) = sum over B <= T <= S of
+  (-1)^|T - B| M(T), B the variables b sets to 1.  Every moment and
+  every value of the passes is an integer at most m < 2^53, so float64
+  holds and adds it exactly, in any order and under any number of BLAS
+  threads.  A block holds about ``_PRODUCT_BLOCK`` product entries, so
+  memory does not grow with the number of inputs;
 * below L, the error of (S, b) is the smallest, over free variables v,
   of the errors of its two halves (S + v, b with v = 0) and
   (S + v, b with v = 1); each level is linked once to the next, and the
@@ -32,9 +48,11 @@ subcube with k fixed variables is reached once from each of its k
 parents).
 
 The table has sum_{k <= L} C(n, k) * 2^k cells, and the search peaks at
-about 37 bytes a cell (tracemalloc, at n=24, depth 5).  ``find`` rejects a
-table over ``TABLE_CELLS_CAP`` with ``TableBudgetExceeded`` before it
-counts or allocates anything.
+about 37 bytes a cell (tracemalloc, at n=24, depth 5; 39 at n=16, depth
+5), in the fold.  The leaf level alone peaks at about 34: the counts, one
+label's gathered moments and the moment matrix.  ``find`` rejects a table
+over ``TABLE_CELLS_CAP`` with ``TableBudgetExceeded`` before it counts or
+allocates anything.
 """
 
 from __future__ import annotations
@@ -50,8 +68,11 @@ from .trees import Leaf, Node, Query, StochasticTree, mean_on_points, unpack_inp
 #: Largest restriction table (cells over all levels) ``find`` builds.
 TABLE_CELLS_CAP = 1 << 21
 
-#: Entries per block of the leaf level's bit keys.
-_KEY_BLOCK = 1 << 20
+#: Product entries (both matrices) per block of inputs at the leaf level.
+_PRODUCT_BLOCK = 1 << 16
+
+#: Chunks of moment rows, each multiplied by only the prefix of columns it needs.
+_ROW_CHUNKS = 4
 
 
 class TableBudgetExceeded(ValueError):
@@ -106,7 +127,7 @@ def _table_search(
     uz: np.ndarray, w0: np.ndarray, w1: np.ndarray, n: int, top: int
 ) -> tuple[Node, int, SearchStats]:
     masks, links = _links(n, top)
-    c0, c1 = _leaf_counts(uz, w0, w1, n, masks, top)
+    c0, c1 = _moment_counts(uz, w0, w1, n, masks, top)
     errs, counts = [np.minimum(c0, c1).ravel()], [(c0 + c1).ravel()]
     for k in range(top - 1, -1, -1):
         # errs[0] and counts[0] are level k + 1's tables.
@@ -148,28 +169,110 @@ def _links(n: int, top: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndar
     return masks, links
 
 
-def _leaf_counts(
+def _moment_counts(
     uz: np.ndarray, w0: np.ndarray, w1: np.ndarray, n: int, masks: np.ndarray, top: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """0- and 1-label counts of every subcube of every S in ``masks``."""
-    rows, width = masks.size, 1 << top
-    variables = np.nonzero((masks[:, None] >> np.arange(n, dtype=np.int64)) & 1)[1]
-    variables = variables.reshape(rows, top)
-    # Keys below 2^top fit the smallest unsigned type; narrow keys halve
-    # or better the memory traffic of building them.
-    bits = unpack_inputs(uz, n).T.astype(np.min_scalar_type(width - 1), order="C")
-    weights = (w0.astype(np.float64), w1.astype(np.float64))
-    counts = np.empty((2, rows, width), dtype=np.int64)
-    block = max(1, _KEY_BLOCK // max(uz.size, 1))
-    for start in range(0, rows, block):
-        chosen = variables[start : start + block]
-        keys = np.zeros((chosen.shape[0], uz.size), dtype=bits.dtype)
-        for j in range(top):
-            keys |= bits[chosen[:, j]] << j
-        for r, key in enumerate(keys, start):
-            for label in (0, 1):
-                counts[label, r] = np.bincount(key, weights=weights[label], minlength=width)
-    return counts[0], counts[1]
+) -> np.ndarray:
+    """0- and 1-label counts, stacked, of every subcube of every S in
+    ``masks``, from the moments M_l(T) = sum_z w_l(z) [T subset of z]."""
+    # M_l(A + B) is entry (A, B) of the product of the inputs' products over
+    # the sets A of S's a lowest variables (all below n - b), weighted by
+    # w_l, and over the sets B of its b highest (all from a up).  With the
+    # rows sorted by largest variable and the columns by smallest,
+    # descending, a chunk of rows needs only the columns whose smallest
+    # variable lies above its first row's largest: a prefix.
+    a, b = top // 2, top - top // 2
+    lo_links, lo_offsets, lo_parent, lo_last, _ = _family(n - b, a)
+    hi_links, hi_offsets, hi_parent, hi_last, hi_first = _family(n - a, b)
+    lo_order = np.argsort(lo_last, kind="stable")
+    hi_order = np.argsort(-hi_first, kind="stable")
+    na, nb = lo_order.size, hi_order.size
+    bounds = np.unique(np.linspace(0, na, _ROW_CHUNKS + 1).astype(int))
+    chunks = [
+        (r0, r1, int(np.count_nonzero(hi_first + a > lo_last[lo_order[r0]])))
+        for r0, r1 in zip(bounds[:-1], bounds[1:])
+    ]
+
+    moments = np.zeros((2 * na, nb))
+    step = max(1, _PRODUCT_BLOCK // (2 * na + nb))
+    for start in range(0, uz.size, step):
+        block = slice(start, start + step)
+        bits = np.ascontiguousarray(unpack_inputs(uz[block], n).T, dtype=np.float64)
+        left = _products(bits, lo_offsets, lo_parent, lo_last)[lo_order]
+        left = (left[:, None, :] * np.stack([w0[block], w1[block]])).reshape(2 * na, -1)
+        right = _products(bits[a:], hi_offsets, hi_parent, hi_last)[hi_order]
+        # Both labels' rows interleaved.  Every partial sum is an integer at
+        # most m < 2^53, so BLAS adds exactly in any order and thread count.
+        for r0, r1, cols in chunks:
+            moments[2 * r0 : 2 * r1, :cols] += left[2 * r0 : 2 * r1] @ right[:cols].T
+
+    # Subset rows with S innermost: the gather's output takes their layout
+    # (never a rows x 2^top index array), and the passes run along S.
+    variables = np.nonzero((masks[:, None] >> np.arange(n, dtype=np.int64)) & 1)[1].reshape(masks.size, top)
+    low = np.argsort(lo_order)[_subset_rows(variables[:, :a], lo_links, lo_offsets)]
+    high = np.argsort(hi_order)[_subset_rows(variables[:, a:] - a, hi_links, hi_offsets)]
+    moments = moments.reshape(na, 2, nb)
+    counts = np.empty((2, masks.size, 1 << top), dtype=np.int64)
+    for label in (0, 1):
+        counts[label] = _superset_mobius(moments[:, label][low[None, :, :], high[:, None, :]], top).T
+    return counts
+
+
+def _superset_mobius(moments: np.ndarray, top: int) -> np.ndarray:
+    """count(S, b) = sum over B <= T <= S of (-1)^|T - B| M(T), B the
+    variables b sets to 1, from M(T) at [t, S], in place: one pass per
+    variable.  Every value before, between and after the passes is a count
+    of rows below m < 2^53, so float64 holds each exactly."""
+    moments = moments.reshape(1 << top, -1)
+    for i in range(top):
+        halves = moments.reshape(1 << (top - 1 - i), 2, -1)
+        halves[:, 0] -= halves[:, 1]
+    return moments
+
+
+def _family(width: int, size: int) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sets of at most ``size`` of ``width`` variables, level by level
+    in ``_links``'s order, row 0 the empty set: their links, each level's
+    first row, and each row's parent (the row of the set less its largest
+    variable), largest variable (-1 for the empty set) and smallest
+    variable (``width`` for the empty set)."""
+    masks, links = _links(width, size)
+    offsets = np.cumsum([0] + [child.shape[0] for child, _ in links] + [masks.size])
+    parent = np.zeros(offsets[-1], dtype=np.int64)
+    last = np.full(offsets[-1], -1, dtype=np.int64)
+    first = np.full(offsets[-1], width, dtype=np.int64)
+    for k, (child, pos) in enumerate(links):
+        # S + v, with v above all of S's variables, is linked from S at slot v - k.
+        rows, slots = np.nonzero(pos == k)
+        at = child[rows, slots] + offsets[k + 1]
+        parent[at], last[at] = rows + offsets[k], slots + k
+        first[at] = np.minimum(first[parent[at]], last[at])
+    return links, offsets, parent, last, first
+
+
+def _products(bits: np.ndarray, offsets: np.ndarray, parent: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Each ``_family`` row's product of its variables' bit rows: its
+    parent's product times its largest variable's bits, a level at a time."""
+    products = np.empty((offsets[-1], bits.shape[1]))
+    products[0] = 1.0
+    for k in range(1, offsets.size - 1):
+        rows = slice(offsets[k], offsets[k + 1])
+        np.multiply(products[parent[rows]], bits[last[rows]], out=products[rows])
+    return products
+
+
+def _subset_rows(variables: np.ndarray, links: list, offsets: np.ndarray) -> np.ndarray:
+    """``_family`` rows of the subsets of each row r's ascending
+    ``variables[r]``, at [t, r] the subset holding its j-th variable iff
+    bit j of t is set."""
+    rows = np.zeros((1, variables.shape[0]), dtype=np.int64)
+    sizes = np.zeros(1, dtype=np.int64)
+    for j, var in enumerate(variables.T):
+        grown = np.empty_like(rows)
+        for k in range(j + 1):
+            at = np.flatnonzero(sizes == k)
+            grown[at] = links[k][0][rows[at], var - k]
+        rows, sizes = np.concatenate([rows, grown]), np.concatenate([sizes, sizes + 1])
+    return rows + offsets[sizes, None]
 
 
 def _halves(child, pos, b, k):

@@ -184,6 +184,25 @@ class TestTableBudget:
             tracemalloc.stop()
         assert peak <= 60 * table_cells(16, 5)
 
+    def test_leaf_level_peak_does_not_grow_with_the_inputs(self):
+        # mc_wide's shape, n=30 at depth 2, where every row is a distinct
+        # input.  The products are built a block of inputs at a time: the
+        # search from the count table peaks at 1.2 MiB for both 20k and 80k
+        # inputs (tracemalloc), where the bincount keys reached 5.2 and
+        # 20.6 MiB.
+        peaks = []
+        for m in (20_000, 80_000):
+            rng = np.random.default_rng(6)
+            uz, w0, w1, _ = draw_clean(random_tree(30, 8, 0.3, rng), m, rng).counts()
+            tracemalloc.start()
+            try:
+                find_module._table_search(uz, w0, w1, 30, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] <= 2 << 20
+
     def test_cap_is_inclusive(self, xor_dataset, monkeypatch):
         monkeypatch.setattr(find_module, "TABLE_CELLS_CAP", table_cells(2, 2))
         assert find(xor_dataset, 2).error_count == 0

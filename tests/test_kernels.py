@@ -13,12 +13,16 @@ as the cube LP's earlier form with three columns on every input, solved
 with HiGHS's presolve),
 ``lstsq`` over the grouped rows for the L2 fit (on either side), one
 pass over the inputs per monomial for polynomial evaluation, the ``find`` search
-keyed by sorted (variable, bit) tuples (in conftest), one int64 matrix
+keyed by sorted (variable, bit) tuples (in conftest), two weighted
+``bincount``s per variable set for ``find``'s leaf counts, which the new
+code takes from low-degree moments, one int64 matrix
 product over all rows for input packing, the label draw that walks the
 tree once per row, the row-by-row dataset text format, the stacking
 construction that recursed once per stacked copy, and the example
 adversary's point and the stacked tree's distance, each taken over all
-of {0,1}^n where the new code takes the target's query cube.  The new
+of {0,1}^n where the new code takes the target's query cube (and that
+point over the whole query cube at once, which the new code scans in
+blocks).  The new
 code must agree exactly, dtype included, on randomized instances
 (``find`` down to its tree and search counters); the stacked tree's
 distance, summed over a smaller cube, to 1e-12; the L1 fit, whose optimum need not be
@@ -30,8 +34,10 @@ which takes one uniform per row instead of one per coin, the same
 inputs and the labels its own uniforms give.
 """
 
+import importlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,7 +59,7 @@ from sdtlearn.data import (
     load_dataset,
 )
 from sdtlearn.evaluation import exact_error
-from sdtlearn.find import SearchStats, _leaf_counts, find
+from sdtlearn.find import SearchStats, _links, _moment_counts, find, table_cells
 from sdtlearn.polynomials import COEFF_ABS_SUM_CAP, MultilinearPolynomial, monomials, read_text
 from sdtlearn.regression import (
     L1_CERTIFICATE_TOL,
@@ -76,6 +82,7 @@ from sdtlearn.trees import (
     Query,
     Stoch,
     StochasticTree,
+    cube_inputs,
     fix_randomness,
     mean,
     mean_on_points,
@@ -83,6 +90,7 @@ from sdtlearn.trees import (
     mean_vector,
     pack_inputs,
     preorder,
+    query_mask,
     random_tree,
     round_prob,
     sample_randomness,
@@ -91,6 +99,9 @@ from sdtlearn.trees import (
 )
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+data_module = importlib.import_module("sdtlearn.data")
+find_module = importlib.import_module("sdtlearn.find")
 
 
 def reference_counts(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -304,6 +315,14 @@ def reference_replacement_point(clean: Dataset, tree: StochasticTree) -> tuple[i
     return int(zs[best]), 1 - round_prob(float(mu[best]))
 
 
+def reference_query_cube_point(tree: StochasticTree) -> tuple[int, int]:
+    """The same argmax, with the whole query cube built at once."""
+    zs = cube_inputs(query_mask(tree.root))
+    mu = mean_on_points(tree, zs)
+    best = int(np.argmax(np.abs(mu - 0.5)))
+    return int(zs[best]), 1 - round_prob(float(mu[best]))
+
+
 def reference_approx_distance(tree: StochasticTree, approx: StochasticTree) -> float:
     """The stacked tree's l1 distance, averaged over all of {0,1}^n."""
     zs = np.arange(1 << tree.n, dtype=np.int64)
@@ -356,6 +375,26 @@ def reference_load_dataset(text: str) -> Dataset:
     return Dataset(n, pack_inputs(xs), ys, flags)
 
 
+def reference_leaf_counts(
+    uz: np.ndarray, w0: np.ndarray, w1: np.ndarray, n: int, masks: np.ndarray, top: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """0- and 1-label counts of every subcube of every S in ``masks``: per
+    label, one weighted ``bincount`` of the inputs' bits on S."""
+    rows, width = masks.size, 1 << top
+    variables = np.nonzero((masks[:, None] >> np.arange(n, dtype=np.int64)) & 1)[1]
+    variables = variables.reshape(rows, top)
+    bits = unpack_inputs(uz, n).T.astype(np.min_scalar_type(width - 1), order="C")
+    weights = (w0.astype(np.float64), w1.astype(np.float64))
+    counts = np.empty((2, rows, width), dtype=np.int64)
+    for r, chosen in enumerate(variables):
+        key = np.zeros(uz.size, dtype=bits.dtype)
+        for j in range(top):
+            key |= bits[chosen[j]] << j
+        for label in (0, 1):
+            counts[label, r] = np.bincount(key, weights=weights[label], minlength=width)
+    return counts[0], counts[1]
+
+
 def reference_table_search(ds: Dataset, depth: int) -> tuple[StochasticTree, int, SearchStats]:
     """(tree, error count, search counters) of the table search that looked
     up each level's child sets by ``searchsorted``, in the fold and again
@@ -366,7 +405,7 @@ def reference_table_search(ds: Dataset, depth: int) -> tuple[StochasticTree, int
     for _ in range(top):
         grown = masks[-1][:, None] | (np.int64(1) << np.arange(n, dtype=np.int64))
         masks.append(np.unique(grown[grown != masks[-1][:, None]]))
-    c0, c1 = _leaf_counts(uz, w0, w1, n, masks[top], top)
+    c0, c1 = reference_leaf_counts(uz, w0, w1, n, masks[top], top)
     tables = [np.stack([np.minimum(c0, c1), c0 + c1], axis=1)]
     for k in range(top - 1, -1, -1):
         tables.insert(0, _reference_fold_level(masks[k], masks[k + 1], tables[0], n, k))
@@ -773,6 +812,20 @@ def test_replacement_point_matches_full_cube_search(n, s, stoch, m, seed):
 
 
 @PROPERTY
+@given(n=st.integers(0, 30), s=st.integers(1, 24), stoch=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       block_bits=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+@example(n=0, s=1, stoch=0.0, block_bits=0, seed=0)
+@example(n=30, s=24, stoch=0.3, block_bits=2, seed=1)
+def test_replacement_point_blocks_match_whole_cube_scan(n, s, stoch, block_bits, seed):
+    # Blocks of 1 to 16 inputs: the first argmax must survive the block
+    # boundaries, including blocks past the first one.
+    tree = _tree(n, min(s, 1 << n), stoch, seed)
+    clean = draw_clean(tree, 5, np.random.default_rng(seed))
+    with mock.patch.object(data_module, "_CUBE_BLOCK_BITS", block_bits):
+        assert _replacement_point(clean, tree) == reference_query_cube_point(tree)
+
+
+@PROPERTY
 @given(s=st.integers(1, 12), stoch=st.sampled_from([0.0, 0.3, 0.7, 1.0]), seed=st.integers(0, 2**32 - 1))
 def test_replacement_point_at_n_30_is_the_argmax_over_the_query_cube(s, stoch, seed):
     tree = _tree(30, s, stoch, seed)
@@ -871,6 +924,50 @@ def test_find_matches_searchsorted_table_search(n, depth, s, m, noisy, seed):
     depth = min(depth, n + 1)
     ds = _sample(_tree(n, min(s, 1 << n), 0.3, seed), m, noisy, seed + 1)
     _assert_same_search(find(ds, depth), reference_table_search(ds, depth))
+
+
+@PROPERTY
+@given(
+    n=st.integers(0, 40),
+    depth=st.integers(0, 12),
+    u=st.integers(0, 300),
+    block=st.sampled_from([1, 100, 1 << 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, depth=0, u=0, block=1 << 16, seed=0)
+@example(n=5, depth=0, u=0, block=1 << 16, seed=0)
+@example(n=6, depth=6, u=1, block=1 << 16, seed=1)
+@example(n=9, depth=9, u=300, block=100, seed=2)
+@example(n=40, depth=2, u=300, block=100, seed=3)
+@example(n=30, depth=2, u=300, block=1, seed=4)
+def test_moment_counts_match_bincounts(n, depth, u, block, seed):
+    # Depth is cut until the table has at most 2^15 cells (n = 40 reaches
+    # depth 2); a block of 1 or 100 product entries splits the inputs into
+    # many blocks of one input or a few.
+    top = min(depth, n)
+    while table_cells(n, top) > 1 << 15:
+        top -= 1
+    rng = np.random.default_rng(seed)
+    uz = np.unique(rng.integers(0, 1 << n, size=u, dtype=np.int64))
+    w0, w1 = rng.integers(0, 4, size=(2, uz.size), dtype=np.int64)
+    masks, _ = _links(n, top)
+    with mock.patch.object(find_module, "_PRODUCT_BLOCK", block):
+        counts = _moment_counts(uz, w0, w1, n, masks, top)
+    _assert_identical(counts, np.stack(reference_leaf_counts(uz, w0, w1, n, masks, top)))
+
+
+@pytest.mark.parametrize("n, top", [(3, 3), (3, 2), (4, 1)])
+def test_moment_counts_exact_near_two_to_the_fifty(n, top):
+    # Three inputs with both counts just below 2^50: m = 6 * 2^50 - 21 < 2^53,
+    # so every sum is exact in float64; a float32 or rounded step would lose
+    # the low bits that tell these weights apart.
+    uz = np.array([0, 5, (1 << n) - 1], dtype=np.int64)
+    w0 = np.array([(1 << 50) - 1, (1 << 50) - 3, (1 << 50) - 5], dtype=np.int64)
+    w1 = np.array([(1 << 50) - 2, (1 << 50) - 4, (1 << 50) - 6], dtype=np.int64)
+    masks, _ = _links(n, top)
+    counts = _moment_counts(uz, w0, w1, n, masks, top)
+    _assert_identical(counts, np.stack(reference_leaf_counts(uz, w0, w1, n, masks, top)))
+    assert counts.sum(axis=2).tolist() == [[int(w0.sum())] * masks.size, [int(w1.sum())] * masks.size]
 
 
 def _assert_same_search(result, reference) -> None:
