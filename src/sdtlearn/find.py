@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
+from .polynomials import _subset_transform
 from .trees import Leaf, Node, Query, StochasticTree, mean_on_points, unpack_inputs
 
 #: Largest restriction table (cells over all levels) ``find`` builds.
@@ -213,20 +214,9 @@ def _moment_counts(
     moments = moments.reshape(na, 2, nb)
     counts = np.empty((2, masks.size, 1 << top), dtype=np.int64)
     for label in (0, 1):
-        counts[label] = _superset_mobius(moments[:, label][low[None, :, :], high[:, None, :]], top).T
+        gathered = moments[:, label][low[None, :, :], high[:, None, :]].reshape(1 << top, -1)
+        counts[label] = _subset_transform(gathered, top, -1.0, supersets=True).T
     return counts
-
-
-def _superset_mobius(moments: np.ndarray, top: int) -> np.ndarray:
-    """count(S, b) = sum over B <= T <= S of (-1)^|T - B| M(T), B the
-    variables b sets to 1, from M(T) at [t, S], in place: one pass per
-    variable.  Every value before, between and after the passes is a count
-    of rows below m < 2^53, so float64 holds each exactly."""
-    moments = moments.reshape(1 << top, -1)
-    for i in range(top):
-        halves = moments.reshape(1 << (top - 1 - i), 2, -1)
-        halves[:, 0] -= halves[:, 1]
-    return moments
 
 
 def _family(width: int, size: int) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -147,14 +147,17 @@ class MultilinearPolynomial:
         return out
 
 
-def _subset_transform(values: np.ndarray, n: int, sign: float) -> np.ndarray:
+def _subset_transform(values: np.ndarray, n: int, sign: float, supersets: bool = False) -> np.ndarray:
     """The zeta (sign 1: sum over subsets) or Moebius (sign -1: signed sum
-    over subsets) transform over the subset lattice of n bits, in n passes."""
-    out = np.array(values, dtype=np.float64)
+    over subsets) transform over the subset lattice of n bits, along the
+    leading axis of ``values`` (2^n long, index bit i for bit i), in place,
+    in n passes; over supersets instead when ``supersets``."""
+    update = np.add if sign > 0 else np.subtract
+    dst, src = (0, 1) if supersets else (1, 0)
     for i in range(n):
-        view = out.reshape(-1, 2, 1 << i)
-        view[:, 1] += sign * view[:, 0]
-    return out
+        view = values.reshape(1 << (n - 1 - i), 2, -1)
+        update(view[:, dst], view[:, src], out=view[:, dst])
+    return values
 
 
 def dump_polynomial(poly: MultilinearPolynomial) -> str:
