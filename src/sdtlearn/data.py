@@ -229,12 +229,13 @@ def _replacement_point(clean: Dataset, tree: StochasticTree) -> tuple[int, int]:
 
 def _cube_blocks(mask: int):
     """``cube_inputs(mask)`` in order, in blocks of 2^_CUBE_BLOCK_BITS inputs:
-    the block's index bits above the low ones land on mask's higher variables."""
-    variables = [v for v in range(mask.bit_length()) if mask >> v & 1]
-    width = min(len(variables), _CUBE_BLOCK_BITS)
-    low = cube_inputs(sum(1 << v for v in variables[:width]))
-    for h in range(1 << (len(variables) - width)):
-        yield low | sum(1 << v for j, v in enumerate(variables[width:]) if h >> j & 1)
+    the cube of mask's lowest variables ORed with each point of the rest's."""
+    low = mask
+    while low.bit_count() > _CUBE_BLOCK_BITS:
+        low &= ~(1 << (low.bit_length() - 1))
+    block = cube_inputs(low)
+    for high in cube_inputs(mask & ~low).tolist():
+        yield block | high
 
 
 def dump_dataset(ds: Dataset) -> str:
