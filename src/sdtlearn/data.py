@@ -4,18 +4,18 @@ The adversary model: after a clean i.i.d. sample is drawn, an omniscient
 adversary may rewrite any floor(eta * m) rows, both inputs and labels,
 with full knowledge of the target tree and the clean sample, which lets
 the example adversary find its point over the tree's query cube.  The
-``corrupted`` flags record which rows were touched; they are provenance
+corruption flags record which rows were touched; they are provenance
 metadata only and learners never read them.
 
-A dataset holds its inputs packed, as int64 values with bit i holding
-variable i, which is the form every kernel reads.  Rows of bits appear only
-where ``draw_clean`` draws and packs inputs, where ``find`` unpacks a block
-of them into the bit rows of its moment products, and in the text format:
-``dump_dataset`` unpacks, ``load_dataset`` packs.
-
-``Dataset.counts``, the count table that ``find``, the regressions and the
-margin adversary read, counts over the cube when there are at least as many
-rows as {0,1}^n has points and sorts the rows otherwise, with identical output.
+The learners see a multiset of rows, so a dataset is its count table:
+the distinct inputs, packed as int64 values with bit i holding variable
+i, and how many rows sit in each (input, label, flag) cell.  It is drawn,
+corrupted and fitted as that table, and no array of one entry per row is
+made after the inputs are drawn.  Rows appear only in the text format:
+``dump_dataset`` writes them in ascending (input, label, flag) order, and
+``load_dataset`` reads them in any order and counts them.  Rows of bits
+appear only there and where ``find`` unpacks a block of distinct inputs
+into the bit rows of its moment products.
 """
 
 from __future__ import annotations
@@ -52,77 +52,85 @@ class Adversary(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A multiset of labeled inputs with per-row corruption flags; row i
-    has the packed input zs[i], label ys[i] and flag corrupted[i]."""
+    """A multiset of labeled inputs with corruption flags, as its count
+    table: the distinct packed inputs ``zs``, ascending, and ``cells``, where
+    cells[u, label, flag] counts the rows at input zs[u] with that label and
+    flag.  Every input in ``zs`` has at least one row."""
 
     n: int
     zs: np.ndarray
-    ys: np.ndarray
-    corrupted: np.ndarray
+    cells: np.ndarray
 
     def __post_init__(self) -> None:
         check_var_count(self.n)
         zs = np.ascontiguousarray(np.asarray(self.zs, dtype=np.int64))
-        ys = np.ascontiguousarray(np.asarray(self.ys, dtype=np.uint8))
-        flags = np.ascontiguousarray(np.asarray(self.corrupted, dtype=bool))
-        if zs.ndim != 1:
-            raise ValueError("zs must be a 1-d array of packed inputs")
-        if ys.shape != zs.shape or flags.shape != zs.shape:
-            raise ValueError("ys and corrupted must have one entry per row")
-        if zs.size and (zs.min() < 0 or zs.max() >= 1 << self.n):
+        cells = np.ascontiguousarray(np.asarray(self.cells, dtype=np.int64))
+        if zs.ndim != 1 or cells.shape != (zs.size, 2, 2):
+            raise ValueError(f"need 1-d zs and cells of shape (u, 2, 2), got {zs.shape} and {cells.shape}")
+        if np.any(zs[1:] <= zs[:-1]):
+            raise ValueError("inputs must be strictly ascending")
+        if zs.size and (zs[0] < 0 or zs[-1] >= 1 << self.n):
             raise ValueError(f"packed inputs must lie in [0, 2^{self.n})")
-        if ys.size and ys.max() > 1:
-            raise ValueError("labels must be 0/1 valued")
-        for arr in (zs, ys, flags):
+        if np.any(cells < 0):
+            raise ValueError("cell counts must be nonnegative")
+        if not cells.any(axis=(1, 2)).all():
+            raise ValueError("every input must have at least one row")
+        for arr in (zs, cells):
             arr.setflags(write=False)
         object.__setattr__(self, "zs", zs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "corrupted", flags)
+        object.__setattr__(self, "cells", cells)
+
+    @classmethod
+    def from_rows(cls, n: int, zs, ys, corrupted) -> "Dataset":
+        """The table of rows whose i-th has packed input zs[i], label ys[i]
+        and flag corrupted[i]; row order is lost."""
+        zs, ys, flags = (np.asarray(a, dtype=np.int64) for a in (zs, ys, corrupted))
+        if zs.ndim != 1 or ys.shape != zs.shape or flags.shape != zs.shape:
+            raise ValueError("zs, ys and corrupted must be 1-d arrays with one entry per row")
+        if np.any((ys >> 1 != 0) | (flags >> 1 != 0)):
+            raise ValueError("labels and flags must be 0/1 valued")
+        uz, inverse = np.unique(zs, return_inverse=True)
+        return cls(n, uz, np.bincount(4 * inverse + 2 * ys + flags, minlength=4 * uz.size).reshape(-1, 2, 2))
 
     @property
     def m(self) -> int:
-        return self.zs.size
+        return int(self.cells.sum())
 
     @property
     def corrupted_count(self) -> int:
-        return int(self.corrupted.sum())
+        return int(self.cells[:, :, 1].sum())
 
     def packed(self) -> np.ndarray:
         # Kept for the benchmark's tracer, which counts distinct inputs
         # through this accessor; the library reads ``zs``.
         return self.zs
 
-    def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The count table: distinct packed inputs in ascending order, the
-        number of rows labeled 0 and labeled 1 at each (int64), and each
-        row's index into the table (intp).  With at least as many rows as
-        {0,1}^n has points the inputs seen come from a ``bincount`` over the
-        cube, never longer than the rows; with fewer, from ``np.unique``."""
-        if self.m >= 1 << self.n:
-            seen = np.bincount(self.zs, minlength=1 << self.n) > 0
-            zs, inverse = np.flatnonzero(seen), (np.cumsum(seen) - 1)[self.zs]
-        else:
-            zs, inverse = np.unique(self.zs, return_inverse=True)
-        total = np.bincount(inverse, minlength=zs.size).astype(np.int64)
-        c1 = np.bincount(inverse[self.ys == 1], minlength=zs.size).astype(np.int64)
-        return zs, total - c1, c1, inverse
+    def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct packed inputs, ascending, and the number of rows
+        labeled 0 and labeled 1 at each (int64), flags summed out."""
+        labels = self.cells.sum(axis=2)
+        return self.zs, labels[:, 0], labels[:, 1]
 
 
 def draw_clean(tree: StochasticTree, m: int, rng: np.random.Generator) -> Dataset:
     """m i.i.d. rows: x uniform on {0,1}^n, y = 1 with probability mu(x).
 
-    The generator is consumed in a fixed order: all inputs first, as one
-    ``rng.integers(0, 2, size=(m, n))`` call whose rows are packed at once,
-    then one uniform u_i per row from ``rng.random(m)``; row i is labeled 1
-    exactly when u_i < mu(x_i).  Integrating the coins out through the exact
-    mean gives each label the same law as walking the tree and flipping
-    every coin on the way.
+    The generator is consumed in a fixed order: the m packed inputs first,
+    as one ``rng.integers(0, 2^n, m)`` call, which are counted, then one
+    ``rng.binomial`` call giving each distinct input's number of 1-labels
+    among its w rows with probability mu(x).  A multiset of rows has the
+    same law whichever order they come in, and integrating the coins out
+    through the exact mean gives each label the same law as walking the
+    tree and flipping every coin on the way.
     """
     if m < 0:
         raise ValueError("sample count must be nonnegative")
-    zs = pack_inputs(rng.integers(0, 2, size=(m, tree.n), dtype=np.uint8))
-    ys = (rng.random(m) < mean_on_points(tree, zs)).astype(np.uint8)
-    return Dataset(tree.n, zs, ys, np.zeros(m, dtype=bool))
+    zs, w = np.unique(rng.integers(0, 1 << tree.n, m), return_counts=True)
+    # A sum of coin weights may round a few ulps past 1.
+    ones = rng.binomial(w, np.minimum(mean_on_points(tree, zs), 1.0))
+    cells = np.zeros((zs.size, 2, 2), dtype=np.int64)
+    cells[:, 0, 0], cells[:, 1, 0] = w - ones, ones
+    return Dataset(tree.n, zs, cells)
 
 
 def corruption_budget(eta: float, m: int) -> int:
@@ -137,79 +145,71 @@ def corrupt(
     tree: StochasticTree,
     rng: np.random.Generator,
 ) -> Dataset:
-    """Apply an adversary to exactly floor(eta * m) rows of a clean sample;
-    every strategy but the margin adversary picks them with one rng.choice."""
+    """Apply an adversary to exactly floor(eta * m) rows of a clean sample.
+    Every strategy but the margin adversary picks them uniformly, by one
+    multivariate hypergeometric draw of how many rows each (input, label)
+    cell gives up."""
     if not isinstance(strategy, Adversary):
         raise ValueError(f"unknown adversary {strategy!r}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0,1], got {eta}")
-    if clean.corrupted.any():
+    if clean.corrupted_count:
         raise ValueError("corrupt expects an all-clean sample")
     if tree.n != clean.n:
         raise ValueError(f"tree is over {tree.n} variables, sample over {clean.n}")
-    m = clean.m
-    budget = corruption_budget(eta, m)
-    zs = np.array(clean.zs)
-    ys = np.array(clean.ys)
-    flags = np.zeros(m, dtype=bool)
+    budget = corruption_budget(eta, clean.m)
     if budget == 0:
-        return Dataset(clean.n, zs, ys, flags)
+        return clean
 
+    rows = clean.cells[:, :, 0]
     if strategy is Adversary.LABEL_FLIP_MARGIN:
-        chosen = _flip_margin_rows(clean, budget, tree)
+        chosen = _flip_margin_cells(clean, budget, tree)
+    else:
+        chosen = rng.multivariate_hypergeometric(rows.ravel(), budget, method="count").reshape(-1, 2)
+    zs, cells = clean.zs, np.stack([rows - chosen, np.zeros_like(chosen)], axis=2)
+    if strategy is Adversary.EXAMPLE_REPLACE:
+        z, y = _replacement_point(clean, tree)
+        at = int(np.searchsorted(zs, z))
+        if at == zs.size or zs[at] != z:
+            zs, cells = np.insert(zs, at, z), np.insert(cells, at, 0, axis=0)
+        cells[at, y, 1] = budget
     else:
         # The do-nothing adversary still spends its budget: it replaces
         # rows with identical copies, so the flags stay an exact record.
-        chosen = np.sort(rng.choice(m, size=budget, replace=False))
-    if strategy in (Adversary.LABEL_FLIP_RANDOM, Adversary.LABEL_FLIP_MARGIN):
-        ys[chosen] ^= 1
-    elif strategy is Adversary.EXAMPLE_REPLACE:
-        zs[chosen], ys[chosen] = _replacement_point(clean, tree)
-
-    flags[chosen] = True
-    return Dataset(clean.n, zs, ys, flags)
+        cells[:, :, 1] = chosen if strategy is Adversary.NONE else chosen[:, ::-1]
+    keep = cells.any(axis=(1, 2))
+    return Dataset(clean.n, zs[keep], cells[keep])
 
 
-def _flip_margin_rows(clean: Dataset, budget: int, tree: StochasticTree) -> np.ndarray:
-    """Rows whose flip hurts the Bayes classifier most, highest margin first.
+def _flip_margin_cells(clean: Dataset, budget: int, tree: StochasticTree) -> np.ndarray:
+    """How many rows of each (input, label) cell to flip: those that hurt
+    the Bayes classifier most, highest margin first.
 
     For each distinct input, flipping just over half of the rows that agree
     with the Bayes label overturns the empirical majority there; spending
     the minimum per input lets the budget reach about twice as many inputs
     as flipping whole groups would.  Inputs are visited by decreasing
-    margin (ties by input), each gets the first rows it needs in row order
-    until the budget runs out, and any budget left over goes to the lowest
-    untaken rows.
+    margin (ties by input), each gets what it needs until the budget runs
+    out, and any budget left over goes to the untaken rows of the lowest
+    (input, label) cells.
     """
-    zs, c0, c1, inverse = clean.counts()
-    mu = mean_on_points(tree, zs)
-    bayes = (mu >= 0.5).astype(np.uint8)
-    agree = np.where(bayes == 1, c1, c0)
-    disagree = c0 + c1 - agree
+    rows = clean.cells[:, :, 0]
+    mu = mean_on_points(tree, clean.zs)
+    bayes = (mu >= 0.5).astype(np.intp)
+    agree = np.where(bayes == 1, rows[:, 1], rows[:, 0])
+    disagree = rows.sum(axis=1) - agree
     # Inputs whose empirical majority already contradicts the Bayes label need nothing.
     need = np.where(agree >= disagree, (agree - disagree) // 2 + 1, 0)
 
-    order = np.lexsort((zs, -np.abs(mu - 0.5)))
+    order = np.lexsort((clean.zs, -np.abs(mu - 0.5)))
     need_in_order = need[order]
     spent_before = np.cumsum(need_in_order) - need_in_order
-    take = np.empty_like(need)
-    take[order] = np.clip(budget - spent_before, 0, need_in_order)
+    chosen = np.zeros_like(rows)
+    chosen[order, bayes[order]] = np.clip(budget - spent_before, 0, need_in_order)
 
-    rows = np.flatnonzero(clean.ys == bayes[inverse])
-    # 8- or 16-bit group ids (u <= 65,536) sort by radix; group g holds
-    # agree[g] rows, so a row's rank counts from where its group starts.
-    groups = inverse[rows].astype(np.min_scalar_type(zs.size - 1))
-    by_group = np.argsort(groups, kind="stable")
-    rows, groups = rows[by_group], groups[by_group]
-    rank = np.arange(rows.size) - (np.cumsum(agree) - agree)[groups]
-    chosen = rows[rank < take[groups]]
-
-    leftover = budget - chosen.size
-    if leftover:
-        untaken = np.ones(clean.m, dtype=bool)
-        untaken[chosen] = False
-        chosen = np.concatenate([chosen, np.flatnonzero(untaken)[:leftover]])
-    return np.sort(chosen).astype(np.int64, copy=False)
+    untaken = (rows - chosen).ravel()
+    left_before = budget - chosen.sum() - (np.cumsum(untaken) - untaken)
+    return chosen + np.clip(left_before, 0, untaken).reshape(-1, 2)
 
 
 def _replacement_point(clean: Dataset, tree: StochasticTree) -> tuple[int, int]:
@@ -217,7 +217,7 @@ def _replacement_point(clean: Dataset, tree: StochasticTree) -> tuple[int, int]:
     |mu - 1/2| over the tree's query cube (the smallest over {0,1}^n) when
     it is within the enumeration cap, else over the sample's distinct inputs."""
     mask = query_mask(tree.root)
-    blocks = _cube_blocks(mask) if mask.bit_count() <= DEFAULT_ENUMERATION_CAP else [np.unique(clean.zs)]
+    blocks = _cube_blocks(mask) if mask.bit_count() <= DEFAULT_ENUMERATION_CAP else [clean.zs]
     best = (-1.0, 0, 0.0)
     for zs in blocks:
         mu = mean_on_points(tree, zs)
@@ -239,19 +239,22 @@ def _cube_blocks(mask: int):
 
 
 def dump_dataset(ds: Dataset) -> str:
-    """Header `n=<n> m=<m>`, then one `<bits> <label> <flag>` row per line."""
+    """Header `n=<n> m=<m>`, then one `<bits> <label> <flag>` row per line,
+    in ascending (input, label, flag) order."""
     n = ds.n
-    rows = np.empty((ds.m, n + 5), dtype=np.uint8)
-    rows[:, :n] = unpack_inputs(ds.zs, n) + ord("0")
-    rows[:, n] = rows[:, n + 2] = ord(" ")
-    rows[:, n + 1] = ds.ys + ord("0")
-    rows[:, n + 3] = ds.corrupted + ord("0")
-    rows[:, n + 4] = ord("\n")
+    lines = np.empty((ds.zs.size, 2, 2, n + 5), dtype=np.uint8)
+    lines[..., :n] = unpack_inputs(ds.zs, n)[:, None, None] + ord("0")
+    lines[..., n] = lines[..., n + 2] = ord(" ")
+    lines[..., n + 1] = np.arange(2)[:, None] + ord("0")
+    lines[..., n + 3] = np.arange(2) + ord("0")
+    lines[..., n + 4] = ord("\n")
+    rows = np.repeat(lines.reshape(-1, n + 5), ds.cells.ravel(), axis=0)
     return f"n={n} m={ds.m}\n" + rows.tobytes().decode("ascii")
 
 
 def load_dataset(text: str) -> Dataset:
-    """Parse `dump_dataset` text; fields may be separated by any whitespace.
+    """Parse `dump_dataset` text, its rows in any order; fields may be
+    separated by any whitespace.
 
     Each row is checked in turn: three fields, n bits, and only 0/1
     characters.  The first row that fails is named, with the first check
@@ -275,4 +278,4 @@ def load_dataset(text: str) -> Dataset:
             raise ValueError(f"row {i} must hold only 0/1 bits, label and flag")
         cells.append(cell)
     codes = np.frombuffer("".join(cells).encode("ascii"), dtype=np.uint8).reshape(m, n + 2) - ord("0")
-    return Dataset(n, pack_inputs(codes[:, :n]), codes[:, n], codes[:, n + 1] == 1)
+    return Dataset.from_rows(n, pack_inputs(codes[:, :n]), codes[:, n], codes[:, n + 1])

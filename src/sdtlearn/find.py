@@ -14,12 +14,14 @@ at most L = min(d, n) variables and b their values, i.e. a subcube of
   product per block of inputs, between the inputs' products over the
   sets A of at most a variables (both labels' weights stacked) and over
   the sets B of at most b; a set's product row is its parent's (the set
-  less its largest variable) times one bit row.  Each S splits into its
+  less its largest variable) times one bit row, a variable's bits on the
+  block's distinct inputs (find's only rows of bits).  Each S splits into its
   a lowest and b highest variables, so A only runs below n - b, B only
   from a up, and a few chunks of rows are each multiplied by only the
   columns that can pair with them (max A < min B).  S's 2^L
   moments are gathered through the two halves' subsets, and L
-  superset-Moebius passes give count(S, b) = sum over B <= T <= S of
+  superset-Moebius passes (``polynomials._subset_transform`` over
+  supersets) give count(S, b) = sum over B <= T <= S of
   (-1)^|T - B| M(T), B the variables b sets to 1.  Every moment and
   every value of the passes is an integer at most m < 2^53, so float64
   holds and adds it exactly, in any order and under any number of BLAS
@@ -114,7 +116,7 @@ def find(dataset: Dataset, depth: int) -> FindResult:
     """Return the canonical minimum-empirical-error tree of depth <= depth."""
     n = dataset.n
     check_table_budget(n, depth)
-    uz, w0, w1, _ = dataset.counts()
+    uz, w0, w1 = dataset.counts()
     node, err, stats = _table_search(uz, w0, w1, n, min(depth, n))
     return FindResult(
         tree=StochasticTree(n, node),
@@ -293,10 +295,11 @@ def _rebuild(table: tuple, k: int, cell: int) -> Node:
 
 def empirical_error(tree: StochasticTree, dataset: Dataset) -> float:
     """Fraction of rows the tree misclassifies (stochastic trees contribute
-    their per-row disagreement probability)."""
+    their per-row disagreement probability), weighted by the count table."""
     if tree.n != dataset.n:
         raise ValueError(f"tree is over {tree.n} variables, sample over {dataset.n}")
     if dataset.m == 0:
         return 0.0
-    mu = mean_on_points(tree, dataset.zs)
-    return float(np.mean(np.where(dataset.ys == 1, 1.0 - mu, mu)))
+    zs, c0, c1 = dataset.counts()
+    mu = mean_on_points(tree, zs)
+    return float((c0 @ mu + c1 @ (1.0 - mu)) / dataset.m)

@@ -149,15 +149,12 @@ def check_budget(method: str, n: int, d: int, rows: int) -> None:
         )
 
 
-def _grouped_rows(
-    zs: np.ndarray, c0: np.ndarray, c1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grouped_rows(zs: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct (input, label) pairs with multiplicities, by input then label,
     from the count table (zs, c0, c1)."""
     w = np.stack([c0, c1], axis=1).ravel()
-    keep = w > 0
-    ys = np.tile(np.array([0.0, 1.0]), zs.size)
-    return np.repeat(zs, 2)[keep], ys[keep], w[keep].astype(np.float64)
+    cells = np.flatnonzero(w)
+    return zs[cells >> 1], (cells & 1).astype(np.float64), w[cells].astype(np.float64)
 
 
 def _design_matrix(zs: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -185,7 +182,7 @@ def l2_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     ``cho_solve``.  When u < F or the rank falls short of F, G is
     singular, and the minimum-norm b comes from ``lstsq(A, t)``.
     """
-    zs, c0, c1, _ = dataset.counts()
+    zs, c0, c1 = dataset.counts()
     n = dataset.n
     check_budget("l2", n, d, zs.size)
     if zs.size == 1 << n and cube_side(n, d):
@@ -243,7 +240,7 @@ def _l1_dual(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     grouped row; b is read from the equality rows' multipliers and
     certified by strong duality.
     """
-    zs, c0, c1, _ = dataset.counts()
+    zs, c0, c1 = dataset.counts()
     rows, ys, w = _grouped_rows(zs, c0, c1)
     check_budget("l1", dataset.n, d, rows.size)
     if rows.size == 0:  # every polynomial is optimal; HiGHS rejects an LP without variables
@@ -272,7 +269,7 @@ def _l1_cube(dataset: "Dataset", d: int) -> MultilinearPolynomial:
     is sum_z min(c1(z), c0(z) - s_z), valid when |s_z| <= W(z) for every z.
     """
     n, size = dataset.n, 1 << dataset.n
-    zs, c0, c1, _ = dataset.counts()
+    zs, c0, c1 = dataset.counts()
     check_budget("l1", n, d, zs.size)
     w0, w1 = np.zeros((2, size))
     w0[zs] = c0

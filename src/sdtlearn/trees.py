@@ -11,8 +11,8 @@ Conventions used throughout the package:
 
 * Trees are immutable values; every construction returns a new tree.
 * Inputs are packed into int64 values, with bit i of z holding variable i.
-  Datasets hold packed inputs; rows of bits appear only in ``draw_clean``,
-  in ``find``'s moment products and in text files.
+  Datasets hold distinct packed inputs with their row counts; rows of bits
+  appear only in ``find``'s moment products and in text files.
 * Stochastic nodes are enumerated in preorder (node before children,
   the 0/heads child before the 1/tails child).  A randomness string has
   one bit per stochastic node in that order; bit j = 1 means the j-th

@@ -123,16 +123,39 @@ def force_fair_coins(node: Node) -> Node:
     return Stoch(0.5, force_fair_coins(node.child_heads), force_fair_coins(node.child_tails))
 
 
+def dataset_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dataset's rows (packed inputs, uint8 labels, bool flags) in
+    ascending (input, label, flag) order, one per counted row."""
+    cell = np.repeat(np.arange(dataset.cells.size), dataset.cells.ravel())
+    return dataset.zs[cell >> 2], ((cell >> 1) & 1).astype(np.uint8), (cell & 1).astype(bool)
+
+
+def label_cells(dataset: Dataset) -> dict[tuple[int, int], int]:
+    """The number of rows at each (input, label) pair that has any."""
+    zs, c0, c1 = dataset.counts()
+    return {
+        (z, y): count
+        for z, pair in zip(zs.tolist(), zip(c0.tolist(), c1.tolist()))
+        for y, count in enumerate(pair)
+        if count
+    }
+
+
+def table_expectation(dataset: Dataset, table: dict[tuple[int, int], float]) -> float:
+    """The mean over the rows of table[(input, label)], weighted by the count table."""
+    return sum(table[key] * count for key, count in label_cells(dataset).items()) / dataset.m
+
+
 def l1_objective(poly: MultilinearPolynomial, dataset: Dataset) -> float:
-    """Mean absolute error of the polynomial against the dataset labels."""
-    preds = poly.evaluate_packed(dataset.zs)
-    return float(np.mean(np.abs(preds - dataset.ys)))
+    """Mean absolute error of the polynomial against the dataset labels, row by row."""
+    zs, ys, _ = dataset_rows(dataset)
+    return float(np.mean(np.abs(poly.evaluate_packed(zs) - ys)))
 
 
 def l2_objective(poly: MultilinearPolynomial, dataset: Dataset) -> float:
-    """Mean squared error of the polynomial against the dataset labels."""
-    preds = poly.evaluate_packed(dataset.zs)
-    return float(np.mean((preds - dataset.ys) ** 2))
+    """Mean squared error of the polynomial against the dataset labels, row by row."""
+    zs, ys, _ = dataset_rows(dataset)
+    return float(np.mean((poly.evaluate_packed(zs) - ys) ** 2))
 
 
 def predict(
@@ -210,7 +233,7 @@ def _extend(fixed: tuple, var: int, bit: int) -> tuple:
 
 def reference_find(dataset: Dataset, depth: int, memo: bool):
     """(tree, error count, search counters) of the tuple-keyed search."""
-    uz, w0, w1, _ = dataset.counts()
+    uz, w0, w1 = dataset.counts()
     solver = ReferenceFindSolver(uz, w0, w1, dataset.n, memo)
     node, err = solver.solve(np.arange(uz.size, dtype=np.int64), (), 0, depth)
     return StochasticTree(dataset.n, node), int(err), solver.stats
@@ -236,7 +259,7 @@ def find_brute_oracle(dataset: Dataset, depth: int) -> float:
     if count > _BRUTE_TREE_LIMIT:
         raise ValueError(f"would enumerate {count} trees, above the limit {_BRUTE_TREE_LIMIT}")
 
-    uz, w0, w1, _ = dataset.counts()
+    uz, w0, w1 = dataset.counts()
     if uz.size == 0:
         return 0.0
     preds = [np.zeros(uz.size, dtype=np.uint8), np.ones(uz.size, dtype=np.uint8)]

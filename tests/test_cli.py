@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
+from conftest import dataset_rows
 from test_harness import GOLDEN
 
 from sdtlearn import harness, regression
@@ -138,7 +139,8 @@ def test_learners_ignore_the_flag_column(workspace, tmp_path, capsys):
     ]
     outputs = []
     for flag in (False, True):
-        flagged = Dataset(clean.n, clean.zs, clean.ys, np.full(clean.m, flag))
+        zs, ys, _ = dataset_rows(clean)
+        flagged = Dataset.from_rows(clean.n, zs, ys, np.full(clean.m, flag))
         data, out = tmp_path / f"data_{flag}.txt", tmp_path / f"out_{flag}.txt"
         data.write_text(dump_dataset(flagged))
         printed = []

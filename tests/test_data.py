@@ -2,7 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import dataset_rows, label_cells, table_expectation
 from sdtlearn import data
 from sdtlearn.data import (
     Adversary,
@@ -26,17 +29,12 @@ from sdtlearn.trees import (
 ALL_STRATEGIES = list(Adversary)
 
 
-def table_expectation(ds: Dataset, table: dict[tuple[int, int], float]) -> float:
-    zs = ds.zs
-    return float(np.mean([table[(int(z), int(y))] for z, y in zip(zs, ds.ys)]))
-
-
 class TestDrawClean:
     def test_constant_tree_all_ones(self):
         rng = np.random.default_rng(0)
         ds = draw_clean(StochasticTree(3, Leaf(1)), 200, rng)
-        assert np.all(ds.ys == 1)
-        assert not ds.corrupted.any()
+        assert ds.counts()[2].sum() == 200
+        assert ds.corrupted_count == 0
 
     def test_empty_sample(self):
         rng = np.random.default_rng(0)
@@ -51,7 +49,7 @@ class TestDrawClean:
             expected = float(np.mean(mean_vector(tree)))
             m = 10_000
             ds = draw_clean(tree, m, rng)
-            assert abs(float(np.mean(ds.ys)) - expected) <= 1.5 / np.sqrt(m)
+            assert abs(ds.counts()[2].sum() / m - expected) <= 1.5 / np.sqrt(m)
 
 
 class TestCorrupt:
@@ -78,47 +76,48 @@ class TestCorrupt:
     def test_eta_zero_identity(self, setup):
         tree, clean, rng = setup
         out = corrupt(clean, 0.0, Adversary.LABEL_FLIP_RANDOM, tree, rng)
-        assert np.array_equal(out.ys, clean.ys)
         assert np.array_equal(out.zs, clean.zs)
+        assert np.array_equal(out.cells, clean.cells)
         assert out.corrupted_count == 0
 
     def test_eta_one_flips_every_label(self, setup):
         tree, clean, rng = setup
         out = corrupt(clean, 1.0, Adversary.LABEL_FLIP_RANDOM, tree, rng)
-        assert np.array_equal(out.ys, 1 - clean.ys)
+        assert np.array_equal(out.zs, clean.zs)
+        assert np.array_equal(out.cells[:, :, 1], clean.cells[:, ::-1, 0])
         assert out.corrupted_count == clean.m
 
     def test_none_strategy_changes_nothing(self, setup):
         tree, clean, rng = setup
         out = corrupt(clean, 0.2, Adversary.NONE, tree, rng)
-        assert np.array_equal(out.ys, clean.ys)
         assert np.array_equal(out.zs, clean.zs)
+        assert np.array_equal(out.cells.sum(axis=2), clean.cells.sum(axis=2))
         assert out.corrupted_count == corruption_budget(0.2, clean.m)
 
     def test_flip_strategies_change_only_labels(self, setup):
         tree, clean, rng = setup
+        # Each input keeps its rows; the flagged rows are the clean rows of
+        # the other label.
         for strategy in (Adversary.LABEL_FLIP_RANDOM, Adversary.LABEL_FLIP_MARGIN):
             out = corrupt(clean, 0.1, strategy, tree, np.random.default_rng(8))
             assert np.array_equal(out.zs, clean.zs)
-            changed = out.ys != clean.ys
-            assert np.array_equal(changed, out.corrupted)
+            assert np.array_equal(out.cells.sum(axis=(1, 2)), clean.cells.sum(axis=(1, 2)))
+            assert np.array_equal(out.cells[:, :, 0] + out.cells[:, ::-1, 1], clean.cells[:, :, 0])
 
     def test_margin_adversary_prefers_high_margin_rows(self, setup):
         tree, clean, rng = setup
         out = corrupt(clean, 0.05, Adversary.LABEL_FLIP_MARGIN, tree, rng)
-        mu = mean_on_points(tree, clean.zs)
-        margins = np.abs(mu - 0.5)
-        flipped = margins[out.corrupted]
-        # The flipped rows should sit in the upper half of the margin range.
-        assert np.median(flipped) >= np.median(margins)
+        margins = np.abs(mean_on_points(tree, clean.zs) - 0.5)
+        flipped = np.repeat(margins, out.cells[:, :, 1].sum(axis=1))
+        # The flipped rows should sit in the upper half of the rows' margins.
+        assert np.median(flipped) >= np.median(np.repeat(margins, clean.cells.sum(axis=(1, 2))))
 
     def test_example_replace_concentrates_one_point(self, setup):
         tree, clean, rng = setup
         out = corrupt(clean, 0.1, Adversary.EXAMPLE_REPLACE, tree, rng)
-        zs = out.zs[out.corrupted]
-        assert len(set(zs.tolist())) == 1
-        labels = out.ys[out.corrupted]
-        assert len(set(labels.tolist())) == 1
+        # All corrupted rows sit in one (input, label) cell.
+        assert np.count_nonzero(out.cells[:, :, 1]) == 1
+        assert out.cells[:, :, 1].sum() == corruption_budget(0.1, clean.m)
 
     def test_example_replace_above_the_enumeration_cap_uses_sample_inputs(self, monkeypatch):
         # A target that queries more variables than the cap has its
@@ -128,7 +127,7 @@ class TestCorrupt:
         tree = random_tree(30, 100, 0.4, rng)
         assert query_mask(tree.root).bit_count() == 28 > DEFAULT_ENUMERATION_CAP
         clean = draw_clean(tree, 300, rng)
-        distinct = np.unique(clean.zs)
+        distinct = clean.zs
         margins = np.abs(mean_on_points(tree, distinct) - 0.5)
         point = int(distinct[np.argmax(margins)])
         seen = []
@@ -141,9 +140,8 @@ class TestCorrupt:
         out = corrupt(clean, 0.1, Adversary.EXAMPLE_REPLACE, tree, rng)
         assert seen == [distinct.size]
         assert out.corrupted_count == 30
-        assert out.zs[out.corrupted].tolist() == [point] * 30
         mu = float(mean_on_points(tree, np.array([point]))[0])
-        assert out.ys[out.corrupted].tolist() == [int(mu < 0.5)] * 30
+        assert out.cells[np.searchsorted(out.zs, point), int(mu < 0.5), 1] == 30
 
     def test_example_replace_scans_the_query_cube_in_blocks(self):
         # A 20-variable query cube is scanned 2^16 inputs at a time: the
@@ -169,8 +167,7 @@ class TestCorrupt:
         for strategy in ALL_STRATEGIES:
             for eta in (0.02, 0.1):
                 out = corrupt(clean, eta, strategy, tree, np.random.default_rng(10))
-                keys = {(int(z), int(y)) for z, y in zip(clean.zs, clean.ys)}
-                keys |= {(int(z), int(y)) for z, y in zip(out.zs, out.ys)}
+                keys = sorted(label_cells(clean).keys() | label_cells(out).keys())
                 for _ in range(20):
                     table = {k: float(table_rng.random()) for k in keys}
                     shift = abs(table_expectation(clean, table) - table_expectation(out, table))
@@ -188,12 +185,19 @@ class TestCorrupt:
         "strategy", [Adversary.NONE, Adversary.LABEL_FLIP_RANDOM, Adversary.EXAMPLE_REPLACE]
     )
     def test_rows_come_from_one_choice(self, setup, strategy):
+        # The rows each (input, label) cell gives up come from one
+        # multivariate hypergeometric draw, and nothing else reads the rng.
         tree, clean, _ = setup
         budget = corruption_budget(0.1, clean.m)
-        twin = np.random.default_rng(11)
-        out = corrupt(clean, 0.1, strategy, tree, np.random.default_rng(11))
-        assert np.array_equal(np.flatnonzero(out.corrupted),
-                              np.sort(twin.choice(clean.m, budget, replace=False)))
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        out = corrupt(clean, 0.1, strategy, tree, rng)
+        chosen = twin.multivariate_hypergeometric(clean.cells[:, :, 0].ravel(), budget, method="count")
+        # Under example_replace an input may lose all its rows and leave the table.
+        kept = np.zeros_like(clean.cells[:, :, 0])
+        present = np.isin(clean.zs, out.zs)
+        kept[present] = out.cells[np.searchsorted(out.zs, clean.zs[present]), :, 0]
+        assert np.array_equal(clean.cells[:, :, 0] - kept, chosen.reshape(-1, 2))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_margin_adversary_reads_no_randomness(self, setup):
         tree, clean, _ = setup
@@ -225,8 +229,7 @@ class TestFileFormat:
         again = load_dataset(dump_dataset(ds))
         assert again.n == ds.n
         assert np.array_equal(again.zs, ds.zs)
-        assert np.array_equal(again.ys, ds.ys)
-        assert np.array_equal(again.corrupted, ds.corrupted)
+        assert np.array_equal(again.cells, ds.cells)
 
     def test_header_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -263,26 +266,50 @@ BAD_ARRAYS = [
 ]
 
 
+def _one_row_each(zs) -> np.ndarray:
+    """Cells with one clean 0-labeled row at each input."""
+    cells = np.zeros((len(zs), 2, 2), dtype=np.int64)
+    cells[:, 0, 0] = 1
+    return cells
+
+
 class TestDatasetValidation:
     def test_shape_and_value_checks(self):
-        # Rows instead of packed inputs, inputs outside [0, 2^2), and
-        # labels or flags of another length.
+        # Rows of bits instead of packed inputs, inputs outside [0, 2^2),
+        # labels or flags of another length, and a label of 2.
         for zs, ys, flags, problem in BAD_ARRAYS:
             with pytest.raises(ValueError, match=problem):
-                Dataset(2, zs, ys, flags)
+                Dataset.from_rows(2, zs, ys, flags)
+
+    @pytest.mark.parametrize("zs,cells,problem", [
+        pytest.param([1, 0], _one_row_each([1, 0]), "strictly ascending", id="descending"),
+        pytest.param([0, 0], _one_row_each([0, 0]), "strictly ascending", id="repeated"),
+        pytest.param([0, 4], _one_row_each([0, 4]), r"lie in \[0, 2\^2\)", id="input-past-cube"),
+        pytest.param([-1, 0], _one_row_each([-1, 0]), r"lie in \[0, 2\^2\)", id="negative-input"),
+        pytest.param([0, 1], np.array([[[1, 0], [0, 0]], [[0, 0], [0, 0]]]), "at least one row", id="no-rows"),
+        pytest.param([0], np.array([[[2, -1], [0, 0]]]), "nonnegative", id="negative-count"),
+        pytest.param([0, 1], np.ones((2, 2)), r"shape \(u, 2, 2\), got \(2,\) and \(2, 2\)", id="cells-2d"),
+        pytest.param([0, 1], np.ones((2, 2, 3)), r"got \(2,\) and \(2, 2, 3\)", id="three-flags"),
+        pytest.param([0, 1], np.ones((3, 2, 2)), r"got \(2,\) and \(3, 2, 2\)", id="cells-for-three-inputs"),
+        pytest.param([[0, 1]], np.ones((2, 2, 2)), r"need 1-d zs", id="zs-2d"),
+    ])
+    def test_table_refusals_are_one_line(self, zs, cells, problem):
+        with pytest.raises(ValueError, match=problem) as caught:
+            Dataset(2, zs, cells)
+        assert "\n" not in str(caught.value)
 
     @pytest.mark.parametrize("n", [-1, 63])
     def test_rejects_variable_count_outside_packing(self, n):
         with pytest.raises(ValueError, match="n must lie in"):
-            Dataset(n, np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool))
+            Dataset(n, np.zeros(0, dtype=np.int64), np.zeros((0, 2, 2), dtype=np.int64))
 
     def test_accepts_full_range(self):
-        ds = Dataset(62, [0, (1 << 62) - 1], [0, 1], [False, True])
-        assert ds.zs.dtype == np.int64 and ds.m == 2
+        ds = Dataset.from_rows(62, [0, (1 << 62) - 1], [0, 1], [False, True])
+        assert ds.zs.dtype == np.int64 and ds.m == 2 and ds.corrupted_count == 1
 
     def test_rows_are_read_only(self):
-        ds = Dataset(2, np.array([0, 3, 1]), np.zeros(3, dtype=np.uint8), np.zeros(3, dtype=bool))
-        for arr in (ds.zs, ds.ys, ds.corrupted):
+        ds = Dataset.from_rows(2, np.array([0, 3, 1]), np.zeros(3, dtype=np.uint8), np.zeros(3, dtype=bool))
+        for arr in (ds.zs, ds.cells):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
@@ -301,3 +328,36 @@ class TestDatasetValidation:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+#: Count tables over n <= 6 variables: up to 20 inputs, each with 1 to 12
+#: rows spread over its four (label, flag) cells.
+tables = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(
+            st.integers(0, (1 << n) - 1), st.tuples(*[st.integers(0, 3)] * 4).filter(any), max_size=20
+        ),
+    )
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(table=tables, seed=st.integers(0, 2**32 - 1))
+@example(table=(0, {}), seed=0)
+@example(table=(0, {0: (1, 0, 0, 3)}), seed=1)
+@example(table=(6, {0: (1, 1, 1, 1), 63: (0, 0, 0, 2)}), seed=2)
+def test_table_round_trips_through_rows(table, seed):
+    # from_rows of the table's rows, the text round trip, and the text with
+    # its rows in any order all give back the table: row order carries no
+    # information.
+    n, cells = table
+    zs = sorted(cells)
+    ds = Dataset(n, np.array(zs, dtype=np.int64), np.array([cells[z] for z in zs]).reshape(-1, 2, 2))
+    for again in (Dataset.from_rows(n, *dataset_rows(ds)), load_dataset(dump_dataset(ds))):
+        assert again.n == n
+        assert np.array_equal(again.zs, ds.zs) and np.array_equal(again.cells, ds.cells)
+    header, *rows = dump_dataset(ds).splitlines()
+    shuffled = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+    again = load_dataset("\n".join([header, *shuffled]) + "\n")
+    assert np.array_equal(again.zs, ds.zs) and np.array_equal(again.cells, ds.cells)

@@ -24,7 +24,7 @@ find_module = importlib.import_module("sdtlearn.find")
 def make_dataset(xs, ys):
     xs = np.asarray(xs, dtype=np.uint8)
     ys = np.asarray(ys, dtype=np.uint8)
-    return Dataset(xs.shape[1], pack_inputs(xs), ys, np.zeros(len(ys), dtype=bool))
+    return Dataset.from_rows(xs.shape[1], pack_inputs(xs), ys, np.zeros(len(ys), dtype=bool))
 
 
 @pytest.fixture
@@ -193,7 +193,7 @@ class TestTableBudget:
         peaks = []
         for m in (20_000, 80_000):
             rng = np.random.default_rng(6)
-            uz, w0, w1, _ = draw_clean(random_tree(30, 8, 0.3, rng), m, rng).counts()
+            uz, w0, w1 = draw_clean(random_tree(30, 8, 0.3, rng), m, rng).counts()
             tracemalloc.start()
             try:
                 find_module._table_search(uz, w0, w1, 30, 2)

@@ -1,10 +1,10 @@
 """The vectorized kernels against the plain loops they replaced.
 
 Each reference is the earlier implementation kept verbatim in spirit:
-``np.unique`` for the count table, which the new code builds by counting
-over the cube when the rows outnumber its points, a
-per-row dict loop for the margin adversary, ``np.unique`` over (input,
-label) keys for the regression rows, a recursive walk that splits the
+``np.unique`` and ``bincount`` over rows for the count table, which the
+new code holds from the draw on, a per-row dict loop for the margin
+adversary, which the new code runs per (input, label) cell, ``np.unique``
+over (input, label) keys for the regression rows, a recursive walk that splits the
 inputs at each query for the mean at given points, the expansion of each
 path's (variable, bit) factors one at a time for the mean polynomial,
 the slack-split primal LP for the L1 fit
@@ -16,8 +16,9 @@ pass over the inputs per monomial for polynomial evaluation, the ``find`` search
 keyed by sorted (variable, bit) tuples (in conftest), two weighted
 ``bincount``s per variable set for ``find``'s leaf counts, which the new
 code takes from low-degree moments, one int64 matrix
-product over all rows for input packing, the label draw that walks the
-tree once per row, the row-by-row dataset text format, the stacking
+product over all rows for input packing, the draw of m rows of bits that
+walks the tree once per row, row-level ``rng.choice`` for the adversaries
+that pick their rows uniformly, the row-by-row dataset text format, the stacking
 construction that recursed once per stacked copy, and the example
 adversary's point and the stacked tree's distance, each taken over all
 of {0,1}^n where the new code takes the target's query cube (and that
@@ -29,14 +30,16 @@ distance, summed over a smaller cube, to 1e-12; the L1 fit, whose optimum need n
 unique, must reach the same objective, the L2 fit, solved in another
 order, the same predictions to a set tolerance, the mean polynomial,
 summed in another order, the same coefficients to 1e-12, polynomial
-evaluation by the zeta transform the same values to 1e-9, and the label draw,
-which takes one uniform per row instead of one per coin, the same
-inputs and the labels its own uniforms give.
+evaluation by the zeta transform the same values to 1e-9, and the draw and
+the uniform adversaries, which count instead of listing rows, the same
+law of the count table, by chi-square tests at fixed seeds.
 """
 
 import importlib
 import itertools
+import json
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -45,12 +48,15 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.stats import chi2_contingency
 
-from conftest import l1_objective, reference_find, sample
+from conftest import dataset_rows, l1_objective, reference_find, sample
+from test_harness import ACCEPTANCE_GOLDEN, GOLDEN
+from test_regression import PINNED_FITS, _seeded_sample
 from sdtlearn.data import (
     Adversary,
     Dataset,
-    _flip_margin_rows,
+    _flip_margin_cells,
     _replacement_point,
     corrupt,
     corruption_budget,
@@ -59,10 +65,12 @@ from sdtlearn.data import (
     load_dataset,
 )
 from sdtlearn.evaluation import exact_error
+from sdtlearn.harness import budgets_for
 from sdtlearn.find import SearchStats, _links, _moment_counts, find, table_cells
-from sdtlearn.polynomials import COEFF_ABS_SUM_CAP, MultilinearPolynomial, monomials, read_text
+from sdtlearn.polynomials import COEFF_ABS_SUM_CAP, MultilinearPolynomial, load_polynomial, monomials, read_text
 from sdtlearn.regression import (
     L1_CERTIFICATE_TOL,
+    ROUND_TIE_TOL,
     TruncatedPolyHypothesis,
     _certify,
     _cube_fit,
@@ -73,6 +81,7 @@ from sdtlearn.regression import (
     _mobius_rows,
     _solve_lp,
     _to_poly,
+    cube_side,
     l1_regress,
     l2_regress,
 )
@@ -104,15 +113,21 @@ data_module = importlib.import_module("sdtlearn.data")
 find_module = importlib.import_module("sdtlearn.find")
 
 
-def reference_counts(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    zs, inverse = np.unique(ds.zs, return_inverse=True)
+def reference_counts(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The count table (inputs, 0-label and 1-label counts) of the dataset's rows."""
+    rows, ys, _ = dataset_rows(ds)
+    zs, inverse = np.unique(rows, return_inverse=True)
     total = np.bincount(inverse, minlength=zs.size).astype(np.int64)
-    c1 = np.bincount(inverse[ds.ys == 1], minlength=zs.size).astype(np.int64)
-    return zs, total - c1, c1, inverse
+    c1 = np.bincount(inverse[ys == 1], minlength=zs.size).astype(np.int64)
+    return zs, total - c1, c1
 
 
-def reference_flip_margin_rows(clean: Dataset, budget: int, tree: StochasticTree) -> np.ndarray:
-    zs = clean.zs
+def reference_flip_margin_rows(
+    zs: np.ndarray, ys: np.ndarray, budget: int, tree: StochasticTree
+) -> tuple[np.ndarray, int]:
+    """Indices of the rows (packed inputs zs, labels ys) the margin adversary
+    flips, and how many of them went to the lowest untaken rows because
+    the inputs' needs were met."""
     mu = mean_on_points(tree, zs)
     margin = np.abs(mu - 0.5)
     bayes = (mu >= 0.5).astype(np.uint8)
@@ -128,7 +143,7 @@ def reference_flip_margin_rows(clean: Dataset, budget: int, tree: StochasticTree
         if remaining == 0:
             break
         label = bayes[rows[0]]
-        agree = [i for i in rows if clean.ys[i] == label]
+        agree = [i for i in rows if ys[i] == label]
         disagree_count = len(rows) - len(agree)
         if len(agree) < disagree_count:
             continue
@@ -136,19 +151,21 @@ def reference_flip_margin_rows(clean: Dataset, budget: int, tree: StochasticTree
         take = min(need, remaining, len(agree))
         chosen.extend(agree[:take])
         remaining -= take
+    leftover = remaining
     if remaining:
         taken = set(chosen)
-        for i in range(clean.m):
+        for i in range(zs.size):
             if remaining == 0:
                 break
             if i not in taken:
                 chosen.append(i)
                 remaining -= 1
-    return np.sort(np.asarray(chosen, dtype=np.int64))
+    return np.sort(np.asarray(chosen, dtype=np.int64)), leftover
 
 
 def reference_grouped_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    keys = dataset.zs * 2 + dataset.ys
+    zs, ys, _ = dataset_rows(dataset)
+    keys = zs * 2 + ys
     uniq, counts = np.unique(keys, return_counts=True)
     return uniq >> 1, (uniq & 1).astype(np.float64), counts.astype(np.float64)
 
@@ -156,7 +173,7 @@ def reference_grouped_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np
 def reference_l1_regress(dataset: Dataset, d: int):
     """min sum_i w_i t_i  s.t.  -t <= phi b - y <= t, over (b, t)."""
     monos = monomials(dataset.n, d)
-    zs, ys, w = _grouped_rows(*dataset.counts()[:3])
+    zs, ys, w = reference_grouped_rows(dataset)
     phi = _design_matrix(zs, monos)
     g, f = phi.shape
     phi_s = sp.csr_matrix(phi)
@@ -175,7 +192,7 @@ def reference_l1_cube(dataset: Dataset, d: int) -> MultilinearPolynomial:
     0 <= b <= 1 on every input, solved with HiGHS's presolve and certified
     with HiGHS's own multipliers."""
     n, size = dataset.n, 1 << dataset.n
-    zs, c0, c1, _ = dataset.counts()
+    zs, c0, c1 = reference_counts(dataset)
     w0, w1 = np.zeros((2, size))
     w0[zs] = c0
     w1[zs] = c1
@@ -198,7 +215,7 @@ def reference_l1_cube(dataset: Dataset, d: int) -> MultilinearPolynomial:
 def reference_l2_regress(dataset: Dataset, d: int):
     """Minimum-norm least squares over the grouped (input, label) rows."""
     monos = monomials(dataset.n, d)
-    zs, ys, w = _grouped_rows(*dataset.counts()[:3])
+    zs, ys, w = reference_grouped_rows(dataset)
     sw = np.sqrt(w)
     beta, *_ = np.linalg.lstsq(_design_matrix(zs, monos) * sw[:, None], ys * sw, rcond=None)
     return _to_poly(dataset.n, d, monos, beta)
@@ -309,7 +326,7 @@ def reference_replacement_point(clean: Dataset, tree: StochasticTree) -> tuple[i
     if tree.n <= 20:
         zs = np.arange(1 << tree.n, dtype=np.int64)
     else:
-        zs = np.unique(clean.zs)
+        zs = np.unique(dataset_rows(clean)[0])
     mu = mean_on_points(tree, zs)
     best = int(np.argmax(np.abs(mu - 0.5)))
     return int(zs[best]), 1 - round_prob(float(mu[best]))
@@ -340,12 +357,13 @@ def reference_draw_clean(tree: StochasticTree, m: int, rng: np.random.Generator)
     uniform per coin visited."""
     xs = rng.integers(0, 2, size=(m, tree.n), dtype=np.uint8)
     ys = np.fromiter((sample(tree, row, rng) for row in xs), dtype=np.uint8, count=m)
-    return Dataset(tree.n, pack_inputs(xs), ys, np.zeros(m, dtype=bool))
+    return Dataset.from_rows(tree.n, pack_inputs(xs), ys, np.zeros(m, dtype=bool))
 
 
 def reference_dump_dataset(ds: Dataset) -> str:
     lines = [f"n={ds.n} m={ds.m}"]
-    for row, y, flag in zip(unpack_inputs(ds.zs, ds.n), ds.ys, ds.corrupted):
+    zs, ys, flags = dataset_rows(ds)
+    for row, y, flag in zip(unpack_inputs(zs, ds.n), ys, flags):
         bits = "".join(str(int(b)) for b in row)
         lines.append(f"{bits} {int(y)} {int(flag)}")
     return "\n".join(lines) + "\n"
@@ -372,7 +390,7 @@ def reference_load_dataset(text: str) -> Dataset:
         xs[i] = [int(b) for b in bits]
         ys[i] = int(label)
         flags[i] = flag == "1"
-    return Dataset(n, pack_inputs(xs), ys, flags)
+    return Dataset.from_rows(n, pack_inputs(xs), ys, flags)
 
 
 def reference_leaf_counts(
@@ -400,7 +418,7 @@ def reference_table_search(ds: Dataset, depth: int) -> tuple[StochasticTree, int
     up each level's child sets by ``searchsorted``, in the fold and again
     in the rebuild, and folded one (variable, position) pair at a time."""
     n, top = ds.n, min(depth, ds.n)
-    uz, w0, w1, _ = ds.counts()
+    uz, w0, w1 = reference_counts(ds)
     masks = [np.zeros(1, dtype=np.int64)]
     for _ in range(top):
         grown = masks[-1][:, None] | (np.int64(1) << np.arange(n, dtype=np.int64))
@@ -482,8 +500,8 @@ def _sample(tree: StochasticTree, m: int, noisy: bool, seed: int) -> Dataset:
     clean = draw_clean(tree, m, rng)
     if not noisy:
         return clean
-    ys = rng.integers(0, 2, size=m, dtype=np.uint8)
-    return Dataset(clean.n, clean.zs, ys, clean.corrupted)
+    zs, _, flags = dataset_rows(clean)
+    return Dataset.from_rows(clean.n, zs, rng.integers(0, 2, size=m, dtype=np.uint8), flags)
 
 
 def _assert_identical(new: np.ndarray, ref: np.ndarray) -> None:
@@ -501,10 +519,8 @@ instances = dict(
 )
 
 
-#: Sample shapes at the edges of the count table's two branches: no rows,
-#: no variables, one row short of the cube's 2^n points, exactly 2^n rows,
-#: and more than 255 distinct inputs, where the margin adversary sorts
-#: 16-bit group ids.
+#: Sample shapes at the edges: no rows, no variables, one row short of the
+#: cube's 2^n points, exactly 2^n rows, and more than 255 distinct inputs.
 EDGE_SHAPES = [
     dict(n=3, m=0, noisy=False),
     dict(n=0, m=5, noisy=True),
@@ -525,13 +541,26 @@ def edge_shapes(**extra):
     return apply
 
 
+def _shuffled_rows(ds: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    order = np.random.default_rng(seed).permutation(ds.m)
+    return tuple(a[order] for a in dataset_rows(ds))
+
+
+def _flipped_cells(clean: Dataset, zs: np.ndarray, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The chosen rows counted by (input, label) cell of the clean table."""
+    cell = 2 * np.searchsorted(clean.zs, zs[rows]) + ys[rows]
+    return np.bincount(cell, minlength=2 * clean.zs.size).reshape(-1, 2)
+
+
 @PROPERTY
 @given(**instances)
 @edge_shapes()
 def test_count_table_matches_unique(n, s, stoch, m, noisy, seed):
+    # The rows in another order count to the same table.
     tree = _tree(n, min(s, 1 << n), stoch, seed)
     ds = _sample(tree, m, noisy, seed + 1)
-    for new, ref in zip(ds.counts(), reference_counts(ds)):
+    shuffled = Dataset.from_rows(n, *_shuffled_rows(ds, seed))
+    for new, ref in zip(shuffled.counts(), reference_counts(ds)):
         _assert_identical(new, ref)
 
 
@@ -541,24 +570,38 @@ def test_count_table_matches_unique(n, s, stoch, m, noisy, seed):
 @example(n=3, s=4, stoch=0.3, m=50, noisy=False, seed=0, eta=1.0)
 @example(n=2, s=3, stoch=0.0, m=200, noisy=True, seed=1, eta=0.5)
 def test_flip_margin_rows_matches_dict_loop(n, s, stoch, m, noisy, seed, eta):
+    # In ascending (input, label) order the loop's lowest untaken rows are
+    # the lowest cells' rows, so the counts agree with or without leftover
+    # budget; with none left over, they agree in any row order.
     tree = _tree(n, min(s, 1 << n), stoch, seed)
     clean = _sample(tree, m, noisy, seed + 1)
     budget = corruption_budget(eta, m)
     if budget == 0:
         return
-    new = _flip_margin_rows(clean, budget, tree)
-    _assert_identical(new, reference_flip_margin_rows(clean, budget, tree))
-    assert new.size == budget and np.unique(new).size == budget
+    new = _flip_margin_cells(clean, budget, tree)
+    assert new.sum() == budget and np.all(new <= clean.cells[:, :, 0])
+    zs, ys, _ = dataset_rows(clean)
+    rows, _ = reference_flip_margin_rows(zs, ys, budget, tree)
+    _assert_identical(new, _flipped_cells(clean, zs, ys, rows))
+    zs, ys, _ = _shuffled_rows(clean, seed)
+    rows, leftover = reference_flip_margin_rows(zs, ys, budget, tree)
+    if leftover == 0:
+        _assert_identical(new, _flipped_cells(clean, zs, ys, rows))
 
 
 def test_flip_margin_rows_fills_leftover_budget():
-    # Input 0 needs one flip and input 1 needs two; the fourth flip goes to
-    # the lowest untaken row.
+    # Input 0 has two 0-labels and one 1-label and needs one flip, input 1
+    # two 1-labels and needs two.  The rest of the budget goes to the
+    # untaken rows of the lowest (input, label) cells: the last 0-label of
+    # input 0, then its 1-label.
     tree = StochasticTree(1, Query(0, Leaf(0), Leaf(1)))
-    clean = Dataset(1, [0, 1, 0, 1, 0], [0, 1, 1, 1, 0], np.zeros(5, dtype=bool))
-    ref = reference_flip_margin_rows(clean, 4, tree)
-    _assert_identical(_flip_margin_rows(clean, 4, tree), ref)
-    assert ref.tolist() == [0, 1, 2, 3]
+    clean = Dataset.from_rows(1, [0, 1, 0, 1, 0], [0, 1, 1, 1, 0], np.zeros(5, dtype=bool))
+    assert _flip_margin_cells(clean, 3, tree).tolist() == [[1, 0], [0, 2]]
+    assert _flip_margin_cells(clean, 4, tree).tolist() == [[2, 0], [0, 2]]
+    assert _flip_margin_cells(clean, 5, tree).tolist() == [[2, 1], [0, 2]]
+    zs, ys, _ = dataset_rows(clean)
+    rows, leftover = reference_flip_margin_rows(zs, ys, 4, tree)
+    assert leftover == 1 and _flipped_cells(clean, zs, ys, rows).tolist() == [[2, 0], [0, 2]]
 
 
 @PROPERTY
@@ -566,7 +609,7 @@ def test_flip_margin_rows_fills_leftover_budget():
 def test_grouped_rows_match_unique_keys(n, s, stoch, m, noisy, seed):
     tree = _tree(n, min(s, 1 << n), stoch, seed)
     ds = _sample(tree, m, noisy, seed + 1)
-    for new, ref in zip(_grouped_rows(*ds.counts()[:3]), reference_grouped_rows(ds)):
+    for new, ref in zip(_grouped_rows(*ds.counts()), reference_grouped_rows(ds)):
         _assert_identical(new, ref)
 
 
@@ -603,7 +646,7 @@ def test_l1_cube_matches_dual(n, s, stoch, m, noisy, seed, degree):
         assert abs(l1_objective(cube, ds) - l1_objective(dual, ds)) <= 1e-9
     if d == n:
         # Nothing constrains q: each seen input takes its majority label.
-        zs, c0, c1, _ = ds.counts()
+        zs, c0, c1 = ds.counts()
         decided = c0 != c1
         fit = cube.evaluate_packed(zs[decided])
         assert np.max(np.abs(fit - (c1 > c0)[decided]), initial=0.0) <= 1e-9
@@ -623,7 +666,7 @@ def test_l1_cube_matches_dual_on_acceptance_instance():
 
 
 def _count_table_objective(poly: MultilinearPolynomial, ds: Dataset) -> float:
-    zs, c0, c1, _ = ds.counts()
+    zs, c0, c1 = ds.counts()
     fit = poly.evaluate_packed(zs)
     return float(c0 @ np.abs(fit) + c1 @ np.abs(fit - 1.0))
 
@@ -657,7 +700,7 @@ def test_l2_normal_equations_match_grouped_lstsq(n, s, stoch, m, noisy, seed, de
     # The examples cover the full cube on the cube side (n=3, d=2 with one
     # constraint row; n=4, d=2 and n=5, d=3 with noisy labels, 5 and 6
     # rows) and on the feature side by Cholesky (n=4, d=1), m = 1 with
-    # d = n (fewer inputs than features, lstsq), and 15 of 16 inputs seen
+    # d = n (fewer inputs than features, lstsq), and 14 of 16 inputs seen
     # with d = n, where cube_side holds but the fit stays on lstsq.
     # Predictions are compared on all of {0,1}^n.
     tree = _tree(n, min(s, 1 << n), stoch, seed)
@@ -676,7 +719,7 @@ def test_l2_rank_short_gram_falls_back_to_min_norm():
     xs = rng.integers(0, 2, size=(400, 4), dtype=np.uint8)
     xs[:, 0] = 0
     ys = rng.integers(0, 2, size=400, dtype=np.uint8)
-    ds = Dataset(4, pack_inputs(xs), ys, np.zeros(400, dtype=bool))
+    ds = Dataset.from_rows(4, pack_inputs(xs), ys, np.zeros(400, dtype=bool))
     poly = l2_regress(ds, 1)
     assert abs(poly.coeffs.get((0,), 0.0)) <= 1e-12
     cube = np.arange(16, dtype=np.int64)
@@ -854,16 +897,22 @@ def test_pack_inputs_matches_matrix_product(m, n, seed, dtype):
 
 
 @PROPERTY
-@given(**instances)
-def test_count_table_matches_rows(n, s, stoch, m, noisy, seed):
-    tree = _tree(n, min(s, 1 << n), stoch, seed)
-    ds = _sample(tree, m, noisy, seed + 1)
-    zs, c0, c1, inverse = ds.counts()
-    assert zs.dtype == c0.dtype == c1.dtype == np.int64
-    assert np.all(np.diff(zs) > 0)
-    assert np.array_equal(zs[inverse], ds.zs)
-    assert np.array_equal(c0, np.bincount(inverse, weights=ds.ys == 0, minlength=zs.size))
-    assert np.array_equal(c1, np.bincount(inverse, weights=ds.ys == 1, minlength=zs.size))
+@given(n=st.integers(0, 6), rows=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 1), st.booleans()),
+                                          max_size=80))
+@example(n=0, rows=[(0, 1, True), (0, 1, False), (0, 0, True)])
+@example(n=3, rows=[])
+def test_count_table_matches_rows(n, rows):
+    # Each (input, label, flag) cell holds the number of rows equal to it.
+    zs = np.array([z & ((1 << n) - 1) for z, _, _ in rows], dtype=np.int64)
+    ys = np.array([y for _, y, _ in rows], dtype=np.uint8)
+    flags = np.array([f for _, _, f in rows], dtype=bool)
+    ds = Dataset.from_rows(n, zs, ys, flags)
+    assert ds.zs.dtype == ds.cells.dtype == np.int64
+    assert ds.zs.tolist() == sorted(set(zs.tolist()))
+    for u, z in enumerate(ds.zs.tolist()):
+        for y, f in itertools.product((0, 1), (0, 1)):
+            assert ds.cells[u, y, f] == int(np.sum((zs == z) & (ys == y) & (flags == f)))
+    assert ds.m == len(rows) and ds.corrupted_count == int(flags.sum())
 
 
 XOR_ROWS = [(0, 0), (1, 1), (2, 1), (3, 0)]
@@ -886,7 +935,7 @@ def test_find_matches_tuple_keyed_search(n, depth, rows):
     # repeats inputs, often with both labels; depth may exceed n.
     zs = np.array([z & ((1 << n) - 1) for z, _ in rows], dtype=np.int64)
     ys = np.array([y for _, y in rows], dtype=np.uint8)
-    ds = Dataset(n, zs, ys, np.zeros(len(rows), dtype=bool))
+    ds = Dataset.from_rows(n, zs, ys, np.zeros(len(rows), dtype=bool))
     result = find(ds, depth)
     _assert_same_search(result, reference_find(ds, depth, memo=True))
     assert result.tree == reference_find(ds, depth, memo=False)[0]
@@ -919,8 +968,8 @@ def test_find_matches_tuple_keyed_search_on_acceptance_instance():
 @example(n=9, depth=9, s=10, m=300, noisy=False, seed=4)
 def test_find_matches_searchsorted_table_search(n, depth, s, m, noisy, seed):
     # depth runs from 0 to n + 1.  m = 0 leaves the table empty, m >= 2^n
-    # takes the count table's bincount branch, and at n = 9, depth 9 a
-    # variable's position among its set's variables reaches 8.
+    # sees most inputs, and at n = 9, depth 9 a variable's position among
+    # its set's variables reaches 8.
     depth = min(depth, n + 1)
     ds = _sample(_tree(n, min(s, 1 << n), 0.3, seed), m, noisy, seed + 1)
     _assert_same_search(find(ds, depth), reference_table_search(ds, depth))
@@ -981,8 +1030,7 @@ def _assert_same_search(result, reference) -> None:
 def _assert_same_dataset(new: Dataset, ref: Dataset) -> None:
     assert new.n == ref.n
     _assert_identical(new.zs, ref.zs)
-    _assert_identical(new.ys, ref.ys)
-    _assert_identical(new.corrupted, ref.corrupted)
+    _assert_identical(new.cells, ref.cells)
 
 
 random_trees = st.builds(
@@ -993,35 +1041,88 @@ random_trees = st.builds(
     seed=st.integers(0, 2**32 - 1),
 )
 
-# Coins that always or never come up heads: the walk still draws a uniform
-# at each, the new draw none, and the labels must not differ.
-CERTAIN_COINS = StochasticTree(
-    2, Stoch(1.0, Query(0, Stoch(0.0, Leaf(1), Leaf(0)), Leaf(1)), Stoch(0.0, Leaf(1), Leaf(0)))
+#: A two-variable target whose every input has a different label law.
+LAW_TREE = StochasticTree(2, Query(0, Stoch(0.3, Leaf(1), Leaf(0)), Query(1, Leaf(1), Stoch(0.8, Leaf(1), Leaf(0)))))
+
+#: Smallest p-value a law test accepts.  Each test runs at fixed seeds, so
+#: its p-value is a fixed number, and a correct sampler passes every run.
+LAW_P_MIN = 1e-3
+
+
+def _table_key(ds: Dataset) -> tuple[bytes, bytes]:
+    return ds.zs.tobytes(), ds.cells.tobytes()
+
+
+def _same_law(draw_new, draw_ref, trials: int) -> float:
+    """The chi-square homogeneity p-value of the count tables two samplers
+    give in ``trials`` draws each; tables seen fewer than 10 times in all
+    share one category."""
+    seen = [Counter(_table_key(draw()) for _ in range(trials)) for draw in (draw_new, draw_ref)]
+    common = [k for k in seen[0].keys() | seen[1].keys() if seen[0][k] + seen[1][k] >= 10]
+    table = np.array([[c[k] for k in common] + [trials - sum(c[k] for k in common)] for c in seen])
+    table = table[:, table.sum(axis=0) > 0]
+    assert table.shape[1] >= 2
+    return float(chi2_contingency(table).pvalue)
+
+
+def test_draw_clean_matches_per_row_walk():
+    # The count table of m rows drawn uniformly and labeled by walking the
+    # tree once per row, against one np.unique and one binomial draw: the
+    # whole table's law at m = 3 (20 input multisets times their labels),
+    # and the pooled cell counts at m = 40.
+    new, ref = np.random.default_rng(1), np.random.default_rng(2)
+    p = _same_law(lambda: draw_clean(LAW_TREE, 3, new), lambda: reference_draw_clean(LAW_TREE, 3, ref), 4000)
+    assert p > LAW_P_MIN
+    pooled = np.zeros((2, 4, 2, 2), dtype=np.int64)
+    for side, draw in enumerate((draw_clean, reference_draw_clean)):
+        rng = np.random.default_rng(3 + side)
+        for _ in range(400):
+            ds = draw(LAW_TREE, 40, rng)
+            pooled[side, ds.zs] += ds.cells
+    assert not pooled[:, :, :, 1].any()
+    # x = 01 is labeled 1 surely, so its 0-label cell stays empty.
+    cells = pooled[:, :, :, 0].reshape(2, 8)
+    assert chi2_contingency(cells[:, cells.sum(axis=0) > 0]).pvalue > LAW_P_MIN
+
+
+def test_draw_clean_clips_a_mean_rounded_past_one():
+    # 0.65 * 0.1 + 0.65 * 0.9 + 0.35 * 0.65 + 0.35 * 0.35 rounds to 1 + 2^-52.
+    tree = StochasticTree(1, Stoch(0.65, Stoch(0.1, Leaf(1), Leaf(1)), Stoch(0.65, Leaf(1), Leaf(1))))
+    assert mean_vector(tree).max() > 1.0
+    ds = draw_clean(tree, 100, np.random.default_rng(0))
+    assert ds.counts()[2].sum() == 100
+
+
+def reference_corrupt_rows(
+    clean: Dataset, eta: float, strategy: Adversary, tree: StochasticTree, rng: np.random.Generator
+) -> Dataset:
+    """The uniform adversaries on the rows: one ``rng.choice`` of the rows to rewrite."""
+    zs, ys, flags = dataset_rows(clean)
+    chosen = rng.choice(clean.m, size=corruption_budget(eta, clean.m), replace=False)
+    if strategy is Adversary.LABEL_FLIP_RANDOM:
+        ys[chosen] ^= 1
+    elif strategy is Adversary.EXAMPLE_REPLACE:
+        zs[chosen], ys[chosen] = reference_query_cube_point(tree)
+    flags[chosen] = True
+    return Dataset.from_rows(clean.n, zs, ys, flags)
+
+
+@pytest.mark.parametrize(
+    "strategy", [Adversary.NONE, Adversary.LABEL_FLIP_RANDOM, Adversary.EXAMPLE_REPLACE]
 )
-
-
-@PROPERTY
-@given(tree=random_trees, m=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
-@example(tree=_tree(3, 4, 0.3, 0), m=0, seed=0)
-@example(tree=StochasticTree(0, Stoch(0.3, Leaf(1), Leaf(0))), m=200, seed=1)
-@example(tree=StochasticTree(3, Leaf(1)), m=50, seed=2)
-@example(tree=CERTAIN_COINS, m=100, seed=3)
-def test_draw_clean_matches_per_row_walk(tree, m, seed):
-    new = draw_clean(tree, m, np.random.default_rng(seed))
-    ref = reference_draw_clean(tree, m, np.random.default_rng(seed))
-    assert new.n == tree.n and not new.corrupted.any()
-    # Both draw the inputs with the same first call.
-    _assert_identical(new.zs, ref.zs)
-    twin = np.random.default_rng(seed)
-    twin.integers(0, 2, size=(m, tree.n), dtype=np.uint8)
-    u = twin.random(m)
-    mu = np.array([mean(tree, row) for row in unpack_inputs(new.zs, tree.n)], dtype=np.float64)
-    _assert_identical(new.ys, (u < mu).astype(np.uint8))
-    # Where the label is certain, no uniform can change it.
-    certain = (mu == 0.0) | (mu == 1.0)
-    assert np.array_equal(new.ys[certain], ref.ys[certain])
-    if tree.is_deterministic:
-        _assert_identical(new.ys, ref.ys)
+def test_uniform_adversaries_match_row_choice(strategy):
+    # Eight clean rows over four inputs, three of them rewritten: the law of
+    # the corrupted table from one hypergeometric draw over the cells
+    # against one rng.choice over the rows.
+    clean = draw_clean(LAW_TREE, 8, np.random.default_rng(5))
+    assert clean.zs.size >= 3
+    new, ref = np.random.default_rng(6), np.random.default_rng(7)
+    p = _same_law(
+        lambda: corrupt(clean, 3 / 8, strategy, LAW_TREE, new),
+        lambda: reference_corrupt_rows(clean, 3 / 8, strategy, LAW_TREE, ref),
+        3000,
+    )
+    assert p > LAW_P_MIN
 
 
 @PROPERTY
@@ -1074,3 +1175,55 @@ def test_dataset_loader_matches_row_by_row_parse(case, extra):
         assert str(caught.value) == str(err)
         return
     _assert_same_dataset(load_dataset(text), ref)
+
+
+def _means_on_the_cube(tree: StochasticTree) -> np.ndarray:
+    """mu at every input of {0,1}^n, one traversal per input."""
+    return np.array([mean(tree, list(x)) for x in unpack_inputs(np.arange(1 << tree.n), tree.n)])
+
+
+def _rounded_on_the_cube(poly: MultilinearPolynomial) -> np.ndarray:
+    """The l2 hypothesis's output on every input, by the monomial loop."""
+    q = np.clip(reference_evaluate_packed(poly, np.arange(1 << poly.n)), 0.0, 1.0)
+    return (q >= 0.5 - ROUND_TIE_TOL).astype(np.float64)
+
+
+@pytest.mark.parametrize(
+    "cfg,expected", GOLDEN + ACCEPTANCE_GOLDEN, ids=["find", "l2", "l1", "acceptance-eta0", "acceptance-margin"]
+)
+def test_pinned_reports_match_the_reference_pipeline(cfg, expected):
+    # The experiment's draw and corruption, then the reference kernels on
+    # the dataset's rows and the errors summed over {0,1}^n: find's tree and
+    # counters must be identical, l2's rounding too, and l1's objective
+    # within L1_CERTIFICATE_TOL per row (a tied LP may return another vertex).
+    depth, degree = budgets_for(cfg)
+    streams = np.random.SeedSequence(cfg.seed).spawn(4)
+    rng_tree, rng_sample, rng_corrupt, _ = (np.random.default_rng(s) for s in streams)
+    tree = random_tree(cfg.n, cfg.s, cfg.stoch_fraction, rng_tree)
+    ds = corrupt(draw_clean(tree, cfg.m, rng_sample), cfg.eta, Adversary(cfg.adversary), tree, rng_corrupt)
+    if cfg.method == "find":
+        reference = reference_table_search(ds, depth)
+        _assert_same_search(find(ds, depth), reference)
+        q = _means_on_the_cube(reference[0])
+    elif cfg.method == "l2":
+        q = _rounded_on_the_cube(reference_l2_regress(ds, degree))
+        _assert_identical(_rounded_on_the_cube(l2_regress(ds, degree)), q)
+    else:
+        fit = l1_regress(ds, degree)
+        reference = (reference_l1_cube if cube_side(cfg.n, degree) else reference_l1_regress)(ds, degree)
+        assert abs(l1_objective(fit, ds) - l1_objective(reference, ds)) <= L1_CERTIFICATE_TOL
+        q = np.clip(reference_evaluate_packed(fit, np.arange(1 << cfg.n)), 0.0, 1.0)
+    mu = _means_on_the_cube(tree)
+    report = json.loads(expected)
+    assert abs(report["opt"] - float(np.mean(np.minimum(mu, 1.0 - mu)))) <= 1e-12
+    assert abs(report["hypothesis_error"] - float(np.mean(q + mu - 2.0 * q * mu))) <= 1e-12
+
+
+@pytest.mark.parametrize("fit,sample,text", [(f, s, t) for f, s, _, t in PINNED_FITS.values()], ids=PINNED_FITS.keys())
+def test_pinned_fits_match_the_reference_kernels(fit, sample, text):
+    ds = _seeded_sample(*sample)
+    pinned = load_polynomial(text)
+    if fit is l2_regress:
+        _assert_identical(_rounded_on_the_cube(pinned), _rounded_on_the_cube(reference_l2_regress(ds, 2)))
+    else:
+        assert abs(l1_objective(pinned, ds) - l1_objective(reference_l1_regress(ds, 2), ds)) <= L1_CERTIFICATE_TOL

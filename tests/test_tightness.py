@@ -43,7 +43,7 @@ ZS = np.repeat(np.arange(1 << N), K)
 IN_R = (ZS & 0b11) == 0b11
 # Within each input's block of K rows, the first half are labeled 1 on R.
 D_LABELS = IN_R & (np.arange(ZS.size) % K < K // 2)
-D = Dataset(N, ZS, D_LABELS, np.zeros(ZS.size, dtype=bool))
+D = Dataset.from_rows(N, ZS, D_LABELS, np.zeros(ZS.size, dtype=bool))
 
 
 def _fit(learner):
@@ -89,16 +89,17 @@ def _family_member(n: int, j: int, k: int) -> tuple[tuple[StochasticTree, Stocha
     in_r = (zs & ((1 << j) - 1)) == (1 << j) - 1
     labels = in_r & (np.arange(zs.size) % k < k // 2)
     worlds = (StochasticTree(n, region), StochasticTree(n, Leaf(0)))
-    return worlds, Dataset(n, zs, labels, np.zeros(zs.size, dtype=bool))
+    return worlds, Dataset.from_rows(n, zs, labels, np.zeros(zs.size, dtype=bool))
 
 
 @pytest.mark.parametrize("n,j,k", FAMILY)
 def test_family_dataset_is_within_budget_of_each_world(n, j, k):
     worlds, data = _family_member(n, j, k)
+    zs, c0, c1 = data.counts()
     for world in worlds:
-        clean = mean_on_points(world, data.zs)
+        clean = mean_on_points(world, zs)
         assert set(clean.tolist()) <= {0.0, 1.0}
-        assert int(np.sum(clean != data.ys)) == corruption_budget(2.0**-j / 2, data.m)
+        assert int(np.where(clean == 1.0, c0, c1).sum()) == corruption_budget(2.0**-j / 2, data.m)
 
 
 def test_family_reaches_both_l1_sides():
