@@ -96,9 +96,9 @@ def budgets_for(cfg: ExperimentConfig) -> tuple[int | None, int | None]:
         check_table_budget(cfg.n, depth)
         return depth, None
     degree = degree_budget(cfg.s, cfg.eps, cfg.n)
-    # l2 builds one row per distinct input, the dual l1 LP one per distinct
-    # (input, label) pair.
-    rows = min(cfg.m, 2**cfg.n) * (1 if cfg.method == "l2" else 2)
+    # l2 builds one row per distinct input, at most min(m, 2^n), the dual l1
+    # LP one per distinct (input, label) pair, at most min(m, 2^(n+1)).
+    rows = min(cfg.m, 2 ** (cfg.n + (cfg.method == "l1")))
     check_budget(cfg.method, cfg.n, degree, rows)
     return None, degree
 

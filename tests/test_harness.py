@@ -132,6 +132,15 @@ class TestBudgets:
         with pytest.raises(ValueError, match="design matrix"):
             run_experiment(cfg)
 
+    def test_l1_budget_charges_distinct_input_label_pairs(self):
+        # 60,000 rows over 2^20 inputs give at most 60,000 distinct (input,
+        # label) pairs: a 0.6 GiB design matrix of 1,351 features, which the
+        # learner's own check accepts.  Charging 2 min(m, 2^n) rows refused
+        # it as 1.2 GiB.
+        cfg = ExperimentConfig(n=20, s=1, m=60_000, eps=0.125, method="l1")
+        regression.check_budget("l1", 20, 3, 60_000)
+        assert budgets_for(cfg) == (None, 3)
+
     def test_cube_lp_budget_reported_before_sampling(self, monkeypatch):
         # Degree 14 over 14 variables takes the cube LP: no equality rows
         # and 3 * 2^14 variables (384 KiB), where the dual LP's 32,768
