@@ -215,9 +215,10 @@ def _moment_counts(
     high = np.argsort(hi_order)[_subset_rows(variables[:, a:] - a, hi_links, hi_offsets)]
     moments = moments.reshape(na, 2, nb)
     counts = np.empty((2, masks.size, 1 << top), dtype=np.int64)
+    # No name holds one label's gathered moments while the next are gathered.
+    gather = (low[None, :, :], high[:, None, :])
     for label in (0, 1):
-        gathered = moments[:, label][low[None, :, :], high[:, None, :]].reshape(1 << top, -1)
-        counts[label] = _subset_transform(gathered, top, -1.0, supersets=True).T
+        counts[label] = _subset_transform(moments[:, label][gather].reshape(1 << top, -1), top, -1.0, True).T
     return counts
 
 

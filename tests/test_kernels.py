@@ -571,8 +571,9 @@ def test_count_table_matches_unique(n, s, stoch, m, noisy, seed):
 @example(n=2, s=3, stoch=0.0, m=200, noisy=True, seed=1, eta=0.5)
 def test_flip_margin_rows_matches_dict_loop(n, s, stoch, m, noisy, seed, eta):
     # In ascending (input, label) order the loop's lowest untaken rows are
-    # the lowest cells' rows, so the counts agree with or without leftover
-    # budget; with none left over, they agree in any row order.
+    # the lowest cells' rows, so the cells and the corrupted table agree
+    # with or without leftover budget; with none left over, they agree in
+    # any row order.
     tree = _tree(n, min(s, 1 << n), stoch, seed)
     clean = _sample(tree, m, noisy, seed + 1)
     budget = corruption_budget(eta, m)
@@ -580,13 +581,15 @@ def test_flip_margin_rows_matches_dict_loop(n, s, stoch, m, noisy, seed, eta):
         return
     new = _flip_margin_cells(clean, budget, tree)
     assert new.sum() == budget and np.all(new <= clean.cells[:, :, 0])
-    zs, ys, _ = dataset_rows(clean)
-    rows, _ = reference_flip_margin_rows(zs, ys, budget, tree)
-    _assert_identical(new, _flipped_cells(clean, zs, ys, rows))
-    zs, ys, _ = _shuffled_rows(clean, seed)
-    rows, leftover = reference_flip_margin_rows(zs, ys, budget, tree)
-    if leftover == 0:
+    table = corrupt(clean, eta, Adversary.LABEL_FLIP_MARGIN, tree, np.random.default_rng(seed))
+    for shuffled, (zs, ys, flags) in enumerate((dataset_rows(clean), _shuffled_rows(clean, seed))):
+        rows, leftover = reference_flip_margin_rows(zs, ys, budget, tree)
+        if shuffled and leftover:
+            continue
         _assert_identical(new, _flipped_cells(clean, zs, ys, rows))
+        ys[rows] ^= 1
+        flags[rows] = True
+        _assert_same_dataset(table, Dataset.from_rows(n, zs, ys, flags))
 
 
 def test_flip_margin_rows_fills_leftover_budget():
