@@ -10,12 +10,12 @@ metadata only and learners never read them.
 The learners see a multiset of rows, so a dataset is its count table:
 the distinct inputs, packed as int64 values with bit i holding variable
 i, and how many rows sit in each (input, label, flag) cell.  It is drawn,
-corrupted and fitted as that table, and no array of one entry per row is
-made after the inputs are drawn.  Rows appear only in the text format:
-``dump_dataset`` writes them in ascending (input, label, flag) order, and
-``load_dataset`` reads them in any order and counts them.  Rows of bits
-appear only there and where ``find`` unpacks a block of distinct inputs
-into the bit rows of its moment products.
+corrupted and fitted as that table; after the draw only numpy's
+hypergeometric pick in ``corrupt`` holds one entry per row, while it runs.
+Rows appear only in the text format: ``dump_dataset`` writes them in
+ascending (input, label, flag) order, and ``load_dataset`` reads them in
+any order and counts them.  Rows of bits appear only there and where
+``find`` unpacks a block of distinct inputs into its moment products.
 """
 
 from __future__ import annotations
