@@ -71,9 +71,10 @@ class Dataset:
             raise ValueError("inputs must be strictly ascending")
         if zs.size and (zs[0] < 0 or zs[-1] >= 1 << self.n):
             raise ValueError(f"packed inputs must lie in [0, 2^{self.n})")
-        if np.any(cells < 0):
+        if cells.min(initial=0) < 0:
             raise ValueError("cell counts must be nonnegative")
-        if not cells.any(axis=(1, 2)).all():
+        # Column sums: numpy reduces a short last axis far more slowly.
+        if not (cells[:, 0, 0] + cells[:, 0, 1] + cells[:, 1, 0] + cells[:, 1, 1]).all():
             raise ValueError("every input must have at least one row")
         for arr in (zs, cells):
             arr.setflags(write=False)
@@ -108,8 +109,7 @@ class Dataset:
     def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The distinct packed inputs, ascending, and the number of rows
         labeled 0 and labeled 1 at each (int64), flags summed out."""
-        labels = self.cells.sum(axis=2)
-        return self.zs, labels[:, 0], labels[:, 1]
+        return self.zs, self.cells[:, 0, 0] + self.cells[:, 0, 1], self.cells[:, 1, 0] + self.cells[:, 1, 1]
 
 
 def draw_clean(tree: StochasticTree, m: int, rng: np.random.Generator) -> Dataset:
@@ -145,10 +145,9 @@ def corrupt(
     tree: StochasticTree,
     rng: np.random.Generator,
 ) -> Dataset:
-    """Apply an adversary to exactly floor(eta * m) rows of a clean sample.
-    Every strategy but the margin adversary picks them uniformly, by one
-    multivariate hypergeometric draw of how many rows each (input, label)
-    cell gives up."""
+    """Apply an adversary to exactly floor(eta * m) rows of a clean sample;
+    every strategy but the margin adversary picks them uniformly, by one
+    multivariate hypergeometric draw over the (input, label) cells."""
     if not isinstance(strategy, Adversary):
         raise ValueError(f"unknown adversary {strategy!r}")
     if not 0.0 <= eta <= 1.0:
@@ -173,12 +172,14 @@ def corrupt(
         if at == zs.size or zs[at] != z:
             zs, cells = np.insert(zs, at, z), np.insert(cells, at, 0, axis=0)
         cells[at, y, 1] = budget
+        # An input whose rows were all rewritten leaves the table.
+        keep = cells.any(axis=(1, 2))
+        zs, cells = zs[keep], cells[keep]
     else:
         # The do-nothing adversary still spends its budget: it replaces
         # rows with identical copies, so the flags stay an exact record.
         cells[:, :, 1] = chosen if strategy is Adversary.NONE else chosen[:, ::-1]
-    keep = cells.any(axis=(1, 2))
-    return Dataset(clean.n, zs[keep], cells[keep])
+    return Dataset(clean.n, zs, cells)
 
 
 def _flip_margin_cells(clean: Dataset, budget: int, tree: StochasticTree) -> np.ndarray:
@@ -197,7 +198,7 @@ def _flip_margin_cells(clean: Dataset, budget: int, tree: StochasticTree) -> np.
     mu = mean_on_points(tree, clean.zs)
     bayes = (mu >= 0.5).astype(np.intp)
     agree = np.where(bayes == 1, rows[:, 1], rows[:, 0])
-    disagree = rows.sum(axis=1) - agree
+    disagree = rows[:, 0] + rows[:, 1] - agree
     # Inputs whose empirical majority already contradicts the Bayes label need nothing.
     need = np.where(agree >= disagree, (agree - disagree) // 2 + 1, 0)
 
