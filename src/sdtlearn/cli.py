@@ -41,6 +41,7 @@ def cmd_gen_tree(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     tree = trees.load_tree(_read(args.tree))
+    harness.check_draw_budget(tree.n, args.samples)
     ds = data.draw_clean(tree, args.samples, _rng(args.seed))
     _write(args.out, data.dump_dataset(ds))
     return 0

@@ -18,10 +18,15 @@ from .data import Adversary, corrupt, draw_clean
 from .evaluation import ErrorReport, Hypothesis, exact_error, exact_opt, mc_error
 from .find import check_table_budget, find
 from .polynomials import MAX_PACKED_VARS
-from .regression import check_budget, degree_budget, learn_pipeline
+from .regression import DESIGN_BYTES_CAP, check_budget, degree_budget, learn_pipeline
 from .trees import DEFAULT_ENUMERATION_CAP, StochasticTree, random_tree
 
 METHODS = ("find", "l1", "l2")
+
+#: Most bytes a sample's draw and corruption hold per row and per distinct
+#: input, and a Monte Carlo draw per trial, by tracemalloc at a million rows
+#: (plus numpy's hypergeometric pick, 8 bytes a row, which it does not see).
+ROW_BYTES, INPUT_BYTES, TRIAL_BYTES = 26, 184, 40
 
 
 @dataclass(frozen=True)
@@ -90,17 +95,30 @@ def find_depth_budget(s: int, eps: float, max_depth: int) -> int:
 
 def budgets_for(cfg: ExperimentConfig) -> tuple[int | None, int | None]:
     """(depth budget, degree budget) for the configured method; validates
-    feasibility before any data is generated."""
+    feasibility before any data is generated: the learner's budget first,
+    then the draw's, with the Monte Carlo trials when n is above the cap."""
     if cfg.method == "find":
-        depth = find_depth_budget(cfg.s, cfg.eps, cfg.max_depth)
+        depth, degree = find_depth_budget(cfg.s, cfg.eps, cfg.max_depth), None
         check_table_budget(cfg.n, depth)
-        return depth, None
-    degree = degree_budget(cfg.s, cfg.eps, cfg.n)
-    # l2 builds one row per distinct input, at most min(m, 2^n), the dual l1
-    # LP one per distinct (input, label) pair, at most min(m, 2^(n+1)).
-    rows = min(cfg.m, 2 ** (cfg.n + (cfg.method == "l1")))
-    check_budget(cfg.method, cfg.n, degree, rows)
-    return None, degree
+    else:
+        depth, degree = None, degree_budget(cfg.s, cfg.eps, cfg.n)
+        # l2 builds one row per distinct input, at most min(m, 2^n), the dual
+        # l1 LP one per distinct (input, label) pair, at most min(m, 2^(n+1)).
+        rows = min(cfg.m, 2 ** (cfg.n + (cfg.method == "l1")))
+        check_budget(cfg.method, cfg.n, degree, rows)
+    check_draw_budget(cfg.n, cfg.m, cfg.mc_trials if cfg.n > cfg.enumeration_cap else 0)
+    return depth, degree
+
+
+def check_draw_budget(n: int, m: int, trials: int = 0) -> None:
+    """Refuse, before anything is drawn, m sample rows over n variables and
+    ``trials`` Monte Carlo inputs whose arrays would pass DESIGN_BYTES_CAP."""
+    need = ROW_BYTES * m + INPUT_BYTES * min(m, 1 << n) + TRIAL_BYTES * trials
+    if need > DESIGN_BYTES_CAP:
+        raise ValueError(
+            f"{m} sample rows over {n} variables and {trials} Monte Carlo trials need "
+            f"{need / 2**30:.1f} GiB, cap is {DESIGN_BYTES_CAP / 2**30:.1f} GiB"
+        )
 
 
 def run_experiment(cfg: ExperimentConfig) -> ErrorReport:

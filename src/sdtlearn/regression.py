@@ -27,8 +27,9 @@ everywhere, Phi has full column rank and the fit is unique), ``l2``
 minimizes sum_z W(z) (q_z - t_z)^2 subject to V q = 0, with t = c1 / W.
 With D = diag(1/W) the solution is q = t - D V^T (V D V^T)^-1 V t, and
 V D V^T is a positive-definite (2^n - F)-square matrix factored by
-Cholesky; no design or Gram matrix is built.  A fit with an unseen input
-stays on the feature side, where the minimum-norm tie-break matters.
+Cholesky.  Each product with V is one lattice transform, so neither V
+nor a design or Gram matrix is built.  A fit with an unseen input stays
+on the feature side, where the minimum-norm tie-break matters.
 
 ``l1_regress`` minimizes mean absolute error by one of two linear
 programs, one per side; the choice depends only on (n, d):
@@ -50,7 +51,7 @@ most L1_CERTIFICATE_TOL per sample row, otherwise L1SolverError is
 raised with the fit as its incumbent.  The dual LP is charged as its
 design matrix (grouped rows x F), the cube LP as its constraint matrix,
 variables and basis Gram matrix, both against DESIGN_BYTES_CAP; an l2
-fit is charged the larger of its two sides.
+fit is charged its design matrix (u x F), which bounds its cube side too.
 
 ``learn_pipeline`` fits either method at the degree it is handed.  Hypotheses
 clamp the fitted polynomial to [0,1]; ``MODES`` gives each method's
@@ -120,11 +121,10 @@ def check_budget(method: str, n: int, d: int, rows: int) -> None:
     feature side builds a ``rows`` x F design matrix.  On the cube side,
     with nnz(V) = sum over |T| > d of 2^|T|, an l1 fit builds at most
     3 nnz(V) constraint entries and 3 * 2^n variables (these matter when
-    d = n and V is empty) and a (2^n - F)-square basis Gram matrix, and an
-    l2 fit builds nnz(V) entries and a (2^n - F)-square matrix.  Which
-    side an l2 fit takes depends on the distinct inputs, known only after
-    the draw, so it is charged the larger of the two.  A degree outside
-    [0, n] is refused first."""
+    d = n and V is empty) and a (2^n - F)-square basis Gram matrix.  An l2
+    fit is charged its design matrix alone: its cube side runs only at
+    rows = 2^n and builds about 2 (2^n - F)^2 entries, fewer, as 2^n - F
+    is below F and 2^(n-1).  A degree outside [0, n] is refused first."""
     if not 0 <= d <= n:
         raise ValueError(f"degree {d} must lie in [0, {n}], the variable count")
     count = feature_count(n, d)
@@ -132,17 +132,12 @@ def check_budget(method: str, n: int, d: int, rows: int) -> None:
         raise FeatureBudgetExceeded(
             f"degree {d} over {n} variables needs {count} features, cap is {FEATURE_CAP}"
         )
-    # (entries, what they are) for each side the fit may take.
-    charges = [(rows * count, f"a design matrix of {rows} rows x {count} features")]
-    if cube_side(n, d):
+    entries, need = rows * count, f"a design matrix of {rows} rows x {count} features"
+    if method == "l1" and cube_side(n, d):
         nnz = sum(math.comb(n, k) << k for k in range(d + 1, n + 1))
         side = (1 << n) - count
-        if method == "l1":
-            lp = f"a cube LP of {3 * nnz} entries over {3 << n} variables"
-            charges = [(3 * nnz + (3 << n) + side * side, f"{lp} and a {side}x{side} basis Gram matrix")]
-        else:
-            charges.append((nnz + side * side, f"a cube system of {nnz} entries and a {side}x{side} matrix"))
-    entries, need = max(charges)
+        entries = 3 * nnz + (3 << n) + side * side
+        need = f"a cube LP of {3 * nnz} entries over {3 << n} variables and a {side}x{side} basis Gram matrix"
     if entries * 8 > DESIGN_BYTES_CAP:
         raise FeatureBudgetExceeded(
             f"{need}: {entries * 8 / 2**30:.1f} GiB, cap is {DESIGN_BYTES_CAP / 2**30:.1f} GiB"
@@ -208,13 +203,18 @@ def l2_regress(dataset: "Dataset", d: int) -> MultilinearPolynomial:
 
 def _l2_cube(c0: np.ndarray, c1: np.ndarray, n: int, d: int) -> np.ndarray:
     """q = t - D V^T (V D V^T)^-1 V t, from the label counts on every input
-    of {0,1}^n in order."""
+    of {0,1}^n in order.  Over R = {T : |T| > d}, V t is t's Moebius
+    transform at R, (V D V^T)[S, T] = (-1)^(|S|+|T|) zeta(1/W)[S & T], and
+    D V^T lam is the superset Moebius transform of lam on R, over W."""
     w = (c0 + c1).astype(np.float64)
     t = c1 / w
-    v = _mobius_rows(n, d)
-    dvt = (v / w).T
-    lam = cho_solve(cho_factor((v @ dvt).toarray()), v @ t)
-    return t - dvt @ lam
+    r = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) > d)
+    sign = 1.0 - 2.0 * (np.bitwise_count(r) & 1)
+    gram = _subset_transform(1.0 / w, n, 1.0)[r[:, None] & r]
+    gram *= sign[:, None]
+    gram *= sign
+    lam = cho_solve(cho_factor(gram, overwrite_a=True), _subset_transform(t.copy(), n, -1.0)[r])
+    return t - _subset_transform(np.bincount(r, lam, 1 << n), n, -1.0, supersets=True) / w
 
 
 def _cube_fit(q: np.ndarray, n: int, d: int) -> MultilinearPolynomial:
@@ -351,8 +351,8 @@ def _certify(
 
 
 def _mobius_rows(n: int, d: int) -> sp.csr_array:
-    """V: one row v_T(z) = (-1)^(|T|-|z|) [z subset of T] per |T| > d, by
-    |T| and then T; v_T has 2^|T| nonzeros."""
+    """The l1 cube LP's constraints V: one row v_T(z) = (-1)^(|T|-|z|)
+    [z subset of T] per |T| > d, by |T| and then T, with 2^|T| nonzeros."""
     cube = np.arange(1 << n, dtype=np.int64)
     sizes = np.bitwise_count(cube)
     rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]

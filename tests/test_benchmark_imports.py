@@ -5,6 +5,7 @@ attribute and reads their arguments, so a name moved out of the library
 or a changed call would otherwise surface only when the benchmark runs.
 """
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -45,6 +46,27 @@ def test_every_workload_config_passes_its_budgets(load):
     for workload in workloads.WORKLOADS.values():
         for cfg in (workload.base, workload.tiny):
             budgets_for(cfg)
+
+
+#: sha256 of each workload's reports, one JSON line each, as
+#: ``perfbench/run.py`` prints them, at workload seeds 1 and 2.
+#: ``l1_acceptance`` is left out: its randomized reports carry HiGHS's last
+#: bits, and the l1 pins in test_harness and test_regression cover that path.
+REPORT_DIGESTS = {
+    ("find_acceptance", 1): "b1c7a349b3959e2d32e31ab190858931369eb2012b587bf706c09bd0cc9d1e5e",
+    ("find_acceptance", 2): "9cf17ab0f9a3eda3a99c96999cd89987ba1d0183c7ee2a35fc0a8bbece74255b",
+    ("l2_acceptance", 1): "73de31498dc57ef298d0ec4a25577333ab45f99153a067bacfe24c1821a1fbee",
+    ("l2_acceptance", 2): "2a48595e7a1a3575f552314a097f0711a7c82b65b11e3049824fcab049114b38",
+    ("mc_wide", 1): "9cc4c27de83f9039cf874e5f270426cc39ccc16338152b3312299524aa0b03d6",
+    ("mc_wide", 2): "edb14f7cbf8f1d92d57cc69dd6bc79aa3b4f7191328bd643ec29171f47c93a40",
+}
+
+
+@pytest.mark.parametrize("name,seed", REPORT_DIGESTS, ids=[f"{w}-{s}" for w, s in REPORT_DIGESTS])
+def test_workload_reports_match_their_digest(load, name, seed):
+    configs = load("workloads").WORKLOADS[name].configs(seed)
+    reports = "\n".join(harness.run_experiment(cfg).to_json() for cfg in configs)
+    assert hashlib.sha256(reports.encode()).hexdigest() == REPORT_DIGESTS[name, seed]
 
 
 def test_every_tiny_workload_runs_traced_and_passes_its_checks(load):

@@ -7,7 +7,7 @@ from scipy.optimize import OptimizeResult
 from conftest import dataset_rows
 from test_harness import GOLDEN
 
-from sdtlearn import harness, regression
+from sdtlearn import data, harness, regression
 from sdtlearn.cli import main
 from sdtlearn.data import Dataset, dump_dataset, load_dataset
 from sdtlearn.evaluation import ErrorReport
@@ -238,6 +238,17 @@ def test_budget_and_solver_errors_exit_in_one_line(workspace, monkeypatch):
     monkeypatch.setattr(regression, "linprog", failing)
     message = _exit_message(regress + ["--norm", "l1"])
     assert message == "sdtlearn regress: LP solver failed: numerical difficulties"
+
+
+def test_draws_past_the_memory_cap_exit_in_one_line(workspace, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("data drawn before the budget check")
+
+    monkeypatch.setattr(data, "draw_clean", no_sampling)
+    message = _exit_message(["sweep", "--n", "4", "--s", "2", "--m", "10000000000000", "--eps", "0.3"])
+    assert message.startswith("sdtlearn sweep: 10000000000000 sample rows over 4 variables")
+    message = _exit_message(["sample", "--tree", str(workspace["tree"]), "--samples", "10000000000000"])
+    assert message.startswith("sdtlearn sample: 10000000000000 sample rows over 5 variables")
 
 
 HUGE = "1" + "0" * 400

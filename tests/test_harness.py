@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,6 +159,48 @@ class TestBudgets:
             budgets_for(cfg)
         with pytest.raises(ValueError, match="cube LP"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "fields,need",
+        [
+            pytest.param(dict(n=4, m=10**13), "242143.9 GiB", id="rows"),
+            pytest.param(dict(n=30, m=1000, mc_trials=10**9, max_depth=2), "37.3 GiB", id="trials"),
+        ],
+    )
+    def test_draw_budget_reported_before_sampling(self, fields, need, monkeypatch):
+        # numpy would otherwise fail to allocate the rows, or the trials,
+        # with a MemoryError; near the cap it would take the host's memory.
+        cfg = ExperimentConfig(s=2, eps=0.3, **fields)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("data drawn before the budget check")
+
+        for name in ("random_tree", "draw_clean", "corrupt", "mc_error"):
+            monkeypatch.setattr(harness, name, no_sampling)
+        with pytest.raises(ValueError, match=f"sample rows over {cfg.n} variables and .* need {need}"):
+            budgets_for(cfg)
+        with pytest.raises(ValueError, match="sample rows"):
+            run_experiment(cfg)
+
+    def test_draw_budget_charges_rows_inputs_and_trials_above_the_cap(self, monkeypatch):
+        # 26 bytes a row, 184 a distinct input (at most 2^4 here) and 40 a
+        # Monte Carlo trial, which n = 4 within the cap never draws.
+        need = 26 * 1000 + 184 * 16
+        cfg = ExperimentConfig(n=4, s=2, m=1000, eps=0.3, mc_trials=10**12)
+        monkeypatch.setattr(harness, "DESIGN_BYTES_CAP", need)
+        assert budgets_for(cfg) == (6, None)
+        monkeypatch.setattr(harness, "DESIGN_BYTES_CAP", need - 1)
+        with pytest.raises(ValueError, match="1000 sample rows over 4 variables and 0 Monte Carlo trials"):
+            budgets_for(cfg)
+        monkeypatch.setattr(harness, "DESIGN_BYTES_CAP", need + 40 * 100)
+        budgets_for(replace(cfg, enumeration_cap=3, mc_trials=100))
+        with pytest.raises(ValueError, match="and 101 Monte Carlo trials"):
+            budgets_for(replace(cfg, enumeration_cap=3, mc_trials=101))
+
+    def test_learner_budget_reported_before_the_draw_budget(self):
+        cfg = ExperimentConfig(n=16, s=12, m=10**13, eps=0.25, method="l2")
+        with pytest.raises(ValueError, match="65536 rows x 14893 features"):
+            budgets_for(cfg)
 
     def test_search_table_budget_reported_before_sampling(self, monkeypatch):
         # Depth 6 over 30 variables is a 43M-cell table.

@@ -11,7 +11,8 @@ the slack-split primal LP for the L1 fit
 (and that fit's dual LP for its cube LP, used when d is near n, as well
 as the cube LP's earlier form with three columns on every input, solved
 with HiGHS's presolve),
-``lstsq`` over the grouped rows for the L2 fit (on either side), one
+``lstsq`` over the grouped rows for the L2 fit (on either side) and
+products with the sparse Moebius matrix for its cube side, one
 pass over the inputs per monomial for polynomial evaluation, the ``find`` search
 keyed by sorted (variable, bit) tuples (in conftest), two weighted
 ``bincount``s per variable set for ``find``'s leaf counts, which the new
@@ -47,6 +48,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog
 from scipy.stats import chi2_contingency
 
@@ -78,6 +80,7 @@ from sdtlearn.regression import (
     _grouped_rows,
     _l1_cube,
     _l1_dual,
+    _l2_cube,
     _mobius_rows,
     _solve_lp,
     _to_poly,
@@ -219,6 +222,16 @@ def reference_l2_regress(dataset: Dataset, d: int):
     sw = np.sqrt(w)
     beta, *_ = np.linalg.lstsq(_design_matrix(zs, monos) * sw[:, None], ys * sw, rcond=None)
     return _to_poly(dataset.n, d, monos, beta)
+
+
+def reference_l2_cube(c0: np.ndarray, c1: np.ndarray, n: int, d: int) -> np.ndarray:
+    """q = t - D V^T (V D V^T)^-1 V t with the sparse Moebius matrix V."""
+    w = (c0 + c1).astype(np.float64)
+    t = c1 / w
+    v = _mobius_rows(n, d)
+    dvt = (v / w).T
+    lam = cho_solve(cho_factor((v @ dvt).toarray()), v @ t)
+    return t - dvt @ lam
 
 
 def reference_evaluate_packed(poly: MultilinearPolynomial, zs: np.ndarray) -> np.ndarray:
@@ -713,6 +726,24 @@ def test_l2_normal_equations_match_grouped_lstsq(n, s, stoch, m, noisy, seed, de
     new = l2_regress(ds, d).evaluate_packed(cube)
     ref = reference_l2_regress(ds, d).evaluate_packed(cube)
     assert np.max(np.abs(new - ref)) <= 1e-9
+
+
+@PROPERTY
+@given(n=st.integers(1, 8), top=st.sampled_from([1, 2, 5, 60, 5000]), seed=st.integers(0, 2**32 - 1))
+@example(n=1, top=1, seed=0)
+@example(n=8, top=5000, seed=1)
+def test_l2_cube_matches_sparse_moebius_products(n, top, seed):
+    # Every cube-side degree, d = n (no constraint rows) included, on
+    # label counts with at least one row at every input.
+    rng = np.random.default_rng(seed)
+    w = rng.integers(1, top + 1, 1 << n)
+    c1 = rng.integers(0, w + 1)
+    for d in (d for d in range(n + 1) if cube_side(n, d)):
+        new, ref = _l2_cube(w - c1, c1, n, d), reference_l2_cube(w - c1, c1, n, d)
+        assert np.max(np.abs(new - ref)) <= 1e-9, d
+        tie = np.abs(ref - 0.5) <= ROUND_TIE_TOL
+        rounded = [np.clip(q, 0.0, 1.0)[~tie] >= 0.5 - ROUND_TIE_TOL for q in (new, ref)]
+        assert np.array_equal(*rounded), d
 
 
 def test_l2_rank_short_gram_falls_back_to_min_norm():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -10,7 +11,7 @@ from sdtlearn import regression
 from sdtlearn.data import Dataset, draw_clean
 from sdtlearn.evaluation import exact_error, exact_opt, guarantee_bound
 from sdtlearn.harness import ExperimentConfig, budgets_for, run_experiment
-from sdtlearn.polynomials import MultilinearPolynomial, dump_polynomial, monomials, trunc
+from sdtlearn.polynomials import MultilinearPolynomial, dump_polynomial, feature_count, monomials, trunc
 from sdtlearn.regression import (
     FeatureBudgetExceeded,
     L1SolverError,
@@ -228,15 +229,17 @@ class TestL1Certificate:
             l1_regress(sample(), d)
         assert len(methods) == 2 and methods[0] == methods[1]
 
-    @pytest.mark.parametrize("eta,seed", [(0.0, 3), (0.05, 25)])
-    def test_dual_side_margin_configs_certify(self, eta, seed):
-        # Dual-side configs on which an interior-point solve leaves a
-        # duality gap above L1_CERTIFICATE_TOL per row.
+    @pytest.mark.parametrize("eta,seed,margin", [(0.0, 3, -0.5), (0.05, 25, -0.6)], ids=["0.0-3", "0.05-25"])
+    def test_dual_side_margin_configs_certify(self, eta, seed, margin):
+        # Dual-side configs (d = 3) under the margin adversary: the dual LP,
+        # solved by HiGHS's default method, certifies, and the report's
+        # margin is pinned.  These configs once left an interior-point
+        # solve with a duality gap above L1_CERTIFICATE_TOL per row.
         cfg = ExperimentConfig(
             n=10, s=4, m=5000, eps=0.5, method="l1", adversary="label_flip_margin", eta=eta, seed=seed
         )
         assert not regression.cube_side(cfg.n, budgets_for(cfg)[1])
-        assert run_experiment(cfg).method == "l1"
+        assert round(run_experiment(cfg).margin, 4) == margin
 
     @pytest.mark.parametrize("seed,margin", [(0, -0.3499), (7, -0.3327)], ids=["seed0", "seed7"])
     def test_cube_side_margin_configs_certify(self, seed, margin):
@@ -305,24 +308,48 @@ def test_cube_lp_budget_counts_its_own_size(monkeypatch):
 
 
 def test_l2_cube_budget_counts_its_own_size(monkeypatch):
-    # Degree 2 over 3 variables: 7 features and one cube row v_{012} with
-    # 8 nonzeros, so the cube side builds 8 + 1 * 1 entries.  Which side
-    # runs is known only after the draw, so the larger of the two sides is
-    # charged: over one input the cube side, over all 8 the design matrix,
-    # although that fit then takes the cube side.
+    # Degree 2 over 3 variables: 7 features.  An l2 fit is charged its
+    # design matrix alone, rows x 7: over one input 1 x 7, and over all 8
+    # inputs 8 x 7, although that fit takes the cube side, whose 1x1
+    # system and index matrix are smaller.
     assert regression.cube_side(3, 2)
     one, full = make_dataset([[0, 1, 0]] * 5, [1, 0, 1, 1, 0]), _full_cube_sample(3)
     monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", 8 * 7 * 8)
     l2_regress(full, 2)
-    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", (8 + 1) * 8)
+    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", 7 * 8)
     l2_regress(one, 2)
-    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", (8 + 1) * 8 - 1)
+    monkeypatch.setattr(regression, "DESIGN_BYTES_CAP", 7 * 8 - 1)
     monkeypatch.setattr(regression, "_design_matrix", None)
-    monkeypatch.setattr(regression, "_mobius_rows", None)
-    with pytest.raises(FeatureBudgetExceeded, match="cube system of 8 entries and a 1x1 matrix"):
+    with pytest.raises(FeatureBudgetExceeded, match="1 rows x 7 features"):
         l2_regress(one, 2)
     with pytest.raises(FeatureBudgetExceeded, match="8 rows x 7 features"):
         l2_regress(full, 2)
+
+
+def test_l2_cube_side_builds_no_moebius_matrix(monkeypatch):
+    # Degree 3 over 5 variables: 26 features and 6 cube rows, all on
+    # lattice transforms, without V or scipy.sparse.
+    monkeypatch.setattr(regression, "_mobius_rows", None)
+    monkeypatch.setattr(regression, "sp", None)
+    monkeypatch.setattr(regression, "_design_matrix", None)
+    ds = _full_cube_sample(5)
+    assert regression.cube_side(5, 3)
+    assert l2_regress(ds, 3).d == 3
+
+
+def test_l2_cube_side_peak_stays_under_the_design_charge():
+    # The cube side builds about 2 (2^n - F)^2 entries, against the 2^n x F
+    # design matrix it is charged, for every cube-side degree.
+    for n in range(6, 13):
+        ds = _full_cube_sample(n)
+        for d in (d for d in range(n + 1) if regression.cube_side(n, d)):
+            tracemalloc.start()
+            try:
+                l2_regress(ds, d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < (1 << n) * feature_count(n, d) * 8, (n, d, peak)
 
 
 def _full_cube_sample(n: int) -> Dataset:
