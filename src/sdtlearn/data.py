@@ -10,8 +10,9 @@ metadata only and learners never read them.
 The learners see a multiset of rows, so a dataset is its count table:
 the distinct inputs, packed as int64 values with bit i holding variable
 i, and how many rows sit in each (input, label, flag) cell.  It is drawn,
-corrupted and fitted as that table; after the draw only numpy's
-hypergeometric pick in ``corrupt`` holds one entry per row, while it runs.
+corrupted and fitted as that table; the draw counts its m inputs without
+sorting them unless the cube is much larger than the sample, and after it
+only numpy's hypergeometric pick in ``corrupt`` holds one entry per row.
 Rows appear only in the text format: ``dump_dataset`` writes them in
 ascending (input, label, flag) order, and ``load_dataset`` reads them in
 any order and counts them.  Rows of bits appear only there and where
@@ -41,6 +42,9 @@ from .trees import (
 
 #: The example adversary scans its query cube in blocks of 2^this inputs.
 _CUBE_BLOCK_BITS = 16
+
+#: ``draw_clean`` counts its inputs over the cube when 2^n <= this times m.
+_CUBE_COUNT_RATIO = 2
 
 
 class Adversary(Enum):
@@ -116,16 +120,24 @@ def draw_clean(tree: StochasticTree, m: int, rng: np.random.Generator) -> Datase
     """m i.i.d. rows: x uniform on {0,1}^n, y = 1 with probability mu(x).
 
     The generator is consumed in a fixed order: the m packed inputs first,
-    as one ``rng.integers(0, 2^n, m)`` call, which are counted, then one
-    ``rng.binomial`` call giving each distinct input's number of 1-labels
-    among its w rows with probability mu(x).  A multiset of rows has the
-    same law whichever order they come in, and integrating the coins out
-    through the exact mean gives each label the same law as walking the
-    tree and flipping every coin on the way.
+    as one ``rng.integers(0, 2^n, m)`` call, counted (the same table either
+    way) by ``bincount`` over the cube when 2^n <= ``_CUBE_COUNT_RATIO`` * m
+    and by sorting above, then one ``rng.binomial`` call giving each
+    distinct input's number of 1-labels among its w rows with probability
+    mu(x).  A multiset of rows has the same law whichever order they come
+    in, and integrating the coins out through the exact mean gives each
+    label the same law as walking the tree and flipping every coin on the
+    way.
     """
     if m < 0:
         raise ValueError("sample count must be nonnegative")
-    zs, w = np.unique(rng.integers(0, 1 << tree.n, m), return_counts=True)
+    x = rng.integers(0, 1 << tree.n, m)
+    if 1 << tree.n <= _CUBE_COUNT_RATIO * m:
+        w = np.bincount(x, minlength=1 << tree.n)
+        zs = np.flatnonzero(w)
+        w = w[zs]
+    else:
+        zs, w = np.unique(x, return_counts=True)
     # A sum of coin weights may round a few ulps past 1.
     ones = rng.binomial(w, np.minimum(mean_on_points(tree, zs), 1.0))
     cells = np.zeros((zs.size, 2, 2), dtype=np.int64)

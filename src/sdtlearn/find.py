@@ -26,7 +26,8 @@ at most L = min(d, n) variables and b their values, i.e. a subcube of
   every value of the passes is an integer at most m < 2^53, so float64
   holds and adds it exactly, in any order and under any number of BLAS
   threads.  A block holds about ``_PRODUCT_BLOCK`` product entries, so
-  memory does not grow with the number of inputs;
+  memory does not grow with the number of inputs and, at n=10, L=5,
+  stays within the heap that glibc keeps between calls;
 * below L, the error of (S, b) is the smallest, over free variables v,
   of the errors of its two halves (S + v, b with v = 0) and
   (S + v, b with v = 1); each level is linked once to the next, and the
@@ -50,15 +51,19 @@ subcube with k fixed variables is reached once from each of its k
 parents).
 
 The table has sum_{k <= L} C(n, k) * 2^k cells, and the search peaks at
-about 37 bytes a cell (tracemalloc, at n=24, depth 5; 39 at n=16, depth
-5), in the fold.  The leaf level alone peaks at about 34: the counts, one
-label's gathered moments and the moment matrix.  ``find`` rejects a table
-over ``TABLE_CELLS_CAP`` with ``TableBudgetExceeded`` before it counts or
-allocates anything.
+about 34 bytes a cell (tracemalloc, at n=24, depth 5; 35 at n=16, depth
+5), in the fold, or 39 (41) on a call that builds its plan: what depends
+on (n, L) alone, built once by ``_plan``, which keeps the last
+``_PLAN_SHAPES`` shapes' plans read-only (0.07 MiB at n=10, L=5, 7.9 at
+n=24, L=5 and 11.7 at n=40, L=4).  The leaf level alone peaks at about
+26: the counts, one label's gathered moments and the moment matrix.
+``find`` rejects a table over ``TABLE_CELLS_CAP`` with
+``TableBudgetExceeded`` before it counts or allocates anything.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -66,16 +71,19 @@ import numpy as np
 
 from .data import Dataset
 from .polynomials import _subset_transform
-from .trees import Leaf, Node, Query, StochasticTree, mean_on_points, unpack_inputs
+from .trees import Leaf, Node, Query, StochasticTree, mean_on_points
 
 #: Largest restriction table (cells over all levels) ``find`` builds.
 TABLE_CELLS_CAP = 1 << 21
 
 #: Product entries (both matrices) per block of inputs at the leaf level.
-_PRODUCT_BLOCK = 1 << 16
+_PRODUCT_BLOCK = 1 << 15
 
 #: Chunks of moment rows, each multiplied by only the prefix of columns it needs.
 _ROW_CHUNKS = 4
+
+#: Shapes (n, L) whose search plan ``_plan`` keeps.
+_PLAN_SHAPES = 4
 
 
 class TableBudgetExceeded(ValueError):
@@ -129,8 +137,8 @@ def find(dataset: Dataset, depth: int) -> FindResult:
 def _table_search(
     uz: np.ndarray, w0: np.ndarray, w1: np.ndarray, n: int, top: int
 ) -> tuple[Node, int, SearchStats]:
-    masks, links = _links(n, top)
-    c0, c1 = _moment_counts(uz, w0, w1, n, masks, top)
+    links = _plan(n, top)[0]
+    c0, c1 = _moment_counts(uz, w0, w1, n, top)
     errs, counts = [np.minimum(c0, c1).ravel()], [(c0 + c1).ravel()]
     for k in range(top - 1, -1, -1):
         # errs[0] and counts[0] are level k + 1's tables.
@@ -154,6 +162,45 @@ def _table_search(
     return node, int(errs[0][0]), stats
 
 
+@functools.lru_cache(maxsize=_PLAN_SHAPES)
+def _plan(n: int, top: int) -> tuple:
+    """What a search over n variables to level top reads that depends on nothing
+    else: the links, each half's ``_half`` and the chunks (rows, columns)."""
+    masks, links = _links(n, top)
+    a, b = top // 2, top - top // 2
+    lo_mask, lo_parent, lo_last, _ = _family(n - b, a)
+    hi_mask, hi_parent, hi_last, hi_first = _family(n - a, b)
+    # Chunks of the rows by largest variable; a column, by smallest, pairs
+    # with the first ``band`` chunks, whose first rows' largest lie below it.
+    rank = np.argsort(lo_last, kind="stable")
+    bounds = np.unique(np.linspace(0, rank.size, _ROW_CHUNKS + 1).astype(int)).tolist()
+    band = np.searchsorted(lo_last[rank[bounds[:-1]]], hi_first + a)
+    chunks = tuple((r0, r1, int(np.count_nonzero(band > c))) for c, (r0, r1) in enumerate(zip(bounds, bounds[1:])))
+    variables = np.nonzero((masks[:, None] >> np.arange(n, dtype=np.int64)) & 1)[1].reshape(masks.size, top)
+    low, *lo = _half(lo_mask, lo_parent, lo_last, np.searchsorted(bounds, np.argsort(rank), "right"), variables[:, :a])
+    high, *hi = _half(hi_mask, hi_parent, hi_last + a, -band, variables[:, a:] - a)
+    for x in (low, high, *lo, *hi, *(arr for link in links for arr in link)):
+        x.setflags(write=False)
+    return tuple(links), tuple(lo), tuple(hi), chunks, low, high
+
+
+def _half(mask: np.ndarray, parent: np.ndarray, var: np.ndarray, key: np.ndarray, variables: np.ndarray) -> tuple:
+    """``_family`` rows by key, then level (parents first): in that order, the
+    rows of the subsets of each row r's ascending ``variables[r]``, at [t, r]
+    the one with its j-th variable iff bit j of t is set; each row's parent
+    and variable; and the starts of runs of rows with earlier parents."""
+    order = np.argsort(key, kind="stable")
+    at, by_mask = np.argsort(order), np.argsort(mask)
+    picks = np.arange(1 << variables.shape[1])[:, None] >> np.arange(variables.shape[1]) & 1
+    rows = at[by_mask[np.searchsorted(mask[by_mask], picks @ (np.int64(1) << variables.T))]]
+    parent = at[parent[order]]
+    starts = [1]
+    for row, up in enumerate(parent.tolist()):
+        if up >= starts[-1]:
+            starts.append(row)
+    return rows, parent, var[order], np.array(starts + [order.size])
+
+
 def _links(n: int, top: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Level top's variable sets, and links[k] = (child, pos) for each level
     k below it: with v the j-th smallest free variable of the r-th set S,
@@ -172,49 +219,31 @@ def _links(n: int, top: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndar
     return masks, links
 
 
-def _moment_counts(
-    uz: np.ndarray, w0: np.ndarray, w1: np.ndarray, n: int, masks: np.ndarray, top: int
-) -> np.ndarray:
-    """0- and 1-label counts, stacked, of every subcube of every S in
-    ``masks``, from the moments M_l(T) = sum_z w_l(z) [T subset of z]."""
+def _moment_counts(uz: np.ndarray, w0: np.ndarray, w1: np.ndarray, n: int, top: int) -> np.ndarray:
+    """0- and 1-label counts, stacked, of every subcube of every level-top
+    set, from the moments M_l(T) = sum_z w_l(z) [T subset of z]."""
     # M_l(A + B) is entry (A, B) of the product of the inputs' products over
     # the sets A of S's a lowest variables (all below n - b), weighted by
-    # w_l, and over the sets B of its b highest (all from a up).  With the
-    # rows sorted by largest variable and the columns by smallest,
-    # descending, a chunk of rows needs only the columns whose smallest
-    # variable lies above its first row's largest: a prefix.
-    a, b = top // 2, top - top // 2
-    lo_links, lo_offsets, lo_parent, lo_last, _ = _family(n - b, a)
-    hi_links, hi_offsets, hi_parent, hi_last, hi_first = _family(n - a, b)
-    lo_order = np.argsort(lo_last, kind="stable")
-    hi_order = np.argsort(-hi_first, kind="stable")
-    na, nb = lo_order.size, hi_order.size
-    bounds = np.unique(np.linspace(0, na, _ROW_CHUNKS + 1).astype(int))
-    chunks = [
-        (r0, r1, int(np.count_nonzero(hi_first + a > lo_last[lo_order[r0]])))
-        for r0, r1 in zip(bounds[:-1], bounds[1:])
-    ]
-
+    # w_l, and over the sets B of its b highest (all from a up).  A chunk of
+    # rows needs only the columns that can pair with its first row: a prefix.
+    _, lo, hi, chunks, low, high = _plan(n, top)
+    na, nb = lo[0].size, hi[0].size
     moments = np.zeros((2 * na, nb))
     step = max(1, _PRODUCT_BLOCK // (2 * na + nb))
     for start in range(0, uz.size, step):
         block = slice(start, start + step)
-        bits = np.ascontiguousarray(unpack_inputs(uz[block], n).T, dtype=np.float64)
-        left = _products(bits, lo_offsets, lo_parent, lo_last)[lo_order]
-        left = (left[:, None, :] * np.stack([w0[block], w1[block]])).reshape(2 * na, -1)
-        right = _products(bits[a:], hi_offsets, hi_parent, hi_last)[hi_order]
+        bits = (uz[block] >> np.arange(n, dtype=np.int64)[:, None] & 1).astype(np.float64)
         # Both labels' rows interleaved.  Every partial sum is an integer at
         # most m < 2^53, so BLAS adds exactly in any order and thread count.
+        left = _products(np.stack([w0[block], w1[block]]), bits, lo).reshape(2 * na, -1)
+        right = _products(np.ones((1, bits.shape[1])), bits, hi).reshape(nb, -1)
         for r0, r1, cols in chunks:
             moments[2 * r0 : 2 * r1, :cols] += left[2 * r0 : 2 * r1] @ right[:cols].T
 
     # Subset rows with S innermost: the gather's output takes their layout
     # (never a rows x 2^top index array), and the passes run along S.
-    variables = np.nonzero((masks[:, None] >> np.arange(n, dtype=np.int64)) & 1)[1].reshape(masks.size, top)
-    low = np.argsort(lo_order)[_subset_rows(variables[:, :a], lo_links, lo_offsets)]
-    high = np.argsort(hi_order)[_subset_rows(variables[:, a:] - a, hi_links, hi_offsets)]
     moments = moments.reshape(na, 2, nb)
-    counts = np.empty((2, masks.size, 1 << top), dtype=np.int64)
+    counts = np.empty((2, low.shape[1], 1 << top), dtype=np.int64)
     # No name holds one label's gathered moments while the next are gathered.
     gather = (low[None, :, :], high[:, None, :])
     for label in (0, 1):
@@ -222,50 +251,33 @@ def _moment_counts(
     return counts
 
 
-def _family(width: int, size: int) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _family(width: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The sets of at most ``size`` of ``width`` variables, level by level
-    in ``_links``'s order, row 0 the empty set: their links, each level's
-    first row, and each row's parent (the row of the set less its largest
-    variable), largest variable (-1 for the empty set) and smallest
-    variable (``width`` for the empty set)."""
+    in ``_links``'s order, row 0 the empty set: each row's bitmask, parent
+    (the row of the set less its largest variable), largest variable (-1
+    for the empty set) and smallest variable (``width`` for the empty set)."""
     masks, links = _links(width, size)
     offsets = np.cumsum([0] + [child.shape[0] for child, _ in links] + [masks.size])
-    parent = np.zeros(offsets[-1], dtype=np.int64)
-    last = np.full(offsets[-1], -1, dtype=np.int64)
-    first = np.full(offsets[-1], width, dtype=np.int64)
+    mask, parent = np.zeros((2, offsets[-1]), dtype=np.int64)
+    last, first = np.full((2, offsets[-1]), [[-1], [width]], dtype=np.int64)
     for k, (child, pos) in enumerate(links):
         # S + v, with v above all of S's variables, is linked from S at slot v - k.
         rows, slots = np.nonzero(pos == k)
         at = child[rows, slots] + offsets[k + 1]
         parent[at], last[at] = rows + offsets[k], slots + k
-        first[at] = np.minimum(first[parent[at]], last[at])
-    return links, offsets, parent, last, first
+        first[at], mask[at] = np.minimum(first[parent[at]], last[at]), mask[parent[at]] | np.int64(1) << last[at]
+    return mask, parent, last, first
 
 
-def _products(bits: np.ndarray, offsets: np.ndarray, parent: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Each ``_family`` row's product of its variables' bit rows: its
-    parent's product times its largest variable's bits, a level at a time."""
-    products = np.empty((offsets[-1], bits.shape[1]))
-    products[0] = 1.0
-    for k in range(1, offsets.size - 1):
-        rows = slice(offsets[k], offsets[k + 1])
-        np.multiply(products[parent[rows]], bits[last[rows]], out=products[rows])
+def _products(first: np.ndarray, bits: np.ndarray, half: tuple) -> np.ndarray:
+    """Each ``_half`` row's product of its variables' bit rows, times ``first``
+    (a row per label): its parent's times its variable's bits, a run at a time."""
+    parent, var, starts = half
+    products = np.empty((parent.size, *first.shape))
+    products[0] = first
+    for r0, r1 in zip(starts[:-1], starts[1:]):
+        np.multiply(products[parent[r0:r1]], bits[var[r0:r1], None], out=products[r0:r1])
     return products
-
-
-def _subset_rows(variables: np.ndarray, links: list, offsets: np.ndarray) -> np.ndarray:
-    """``_family`` rows of the subsets of each row r's ascending
-    ``variables[r]``, at [t, r] the subset holding its j-th variable iff
-    bit j of t is set."""
-    rows = np.zeros((1, variables.shape[0]), dtype=np.int64)
-    sizes = np.zeros(1, dtype=np.int64)
-    for j, var in enumerate(variables.T):
-        grown = np.empty_like(rows)
-        for k in range(j + 1):
-            at = np.flatnonzero(sizes == k)
-            grown[at] = links[k][0][rows[at], var - k]
-        rows, sizes = np.concatenate([rows, grown]), np.concatenate([sizes, sizes + 1])
-    return rows + offsets[sizes, None]
 
 
 def _halves(child, pos, b, k):

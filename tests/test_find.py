@@ -171,8 +171,9 @@ class TestTableBudget:
 
     def test_peak_memory_per_table_cell(self):
         # The fold gathers one free-variable slot at a time: this search
-        # peaks at about 43 bytes a cell, and a fold that gathers every
-        # slot of a level at once at about 93.
+        # peaks at about 35 bytes a cell with its plan cached and 41 when it
+        # builds the plan, and a fold that gathers every slot of a level at
+        # once at about 93.
         rng = np.random.default_rng(6)
         ds = draw_clean(random_tree(16, 8, 0.3, rng), 2_000, rng)
         ds.counts()
@@ -209,6 +210,44 @@ class TestTableBudget:
         monkeypatch.setattr(find_module, "TABLE_CELLS_CAP", table_cells(2, 2) - 1)
         with pytest.raises(TableBudgetExceeded):
             find(xor_dataset, 2)
+
+
+def _arrays(plan) -> list[np.ndarray]:
+    """Every array in a search plan, through its nested tuples."""
+    if isinstance(plan, np.ndarray):
+        return [plan]
+    return [a for part in plan for a in _arrays(part)] if isinstance(plan, tuple) else []
+
+
+class TestPlanCache:
+    def test_plan_arrays_are_read_only(self):
+        arrays = _arrays(find_module._plan(10, 5))
+        # The links of levels 0..4, both halves' three arrays and the two gathers.
+        assert len(arrays) == 2 * 5 + 2 * 3 + 2
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    def test_shared_plans_give_the_searches_of_fresh_ones(self):
+        # Shapes A, B and A again, sharing the cache, against each search
+        # run on an empty cache: the same trees, errors and both counters.
+        rng = np.random.default_rng(8)
+        calls = [(draw_clean(random_tree(n, 6, 0.3, rng), 800, rng), depth) for n, depth in ((8, 4), (9, 3), (8, 4))]
+        find_module._plan.cache_clear()
+        shared = [find(ds, depth) for ds, depth in calls]
+        # Shape A's plan is built once.
+        assert find_module._plan.cache_info().misses == 2
+        for (ds, depth), result in zip(calls, shared):
+            find_module._plan.cache_clear()
+            fresh = find(ds, depth)
+            assert (result, result.stats) == (fresh, fresh.stats)
+
+    def test_cache_holds_at_most_its_maxsize(self):
+        find_module._plan.cache_clear()
+        for n in range(2, 4 + find_module._PLAN_SHAPES):
+            find_module._plan(n, 2)
+            assert find_module._plan.cache_info().currsize <= find_module._PLAN_SHAPES
+        assert find_module._plan.cache_info().currsize == find_module._PLAN_SHAPES
 
 
 class TestEmpiricalError:

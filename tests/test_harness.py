@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sdtlearn import harness, regression
+from sdtlearn.data import draw_clean
 from sdtlearn.find import TableBudgetExceeded
 from sdtlearn.harness import (
     ExperimentConfig,
@@ -196,6 +198,29 @@ class TestBudgets:
         budgets_for(replace(cfg, enumeration_cap=3, mc_trials=100))
         with pytest.raises(ValueError, match="and 101 Monte Carlo trials"):
             budgets_for(replace(cfg, enumeration_cap=3, mc_trials=101))
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [
+            pytest.param(16, 1 << 15, id="cube-count-at-threshold"),
+            pytest.param(16, (1 << 15) - 1, id="sorted-below-threshold"),
+            pytest.param(20, 50_000, id="sorted-wide"),
+        ],
+    )
+    def test_draw_peak_stays_under_its_charge(self, n, m, monkeypatch):
+        # Counting over the cube holds 8 * 2^n bytes, 16 a row at the
+        # threshold 2^n = 2m; the draw's tracemalloc peak is under the
+        # budget's charge for the rows and the inputs on both paths.
+        tree = random_tree(n, 8, 0.3, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            draw_clean(tree, m, np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(harness, "DESIGN_BYTES_CAP", peak - 1)
+        with pytest.raises(ValueError, match=f"{m} sample rows over {n} variables"):
+            harness.check_draw_budget(n, m)
 
     def test_learner_budget_reported_before_the_draw_budget(self):
         cfg = ExperimentConfig(n=16, s=12, m=10**13, eps=0.25, method="l2")

@@ -373,6 +373,20 @@ def reference_draw_clean(tree: StochasticTree, m: int, rng: np.random.Generator)
     return Dataset.from_rows(tree.n, pack_inputs(xs), ys, np.zeros(m, dtype=bool))
 
 
+def reference_draw_counts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The drawn inputs' distinct values and counts, by sorting them."""
+    return np.unique(x, return_counts=True)
+
+
+def reference_counted_draw(tree: StochasticTree, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``draw_clean``'s inputs and cells with every draw counted by sorting."""
+    zs, w = reference_draw_counts(rng.integers(0, 1 << tree.n, m))
+    ones = rng.binomial(w, np.minimum(mean_on_points(tree, zs), 1.0))
+    cells = np.zeros((zs.size, 2, 2), dtype=np.int64)
+    cells[:, 0, 0], cells[:, 1, 0] = w - ones, ones
+    return zs, cells
+
+
 def reference_dump_dataset(ds: Dataset) -> str:
     lines = [f"n={ds.n} m={ds.m}"]
     zs, ys, flags = dataset_rows(ds)
@@ -1035,7 +1049,7 @@ def test_moment_counts_match_bincounts(n, depth, u, block, seed):
     w0, w1 = rng.integers(0, 4, size=(2, uz.size), dtype=np.int64)
     masks, _ = _links(n, top)
     with mock.patch.object(find_module, "_PRODUCT_BLOCK", block):
-        counts = _moment_counts(uz, w0, w1, n, masks, top)
+        counts = _moment_counts(uz, w0, w1, n, top)
     _assert_identical(counts, np.stack(reference_leaf_counts(uz, w0, w1, n, masks, top)))
 
 
@@ -1048,7 +1062,7 @@ def test_moment_counts_exact_near_two_to_the_fifty(n, top):
     w0 = np.array([(1 << 50) - 1, (1 << 50) - 3, (1 << 50) - 5], dtype=np.int64)
     w1 = np.array([(1 << 50) - 2, (1 << 50) - 4, (1 << 50) - 6], dtype=np.int64)
     masks, _ = _links(n, top)
-    counts = _moment_counts(uz, w0, w1, n, masks, top)
+    counts = _moment_counts(uz, w0, w1, n, top)
     _assert_identical(counts, np.stack(reference_leaf_counts(uz, w0, w1, n, masks, top)))
     assert counts.sum(axis=2).tolist() == [[int(w0.sum())] * masks.size, [int(w1.sum())] * masks.size]
 
@@ -1117,6 +1131,28 @@ def test_draw_clean_matches_per_row_walk():
     # x = 01 is labeled 1 surely, so its 0-label cell stays empty.
     cells = pooled[:, :, :, 0].reshape(2, 8)
     assert chi2_contingency(cells[:, cells.sum(axis=0) > 0]).pvalue > LAW_P_MIN
+
+
+@PROPERTY
+@given(n=st.integers(0, 13), m=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
+@example(n=0, m=0, seed=0)
+@example(n=0, m=1, seed=1)
+@example(n=6, m=1, seed=2)
+@example(n=7, m=0, seed=3)
+@example(n=11, m=(1 << 11) // data_module._CUBE_COUNT_RATIO, seed=4)
+@example(n=11, m=(1 << 11) // data_module._CUBE_COUNT_RATIO - 1, seed=5)
+@example(n=10, m=50_000, seed=6)
+def test_draw_clean_counts_the_draw_as_sorting_does(n, m, seed):
+    # Both sides of the cube-count threshold, its boundary 2^n = ratio * m
+    # and one row short of it, and the acceptance shape: the same table, and
+    # the generator left in the same state.
+    tree = _tree(n, min(4, 1 << n), 0.3, seed)
+    new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    ds = draw_clean(tree, m, new)
+    zs, cells = reference_counted_draw(tree, m, ref)
+    _assert_identical(ds.zs, zs)
+    _assert_identical(ds.cells, cells)
+    assert new.bit_generator.state == ref.bit_generator.state
 
 
 def test_draw_clean_clips_a_mean_rounded_past_one():
